@@ -9,11 +9,11 @@ import numpy as np
 from .config import ManifestWriter, derive_seed, parse_config, write_resolved
 from .data import SynthSpec, load_idx, synth_dataset
 from .errors import ConfigError, DivergenceError, NetinvError
-from .inversion import InversionConfig, inversion_accuracy, train_generator
+from .inversion import InversionConfig, generate_samples, train_generator
 from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from .ood import OodCycleConfig, evaluate_grid, ood_training_cycle, threshold_report
 from .privacy import privacy_score
-from .reconstruction import ReconConfig, generate_samples, train_reconstructor
+from .reconstruction import ReconConfig
 from .serialize import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .training import accuracy, train_classifier
 
@@ -67,7 +67,7 @@ def _inversion_config(cfg, seed):
                            eval_samples=cfg["inv.eval_samples"], seed=seed)
 
 
-def _prepare(args, require_config=True):
+def _prepare(args):
     cfg = parse_config(args.config, overrides={"seed": args.seed} if args.seed is not None else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,7 +102,7 @@ def cmd_train_classifier(args):
 
 def cmd_invert(args):
     cfg, out, manifest = _prepare(args)
-    clf, info = load_checkpoint(args.classifier)
+    clf, _ = load_checkpoint(args.classifier)
     if not isinstance(clf, Classifier):
         raise ConfigError(f"{args.classifier} is not a classifier checkpoint")
     clf.freeze()
@@ -139,7 +139,7 @@ def cmd_invert(args):
 
 def cmd_reconstruct(args):
     cfg, out, manifest = _prepare(args)
-    clf, info = load_checkpoint(args.classifier)
+    clf, _ = load_checkpoint(args.classifier)
     if not isinstance(clf, Classifier):
         raise ConfigError(f"{args.classifier} is not a classifier checkpoint")
     clf.freeze()
@@ -157,7 +157,7 @@ def cmd_reconstruct(args):
                        eta_pix=cfg["recon.eta_pix"], eta_grad=cfg["recon.eta_grad"],
                        eps_pert=cfg["recon.eps_pert"])
     rng = np.random.default_rng(derive_seed(cfg["seed"], "reconstruction"))
-    train_reconstructor(gen, clf, rcfg, rng=rng)
+    train_generator(gen, clf, rcfg, rng=rng)
     labels, recons = generate_samples(gen, cfg["recon.samples"], rng)
     manifest.stop()
     report = privacy_score(recons, train.images, reference_id=train.name)

@@ -68,7 +68,6 @@ DEFAULTS = {
     "ood.budget": 0,                  # 0 = one ID class's training count
     "ood.capacity_factor": 4,
     "ood.inv_steps": 800,
-    "ood.probes": 200,
 
     "eval.pairs": "",                 # name=checkpoint[,name=checkpoint...]
 }

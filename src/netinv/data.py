@@ -1,7 +1,7 @@
 """Dataset ingestion: synthetic desk-scale families and IDX files."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class Dataset:
     @property
     def image_shape(self):
         return self.images.shape[1:]
-
-    def subset(self, idx):
-        return Dataset(self.images[idx], self.labels[idx], self.split, self.name)
 
 
 @dataclass

@@ -34,7 +34,9 @@ class ConvergenceError(NetinvError):
 
 
 class DivergenceError(NetinvError):
-    """Training collapsed below chance level; carries a diagnostic report."""
+    """Training diverged: accuracy fell below chance or a loss went non-finite.
+
+    Carries an optional diagnostic report."""
 
     def __init__(self, msg, report=None):
         super().__init__(msg)

@@ -1,23 +1,35 @@
-"""Generator training against a frozen classifier.
+"""Generator training against a frozen classifier: inversion and reconstruction.
 
 The generator is asked for images that the classifier assigns to requested
 labels while staying diverse: KL and cross-entropy pull each image toward
 its conditioning label, cosine and Gram-orthogonality terms push the
 penultimate features of a batch apart.
+
+Training-like reconstruction is the same objective with extra terms
+weighted: generated images should stay correctly and confidently classified
+after a bounded perturbation, look like valid low-noise images (pixel and
+smoothness priors), and sit where the classifier's weight gradients are
+small, all properties expected of genuine training points.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .errors import ContractError, ConvergenceError, DomainError
 from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
-                     kl_loss, ortho_loss, soften_onehot, weighted_ce_loss)
-
-INV_TERM_ORDER = ("kl", "ce", "cosine", "ortho")
-from .models import make_condition
+                     kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
+                     weighted_ce_loss)
 from .optim import make_optimizer
+from .training import predict_logits
+
+# loss term -> config field holding its weight, in composition order
+TERM_WEIGHTS = {"kl": "alpha", "kl_pert": "alpha_pert", "ce": "beta",
+                "ce_pert": "beta_pert", "cosine": "gamma", "ortho": "delta",
+                "var": "eta_var", "pix": "eta_pix", "grad": "eta_grad"}
+TERM_ORDER = tuple(TERM_WEIGHTS)
 
 
 @dataclass
@@ -26,92 +38,154 @@ class InversionConfig:
     beta: float = 1.0           # CE weight
     gamma: float = 0.5          # cosine-diversity weight
     delta: float = 0.1          # Gram-orthogonality weight
+    alpha_pert: float = 0.0     # perturbed-KL weight
+    beta_pert: float = 0.0      # perturbed-CE weight
+    eta_var: float = 0.0        # smoothness prior
+    eta_pix: float = 0.0        # pixel-range prior
+    eta_grad: float = 0.0       # classifier weight-gradient penalty
+    eps_pert: float = 0.0       # L-infinity perturbation radius
     batch_size: int = 32
     steps: int = 2000
     lr: float = 2e-3
     optimizer: str = "adam"
     soften: float = 0.1         # KL target smoothing mass
-    target_accuracy: float = 0.9
+    target_accuracy: float = 0.9   # None -> no evaluation, run every step
     eval_every: int = 200
     eval_samples: int = 256
     seed: int = 0
     target_classes: tuple = None   # None -> all classifier classes
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"loss weight {name} must be nonnegative")
+        for name in TERM_WEIGHTS.values():
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise DomainError(f"loss weight {name} must be finite and nonnegative")
+        if not 0.0 <= self.eps_pert <= 1.0:
+            raise DomainError("perturbation radius must be in [0, 1]")
         if self.batch_size < 2:
             raise DomainError("batch size must be >= 2 (pairwise losses need pairs)")
+        if self.eval_every < 1 or self.eval_samples < 1:
+            raise DomainError("eval_every and eval_samples must be >= 1")
+
+
+def linf_perturb(images, eps_pert, rng):
+    """Uniform noise in the L-infinity ball, then clamp to [0, 1]."""
+    if eps_pert < 0:
+        raise DomainError("perturbation radius must be nonnegative")
+    t = images if isinstance(images, ag.Tensor) else ag.Tensor(np.asarray(images, dtype=np.float32))
+    base = ag.clamp01(t)
+    if eps_pert == 0:
+        return base
+    noise = rng.uniform(-eps_pert, eps_pert, size=t.shape).astype(t.dtype)
+    return ag.clamp01(ag.add(base, ag.Tensor(noise)))
+
+
+def generator_loss(images, clf, labels, cfg, rng):
+    """-> (total tensor or None, LossBreakdown) for one generated batch.
+
+    The four inversion terms are always built; the priors, the perturbed
+    terms and the gradient penalty only when weighted, so an inversion
+    config records none of their tape nodes.
+    """
+    if not clf.frozen:
+        raise ContractError("classifier must be frozen during generator training")
+    labels = np.asarray(labels, dtype=np.int64)
+    m = clf.spec.classes
+    logits, feats = clf.forward(images)
+    probs = ag.softmax(logits)
+    target = soften_onehot(labels, m, cfg.soften)
+
+    terms = {
+        "kl": kl_loss(probs, target),
+        "ce": weighted_ce_loss(logits, labels),
+        "cosine": cosine_diversity_loss(feats),
+        "ortho": ortho_loss(feats),
+    }
+    if cfg.eta_var > 0:
+        terms["var"] = tv_loss(images)
+    if cfg.eta_pix > 0:
+        terms["pix"] = pixel_loss(images)
+    if cfg.alpha_pert > 0 or cfg.beta_pert > 0:
+        # the perturbed copy should keep the conditioning labels
+        perturbed = linf_perturb(images, cfg.eps_pert, rng)
+        logits_p, _ = clf.forward(perturbed)
+        terms["kl_pert"] = kl_loss(ag.softmax(logits_p), target)
+        terms["ce_pert"] = weighted_ce_loss(logits_p, labels)
+    if cfg.eta_grad > 0:
+        onehot = np.zeros((len(labels), m), dtype=logits.dtype)
+        onehot[np.arange(len(labels)), labels] = 1.0
+        true_logit_sum = ag.sum_(ag.mul(logits, ag.Tensor(onehot)))
+        terms["grad"] = ag.grad_norm_sq(true_logit_sum, clf.parameters())
+
+    weights = {k: getattr(cfg, TERM_WEIGHTS[k]) for k in terms}
+    total = compose_total(terms, weights, TERM_ORDER)
+    breakdown = LossBreakdown(
+        terms={k: float(v.item()) for k, v in terms.items()},
+        weights=weights,
+        total=float(total.item()) if total is not None else 0.0).check()
+    return total, breakdown
 
 
 def _sample_batch(gen, classes, batch_size, rng, training):
     labels = rng.choice(classes, size=batch_size)
     z = rng.standard_normal((batch_size, gen.spec.z_dim)).astype(np.float32)
-    conds = [make_condition(int(l), gen.spec) for l in labels]
-    images = gen.forward(ag.Tensor(z), conds, rng=rng, training=training)
+    images = gen.forward(ag.Tensor(z), labels, rng=rng, training=training)
     return labels, images
 
 
 def inversion_step(gen, clf, cfg, rng, opt=None):
     """One generator update; the classifier must be frozen and stays bit-unchanged."""
-    if not clf.frozen:
-        raise ContractError("classifier must be frozen before inversion")
     if opt is None:
         opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
-    m = clf.spec.classes
-    classes = list(cfg.target_classes) if cfg.target_classes else list(range(m))
+    classes = list(cfg.target_classes) if cfg.target_classes else list(range(clf.spec.classes))
     labels, images = _sample_batch(gen, classes, cfg.batch_size, rng, training=True)
-    logits, feats = clf.forward(images)
-    probs = ag.softmax(logits)
-
-    terms = {
-        "kl": kl_loss(probs, soften_onehot(labels, m, cfg.soften)),
-        "ce": weighted_ce_loss(logits, labels),
-        "cosine": cosine_diversity_loss(feats),
-        "ortho": ortho_loss(feats),
-    }
-    weights = {"kl": cfg.alpha, "ce": cfg.beta, "cosine": cfg.gamma, "ortho": cfg.delta}
-    total = compose_total(terms, weights, INV_TERM_ORDER)
+    total, breakdown = generator_loss(images, clf, labels, cfg, rng)
     if total is not None:
         opt.zero_grad()
         clf.zero_grad()
         ag.backward(total)
         opt.step()
-    return LossBreakdown(terms={k: float(v.item()) for k, v in terms.items()},
-                         weights=weights,
-                         total=float(total.item()) if total is not None else 0.0).check()
+    return breakdown
+
+
+def generate_samples(gen, count, rng, classes=None):
+    """Eval-mode generation in 256-row batches; returns (labels, images ndarray)."""
+    classes = list(classes) if classes else list(range(gen.spec.classes))
+    labels_all, images_all = [], []
+    with ag.no_grad():
+        for done in range(0, count, 256):
+            labels, images = _sample_batch(gen, classes, min(256, count - done), rng,
+                                           training=False)
+            labels_all.append(labels)
+            images_all.append(images.data)
+    return np.concatenate(labels_all), np.concatenate(images_all, axis=0)
 
 
 def inversion_accuracy(gen, clf, n_samples, rng, target_classes=None):
     """Fraction of eval-mode samples whose classifier argmax equals the condition."""
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    classes = list(target_classes) if target_classes else list(range(clf.spec.classes))
-    hits, done = 0, 0
-    with ag.no_grad():
-        while done < n_samples:
-            b = min(256, n_samples - done)
-            labels, images = _sample_batch(gen, classes, b, rng, training=False)
-            logits, _ = clf.forward(images)
-            hits += int((logits.data.argmax(axis=1) == labels).sum())
-            done += b
-    return hits / n_samples
+    labels, images = generate_samples(gen, n_samples, rng,
+                                      target_classes or range(clf.spec.classes))
+    return int((predict_logits(clf, images).argmax(axis=1) == labels).sum()) / n_samples
 
 
 def train_generator(gen, clf, cfg, rng=None, on_step=None):
-    """Run inversion steps until the accuracy target or the step budget.
+    """Run generator steps until the accuracy target or the step budget.
 
-    ``on_step(step, breakdown, acc_or_None)`` is invoked after every step;
-    returns (history, final_accuracy)."""
+    With ``cfg.target_accuracy`` None the loop never evaluates and runs
+    every step.  ``on_step(step, breakdown, acc_or_None)`` is invoked after
+    every step; returns (history of those triples, final accuracy or None).
+    """
     rng = rng or np.random.default_rng(cfg.seed)
     opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
+    evaluate = cfg.target_accuracy is not None
     history = []
     acc = None
     for step in range(cfg.steps):
         breakdown = inversion_step(gen, clf, cfg, rng, opt)
         acc = None
-        if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
+        if evaluate and ((step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1):
             acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng,
                                      cfg.target_classes)
         history.append((step, breakdown, acc))
@@ -119,7 +193,7 @@ def train_generator(gen, clf, cfg, rng=None, on_step=None):
             on_step(step, breakdown, acc)
         if acc is not None and acc >= cfg.target_accuracy:
             break
-    if acc is None:
+    if evaluate and acc is None:
         acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng, cfg.target_classes)
     return history, acc
 

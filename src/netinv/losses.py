@@ -4,12 +4,13 @@ Every term returns a scalar tracked tensor so gradients flow back to the
 generator; `LossBreakdown` records the raw values and weights for logging.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .errors import ContractError, DomainError
+from .errors import ContractError, DivergenceError, DomainError
 
 EPS = 1e-8
 
@@ -21,6 +22,10 @@ class LossBreakdown:
     total: float
 
     def check(self, rel=1e-6):
+        """Raise on a non-finite loss, or a total that is not the weighted sum."""
+        bad = [k for k, v in self.terms.items() if not math.isfinite(v)]
+        if bad or not math.isfinite(self.total):
+            raise DivergenceError(f"non-finite loss term(s): {', '.join(bad or ['total'])}")
         want = sum(self.weights.get(k, 0.0) * v for k, v in self.terms.items())
         scale = max(abs(want), abs(self.total), 1e-12)
         if abs(want - self.total) > rel * scale:

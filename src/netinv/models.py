@@ -6,7 +6,7 @@ dropout on its hidden layers so that a single condition maps to a spread of
 images rather than one memorized point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,31 +61,23 @@ class GeneratorSpec:
         return self.classes if self.cond_mode == "hot" else self.cond_dim
 
 
-@dataclass
-class ConditionVector:
-    label: int
-    vector: np.ndarray
-
-
 @lru_cache(maxsize=32)
-def _hidden_projection(classes, cond_dim, seed):
-    # orthonormal rows: distinct labels map to mutually orthogonal encodings
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(cond_dim, classes)))
-    return np.ascontiguousarray(q.T.astype(np.float32))
-
-
-def make_condition(label, spec, seed=None):
-    if not 0 <= label < spec.classes:
-        raise DomainError(f"label {label} out of range [0, {spec.classes})")
-    if spec.cond_mode == "hot":
-        v = np.zeros(spec.classes, dtype=np.float32)
-        v[label] = 1.0
+def _condition_matrix(classes, cond_mode, cond_dim, cond_seed):
+    if cond_mode == "hot":
+        mat = np.eye(classes, dtype=np.float32)
     else:
-        proj = _hidden_projection(spec.classes, spec.cond_dim,
-                                  spec.cond_seed if seed is None else seed)
-        v = proj[label].copy()
-    return ConditionVector(label=int(label), vector=v)
+        # orthonormal rows: distinct labels map to mutually orthogonal encodings
+        rng = np.random.default_rng(cond_seed)
+        q, _ = np.linalg.qr(rng.normal(size=(cond_dim, classes)))
+        mat = np.ascontiguousarray(q.T.astype(np.float32))
+    mat.flags.writeable = False       # shared by every caller of the cache
+    return mat
+
+
+def condition_matrix(spec):
+    """[classes, cond_width] float32 matrix whose row k conditions label k."""
+    return _condition_matrix(spec.classes, spec.cond_mode, spec.cond_dim,
+                             spec.cond_seed)
 
 
 def _affine_init(rng, fan_in, fan_out):
@@ -207,8 +199,8 @@ class Generator:
         for p in self.parameters():
             p.grad = None
 
-    def forward(self, z, conds, rng=None, training=None):
-        """Generate a batch of images for latent codes ``z`` and conditions.
+    def forward(self, z, labels, rng=None, training=None):
+        """Generate a batch of images for latent codes ``z`` and class labels.
 
         ``training`` must be passed explicitly: dropout fires only in
         training mode and then requires an RNG stream.
@@ -218,10 +210,13 @@ class Generator:
         if training and rng is None:
             raise ContractError("training-mode generation requires an RNG stream for dropout")
         z = z if isinstance(z, ag.Tensor) else ag.Tensor(np.asarray(z, dtype=np.float32))
-        cond_mat = np.stack([c.vector for c in conds]).astype(np.float32)
-        if cond_mat.shape[0] != z.shape[0]:
-            raise ShapeError(f"batch mismatch: {z.shape[0]} latents vs {cond_mat.shape[0]} conditions")
-        h = ag.concat([z, ag.Tensor(cond_mat)], axis=1)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (z.shape[0],):
+            raise ShapeError(f"batch mismatch: {z.shape[0]} latents vs labels of shape {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
+            raise DomainError(f"labels outside [0, {self.spec.classes}): "
+                              f"{labels.min()}..{labels.max()}")
+        h = ag.concat([z, ag.Tensor(condition_matrix(self.spec)[labels])], axis=1)
         n_hidden = len(self.spec.hidden)
         for i in range(n_hidden):
             h = ag.leaky_relu(ag.add(ag.matmul(h, self.params[f"w{i}"]),

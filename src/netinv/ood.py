@@ -10,10 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autograd as ag
 from .errors import ConfigError, ContractError, DivergenceError, DomainError
-from .inversion import InversionConfig, inversion_accuracy, train_generator
-from .reconstruction import generate_samples
+from .inversion import InversionConfig, generate_samples, train_generator
 from .training import accuracy, predict_probs, train_classifier
 
 

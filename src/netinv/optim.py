@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 
 class Adam:
@@ -70,4 +70,4 @@ def make_optimizer(params, kind="adam", **kw):
         return Adam(params, **kw)
     if kind == "sgd":
         return SGD(params, **kw)
-    raise ValueError(f"unknown optimizer kind: {kind}")
+    raise DomainError(f"unknown optimizer kind {kind!r}; choices: adam, sgd")

@@ -36,19 +36,17 @@ def train_classifier(model, images, labels, *, class_weights=None, epochs=20,
     return history
 
 
-def accuracy(model, images, labels, batch_size=256):
-    correct = 0
+def predict_logits(model, images, batch_size=256):
+    """No-grad classifier pass in ``batch_size`` chunks -> logits ndarray [N, m]."""
     with ag.no_grad():
-        for start in range(0, len(images), batch_size):
-            logits, _ = model.forward(ag.Tensor(images[start:start + batch_size]))
-            correct += int((logits.data.argmax(axis=1) == labels[start:start + batch_size]).sum())
-    return correct / len(images)
+        return np.concatenate([model.forward(ag.Tensor(images[start:start + batch_size]))[0].data
+                               for start in range(0, len(images), batch_size)], axis=0)
+
+
+def accuracy(model, images, labels, batch_size=256):
+    correct = (predict_logits(model, images, batch_size).argmax(axis=1) == labels).sum()
+    return int(correct) / len(images)
 
 
 def predict_probs(model, images, batch_size=256):
-    out = []
-    with ag.no_grad():
-        for start in range(0, len(images), batch_size):
-            logits, _ = model.forward(ag.Tensor(images[start:start + batch_size]))
-            out.append(ag.softmax(logits).data)
-    return np.concatenate(out, axis=0)
+    return ag.softmax(predict_logits(model, images, batch_size)).data

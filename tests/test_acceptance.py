@@ -17,7 +17,8 @@ from netinv import autograd as ag
 from netinv.cli import main as cli_main
 from netinv.data import SynthSpec, load_idx, synth_dataset
 from netinv.errors import FormatError
-from netinv.inversion import INV_TERM_ORDER, InversionConfig, train_generator
+from netinv.inversion import (TERM_ORDER, InversionConfig, generate_samples,
+                              generator_loss, train_generator)
 from netinv.losses import (EPS, compose_total, cosine_diversity_loss, kl_loss,
                            ortho_loss, pixel_loss, soften_onehot, tv_loss,
                            weighted_ce_loss)
@@ -26,8 +27,7 @@ from netinv.models import (Classifier, ClassifierSpec, Generator,
 from netinv.ood import (OodCycleConfig, ood_predict, ood_training_cycle,
                         uncertainty)
 from netinv.privacy import privacy_score, ssim
-from netinv.reconstruction import (ReconConfig, generate_samples,
-                                   reconstruction_loss, train_reconstructor)
+from netinv.reconstruction import ReconConfig
 from netinv.serialize import load_checkpoint, save_checkpoint
 from netinv.training import accuracy, train_classifier
 
@@ -209,8 +209,8 @@ def test_c3_loss_term_oracles():
     blabels = np.array([0, 1, 2, 0])
     cfg = ReconConfig(alpha_pert=0.0, beta_pert=0.0, eta_var=0.0,
                       eta_pix=0.0, eta_grad=0.0, gamma=0.5)
-    total_recon, _ = reconstruction_loss(batch, clf, blabels, cfg,
-                                         np.random.default_rng(1))
+    total_recon, _ = generator_loss(batch, clf, blabels, cfg,
+                                    np.random.default_rng(1))
     lg, ft = clf.forward(batch)
     terms = {"kl": kl_loss(ag.softmax(lg), soften_onehot(blabels, 3, cfg.soften)),
              "ce": weighted_ce_loss(lg, blabels),
@@ -218,7 +218,7 @@ def test_c3_loss_term_oracles():
              "ortho": ortho_loss(ft)}
     weights = {"kl": cfg.alpha, "ce": cfg.beta, "cosine": cfg.gamma,
                "ortho": cfg.delta}
-    total_inv = compose_total(terms, weights, INV_TERM_ORDER)
+    total_inv = compose_total(terms, weights, TERM_ORDER)
     diff = abs(total_recon.item() - total_inv.item())
     assert diff <= 1e-8 * max(1.0, abs(total_inv.item()))
     print("PASS criterion 3: six loss oracles within 1e-8; unit-weight CE and "
@@ -326,9 +326,8 @@ def _recon_mean_ssim(kind, seed, steps=1500):
     clf.freeze()
     gen = Generator(GeneratorSpec(classes=3),
                     rng=np.random.default_rng(2000 + seed))
-    cfg = ReconConfig(steps=steps, eval_every=500, eval_samples=128,
-                      target_accuracy=2.0, seed=seed)
-    train_reconstructor(gen, clf, cfg, rng=np.random.default_rng(3000 + seed))
+    cfg = ReconConfig(steps=steps, seed=seed)
+    train_generator(gen, clf, cfg, rng=np.random.default_rng(3000 + seed))
     _, recon = generate_samples(gen, 60, np.random.default_rng(4000 + seed))
     return _mean_match(recon, train.images), _mean_match(recon, hold.images)
 

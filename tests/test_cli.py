@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netinv import cli
 from netinv.cli import main
 from netinv.config import DEFAULTS, derive_seed, parse_config
 from netinv.errors import ConfigError
@@ -34,6 +35,10 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/run.conf")
+
+    def test_every_key_is_read_by_the_cli(self):
+        source = Path(cli.__file__).read_text()
+        assert [k for k in DEFAULTS if f'"{k}"' not in source] == []
 
     def test_phase_seeds_differ(self):
         assert derive_seed(0, "a") != derive_seed(0, "b")
@@ -118,6 +123,28 @@ class TestInvert:
         out = tmp_path / "inv0"
         assert main(["invert", "--config", conf, "--out", str(out),
                      "--classifier", str(classifier_run)]) == 0
+
+
+class TestRejectedRuns:
+    @pytest.mark.parametrize("command, text", [
+        ("invert", "inv.eval_every = 0\n"),
+        ("invert", "inv.eval_samples = 0\n"),
+        ("train-classifier", "train.optimizer = foo\n"),
+    ], ids=["eval_every", "eval_samples", "optimizer"])
+    def test_bad_value_exits_one_without_traceback(self, tmp_path, capsys, classifier_run,
+                                                    command, text):
+        conf = write_conf(tmp_path, FAST_INVERT + text)
+        extra = ["--classifier", str(classifier_run)] if command == "invert" else []
+        assert main([command, "--config", conf, "--out", str(tmp_path / "x"), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["invert", "reconstruct"])
+    def test_non_finite_loss_exits_three(self, tmp_path, capsys, classifier_run, command):
+        conf = write_conf(tmp_path, FAST_INVERT + "inv.lr = 1e30\nrecon.steps = 20\n")
+        assert main([command, "--config", conf, "--out", str(tmp_path / "x"),
+                     "--classifier", str(classifier_run)]) == 3
+        assert "non-finite loss" in capsys.readouterr().err
 
 
 class TestOod:

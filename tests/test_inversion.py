@@ -69,7 +69,7 @@ class TestInversionAccuracy:
         class Memorized:
             spec = gen.spec
 
-            def forward(self, z, conds, rng=None, training=None):
+            def forward(self, z, labels, rng=None, training=None):
                 from netinv import autograd as ag
                 return ag.Tensor(np.repeat(img[None], z.shape[0], axis=0))
 
@@ -87,7 +87,7 @@ class TestInversionAccuracy:
         class Constant:
             spec = gen.spec
 
-            def forward(self, z, conds, rng=None, training=None):
+            def forward(self, z, labels, rng=None, training=None):
                 from netinv import autograd as ag
                 return ag.Tensor(np.repeat(img[None], z.shape[0], axis=0))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netinv import autograd as ag
-from netinv.errors import ContractError, DomainError
+from netinv.errors import ContractError, DivergenceError, DomainError
 from netinv.losses import (LossBreakdown, cosine_diversity_loss, kl_loss,
                            ortho_loss, pixel_loss, soften_onehot, tv_loss,
                            weighted_ce_loss)
@@ -179,6 +179,12 @@ class TestBreakdown:
     def test_inconsistent_rejected(self):
         with pytest.raises(ContractError):
             LossBreakdown(terms={"a": 2.0}, weights={"a": 1.0}, total=3.0).check()
+
+    def test_non_finite_rejected_naming_the_term(self):
+        nan = float("nan")
+        with pytest.raises(DivergenceError, match="b"):
+            LossBreakdown(terms={"a": 2.0, "b": nan}, weights={"a": 1.0, "b": 1.0},
+                          total=nan).check()
 
 
 def test_soften_onehot_rows_are_distributions():

@@ -4,8 +4,8 @@ import pytest
 from netinv import autograd as ag
 from netinv.errors import ContractError, DomainError, ShapeError
 from netinv.models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
-                           classifier_param_count, generator_param_count,
-                           make_condition)
+                           _condition_matrix, classifier_param_count, condition_matrix,
+                           generator_param_count)
 from netinv.training import accuracy
 
 
@@ -55,53 +55,54 @@ class TestClassifierForward:
 class TestCondition:
     def test_hot_mode(self):
         spec = GeneratorSpec(cond_mode="hot", classes=4)
-        np.testing.assert_array_equal(make_condition(2, spec).vector, [0, 0, 1, 0])
+        np.testing.assert_array_equal(condition_matrix(spec)[2], [0, 0, 1, 0])
 
     def test_hidden_deterministic(self):
         spec = GeneratorSpec(cond_mode="hidden", classes=4, cond_dim=32)
-        a = make_condition(1, spec).vector
-        b = make_condition(1, spec).vector
+        a = condition_matrix(spec)
+        b = _condition_matrix.__wrapped__(4, "hidden", 32, spec.cond_seed)   # uncached
         np.testing.assert_array_equal(a, b)
 
     def test_hidden_low_pairwise_cosine(self):
         spec = GeneratorSpec(cond_mode="hidden", classes=10, cond_dim=32)
-        vecs = [make_condition(k, spec).vector for k in range(10)]
+        vecs = condition_matrix(spec)
         for i in range(10):
             for j in range(i + 1, 10):
                 cos = vecs[i] @ vecs[j] / (np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j]))
                 assert abs(cos) < 0.5
 
     def test_label_out_of_range(self):
+        gen = Generator(GeneratorSpec(classes=4))
+        z = np.zeros((1, 64), dtype=np.float32)
         with pytest.raises(DomainError):
-            make_condition(4, GeneratorSpec(classes=4))
+            gen.forward(ag.Tensor(z), [4], training=False)
 
 
 class TestGenerator:
     def test_eval_mode_deterministic(self):
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(6))
         z = np.random.default_rng(7).standard_normal((4, 64)).astype(np.float32)
-        conds = [make_condition(i % 3, gen.spec) for i in range(4)]
-        a = gen.forward(ag.Tensor(z), conds, training=False).data
-        b = gen.forward(ag.Tensor(z), conds, training=False).data
+        labels = [i % 3 for i in range(4)]
+        a = gen.forward(ag.Tensor(z), labels, training=False).data
+        b = gen.forward(ag.Tensor(z), labels, training=False).data
         np.testing.assert_array_equal(a, b)
 
     def test_output_in_unit_range(self):
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(8))
         z = np.random.default_rng(9).uniform(-10, 10, size=(16, 64)).astype(np.float32)
-        conds = [make_condition(i % 3, gen.spec) for i in range(16)]
-        out = gen.forward(ag.Tensor(z), conds, training=False).data
+        out = gen.forward(ag.Tensor(z), [i % 3 for i in range(16)], training=False).data
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_train_mode_dropout_varies(self):
         gen = Generator(GeneratorSpec(classes=3, dropout=0.5), rng=np.random.default_rng(10))
         z = np.random.default_rng(11).standard_normal((1, 64)).astype(np.float32)
-        conds = [make_condition(0, gen.spec)]
+        labels = [0]
         differing = 0
         total = 0
         for pair in range(100):
-            a = gen.forward(ag.Tensor(z), conds, rng=np.random.default_rng(2 * pair),
+            a = gen.forward(ag.Tensor(z), labels, rng=np.random.default_rng(2 * pair),
                             training=True).data
-            b = gen.forward(ag.Tensor(z), conds, rng=np.random.default_rng(2 * pair + 1),
+            b = gen.forward(ag.Tensor(z), labels, rng=np.random.default_rng(2 * pair + 1),
                             training=True).data
             differing += int(np.sum(np.abs(a - b) > 1e-6))
             total += a.size
@@ -111,7 +112,7 @@ class TestGenerator:
         gen = Generator(GeneratorSpec(classes=3))
         z = np.zeros((1, 64), dtype=np.float32)
         with pytest.raises(ContractError):
-            gen.forward(ag.Tensor(z), [make_condition(0, gen.spec)])
+            gen.forward(ag.Tensor(z), [0])
 
     def test_param_count_matches_closed_form(self):
         for mode in ("hot", "hidden"):

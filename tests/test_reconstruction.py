@@ -3,11 +3,12 @@ import pytest
 
 from netinv import autograd as ag
 from netinv.errors import DomainError
-from netinv.inversion import InversionConfig, _sample_batch
+from netinv.inversion import (TERM_WEIGHTS, InversionConfig, _sample_batch,
+                              generator_loss, linf_perturb)
 from netinv.losses import (cosine_diversity_loss, kl_loss, ortho_loss,
                            pixel_loss, soften_onehot, tv_loss, weighted_ce_loss)
 from netinv.models import Generator, GeneratorSpec
-from netinv.reconstruction import ReconConfig, linf_perturb, reconstruction_loss
+from netinv.reconstruction import ReconConfig
 
 
 def make_batch(trained_mlp, seed=0, batch=8):
@@ -49,8 +50,8 @@ class TestReconstructionLoss:
         labels, images = make_batch(trained_mlp)
         cfg = ReconConfig(alpha_pert=0, beta_pert=0, eta_var=0, eta_pix=0,
                           eta_grad=0, gamma=0.5)
-        total, breakdown = reconstruction_loss(images, trained_mlp, labels, cfg,
-                                               np.random.default_rng(5))
+        total, breakdown = generator_loss(images, trained_mlp, labels, cfg,
+                                          np.random.default_rng(5))
         # independently compose the inversion objective on the same batch
         logits, feats = trained_mlp.forward(images)
         probs = ag.softmax(logits)
@@ -64,8 +65,8 @@ class TestReconstructionLoss:
         trained_mlp.freeze()
         images = ag.Tensor(np.full((4, 1, 12, 12), 0.5, dtype=np.float32))
         cfg = ReconConfig()
-        _, breakdown = reconstruction_loss(images, trained_mlp, np.zeros(4, dtype=int),
-                                           cfg, np.random.default_rng(6))
+        _, breakdown = generator_loss(images, trained_mlp, np.zeros(4, dtype=int),
+                                      cfg, np.random.default_rng(6))
         assert breakdown.terms["var"] == pytest.approx(0.0, abs=1e-9)
         assert breakdown.terms["pix"] == pytest.approx(0.0, abs=1e-9)
 
@@ -73,8 +74,8 @@ class TestReconstructionLoss:
         trained_mlp.freeze()
         labels, images = make_batch(trained_mlp, seed=2)
         cfg = ReconConfig(seed=3)
-        total, breakdown = reconstruction_loss(images, trained_mlp, labels, cfg,
-                                               np.random.default_rng(7))
+        total, breakdown = generator_loss(images, trained_mlp, labels, cfg,
+                                          np.random.default_rng(7))
         want = sum(breakdown.weights[k] * v for k, v in breakdown.terms.items())
         assert total.item() == pytest.approx(want, rel=1e-6)
         assert set(breakdown.terms) == {"kl", "ce", "cosine", "ortho", "var",
@@ -84,8 +85,8 @@ class TestReconstructionLoss:
         trained_mlp.freeze()
         labels, images = make_batch(trained_mlp, seed=4)
         cfg = ReconConfig()
-        _, breakdown = reconstruction_loss(images, trained_mlp, labels, cfg,
-                                           np.random.default_rng(8))
+        _, breakdown = generator_loss(images, trained_mlp, labels, cfg,
+                                      np.random.default_rng(8))
         assert breakdown.terms["grad"] > 0
 
     def test_grad_term_backpropagates_to_images(self, trained_mlp):
@@ -95,15 +96,19 @@ class TestReconstructionLoss:
                       requires_grad=True)
         cfg = ReconConfig(alpha=0, beta=0, gamma=0, delta=0, alpha_pert=0,
                           beta_pert=0, eta_var=0, eta_pix=0, eta_grad=1.0)
-        total, _ = reconstruction_loss(x, trained_mlp, labels[:4], cfg,
-                                       np.random.default_rng(10))
+        total, _ = generator_loss(x, trained_mlp, labels[:4], cfg,
+                                  np.random.default_rng(10))
         ag.backward(total)
         assert x.grad is not None
         assert float(np.abs(x.grad.data).max()) > 0
 
-    def test_infinite_weight_rejected(self):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", list(TERM_WEIGHTS.values()))
+    @pytest.mark.parametrize("config", [InversionConfig, ReconConfig],
+                             ids=["InversionConfig", "ReconConfig"])
+    def test_infinite_weight_rejected(self, config, name, value):
         with pytest.raises(DomainError):
-            ReconConfig(eta_pix=float("inf"))
+            config(**{name: value})
 
     def test_bad_perturbation_radius(self):
         with pytest.raises(DomainError):
