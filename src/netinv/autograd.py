@@ -1,11 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The tape is implicit: every tracked operation stores its input tensors and a
-vector-Jacobian closure expressed in terms of the public ops. Running a
-backward pass with ``create_graph=True`` therefore records the adjoint
+vector-Jacobian closure expressed in terms of the public ops. ``grad`` is the
+one reverse pass; it returns the adjoints rather than storing them on the
+tensors. Running it with ``create_graph=True`` records the adjoint
 computation itself, which is what makes the gradient-norm penalty
 differentiable with respect to upstream inputs (a second-order replay).
 """
+
+import contextlib
 
 import numpy as np
 
@@ -32,12 +35,11 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_op")
+    __slots__ = ("data", "requires_grad", "_op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._op = None
 
     @property
@@ -54,12 +56,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -98,12 +94,6 @@ class Tensor:
 
     def __pow__(self, k):
         return pow_const(self, k)
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    if dtype is None and not isinstance(data, np.ndarray):
-        dtype = DEFAULT_DTYPE
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def parameter(data, dtype=None):
@@ -214,14 +204,11 @@ def square(a):
 
 def exp(a):
     a = _wrap(a)
-    out = _from_op(np.exp(a.data), (a,), None)
-    if out._op is not None:
-        res = out
 
-        def vjp(g):
-            return (mul(g, res),)
+    def vjp(g):
+        return (mul(g, out),)
 
-        out._op = ((a,), vjp)
+    out = _from_op(np.exp(a.data), (a,), vjp)
     return out
 
 
@@ -258,14 +245,11 @@ def sigmoid(a):
     x = a.data
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
-    out = _from_op(out_data, (a,), None)
-    if out._op is not None:
-        res = out
 
-        def vjp(g):
-            return (mul(g, mul(res, sub(_wrap(1.0, res), res))),)
+    def vjp(g):
+        return (mul(g, mul(out, sub(_wrap(1.0, out), out))),)
 
-        out._op = ((a,), vjp)
+    out = _from_op(out_data, (a,), vjp)
     return out
 
 
@@ -531,7 +515,7 @@ def log_softmax(logits, axis=-1):
 
 
 # ---------------------------------------------------------------------------
-# backward machinery
+# reverse pass
 
 def _toposort(root):
     order, seen = [], set()
@@ -563,54 +547,26 @@ def grad(out, wrt, create_graph=False):
     wrt = list(wrt)
     grads = {id(out): Tensor(np.ones_like(out.data))}
     keep = {id(t) for t in wrt}
-    order = _toposort(out)
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node._op is None:
-            continue
-        if id(node) not in keep:
-            del grads[id(node)]
-        inputs, vjp = node._op
-        if create_graph:
-            input_grads = vjp(g)
-        else:
-            with no_grad():
-                input_grads = vjp(g)
-        for inp, ig in zip(inputs, input_grads):
-            if ig is None or not inp.requires_grad:
+    with contextlib.nullcontext() if create_graph else no_grad():
+        for node in reversed(_toposort(out)):
+            g = grads.get(id(node))
+            if g is None or node._op is None:
                 continue
-            prev = grads.get(id(inp))
-            if prev is None:
-                grads[id(inp)] = ig
-            elif create_graph:
-                grads[id(inp)] = add(prev, ig)
-            else:
-                with no_grad():
-                    grads[id(inp)] = add(prev, ig)
-    out_list = []
-    for t in wrt:
-        g = grads.get(id(t))
-        out_list.append(g if g is not None else Tensor(np.zeros_like(t.data)))
-    return out_list
-
-
-def backward(loss):
-    """Accumulate ``d loss / d leaf`` into ``.grad`` of every tracked leaf."""
-    if loss.data.size != 1:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    leaves = [n for n in _toposort(loss) if n._op is None and n.requires_grad]
-    for leaf, g in zip(leaves, grad(loss, leaves)):
-        if leaf.grad is None:
-            leaf.grad = g
-        else:
-            with no_grad():
-                leaf.grad = add(leaf.grad, g)
+            if id(node) not in keep:
+                del grads[id(node)]
+            inputs, vjp = node._op
+            for inp, ig in zip(inputs, vjp(g)):
+                if ig is None or not inp.requires_grad:
+                    continue
+                prev = grads.get(id(inp))
+                grads[id(inp)] = ig if prev is None else add(prev, ig)
+    return [grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
 def grad_norm_sq(scalar_out, params):
     """Σ ‖d scalar_out / d θ‖² over ``params``, itself differentiable.
 
-    The inner backward runs with graph construction enabled, so the result
+    The inner reverse pass runs with graph construction enabled, so the result
     stays connected to whatever the parameters' gradients depend on (e.g.
     the images fed to a classifier).
     """

@@ -29,18 +29,16 @@ def _load_datasets(cfg):
                          channels=cfg["synth.channels"],
                          seed=derive_seed(cfg["seed"], "dataset"))
         return synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
-    if cfg["dataset"] == "idx":
-        missing = [k for k in ("idx.train_images", "idx.train_labels",
-                               "idx.test_images", "idx.test_labels") if not cfg[k]]
-        if missing:
-            raise ConfigError("missing IDX paths: " + ", ".join(missing))
-        limit = cfg["idx.limit"] or None
-        train = load_idx(cfg["idx.train_images"], cfg["idx.train_labels"],
-                         name="idx", split="train", limit=limit)
-        test = load_idx(cfg["idx.test_images"], cfg["idx.test_labels"],
-                        name="idx", split="test", limit=limit)
-        return train, test
-    raise ConfigError(f"unknown dataset kind {cfg['dataset']!r}")
+    missing = [k for k in ("idx.train_images", "idx.train_labels",
+                           "idx.test_images", "idx.test_labels") if not cfg[k]]
+    if missing:
+        raise ConfigError("missing IDX paths: " + ", ".join(missing))
+    limit = cfg["idx.limit"] or None
+    train = load_idx(cfg["idx.train_images"], cfg["idx.train_labels"],
+                     name="idx", split="train", limit=limit)
+    test = load_idx(cfg["idx.test_images"], cfg["idx.test_labels"],
+                    name="idx", split="test", limit=limit)
+    return train, test
 
 
 def _classifier_spec(cfg, in_shape, classes):

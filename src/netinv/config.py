@@ -5,6 +5,7 @@ import json
 import time
 from pathlib import Path
 
+from .data import FAMILIES
 from .errors import ConfigError
 
 # every known key with its default (the default's type drives coercion)
@@ -73,6 +74,17 @@ DEFAULTS = {
 }
 
 
+# keys whose value must be one of a fixed set
+CHOICES = {
+    "dataset": ("synth", "idx"),
+    "synth.family": FAMILIES,
+    "model.kind": ("mlp", "cnn"),
+    "train.optimizer": ("adam", "sgd"),
+    "gen.cond_mode": ("hot", "hidden"),
+    "recon.cond_mode": ("hot", "hidden"),
+}
+
+
 def _coerce(key, raw, default):
     if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes"):
@@ -115,6 +127,8 @@ def parse_config(path=None, overrides=None):
             problems.append(f"override: unknown key {key!r}")
         else:
             values[key] = val
+    problems += [f"bad value for {key!r}: {values[key]!r} (choices: {', '.join(choices)})"
+                 for key, choices in CHOICES.items() if values[key] not in choices]
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return values

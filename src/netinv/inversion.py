@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .errors import ContractError, ConvergenceError, DomainError
+from .errors import ContractError, ConvergenceError, DivergenceError, DomainError
 from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
                      kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
                      weighted_ce_loss)
@@ -141,10 +141,7 @@ def inversion_step(gen, clf, cfg, rng, opt=None):
     labels, images = _sample_batch(gen, classes, cfg.batch_size, rng, training=True)
     total, breakdown = generator_loss(images, clf, labels, cfg, rng)
     if total is not None:
-        opt.zero_grad()
-        clf.zero_grad()
-        ag.backward(total)
-        opt.step()
+        opt.step(ag.grad(total, opt.params))
     return breakdown
 
 
@@ -183,7 +180,10 @@ def train_generator(gen, clf, cfg, rng=None, on_step=None):
     history = []
     acc = None
     for step in range(cfg.steps):
-        breakdown = inversion_step(gen, clf, cfg, rng, opt)
+        try:
+            breakdown = inversion_step(gen, clf, cfg, rng, opt)
+        except DivergenceError as exc:
+            raise DivergenceError(f"step {step}: {exc}") from exc
         acc = None
         if evaluate and ((step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1):
             acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng,

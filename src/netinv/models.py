@@ -122,10 +122,6 @@ class Classifier:
     def num_params(self):
         return sum(p.size for p in self.parameters())
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def freeze(self):
         self.frozen = True
         return self
@@ -194,10 +190,6 @@ class Generator:
 
     def num_params(self):
         return sum(p.size for p in self.parameters())
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def forward(self, z, labels, rng=None, training=None):
         """Generate a batch of images for latent codes ``z`` and class labels.

@@ -31,11 +31,9 @@ class GarbageSet:
         excess = len(self.images) - self.capacity
         if excess > 0:
             # evict the oldest inverted samples; the noise block stays
-            keep = np.ones(len(self.images), dtype=bool)
-            evictable = [i for i in range(len(self.images)) if i >= self.noise_count]
-            keep[evictable[:excess]] = False
-            self.images = self.images[keep]
-            self.provenance = [p for p, k in zip(self.provenance, keep) if k]
+            oldest = slice(self.noise_count, self.noise_count + excess)
+            self.images = np.delete(self.images, oldest, axis=0)
+            del self.provenance[oldest]
 
 
 def init_garbage(count, image_shape, rng, capacity=None):

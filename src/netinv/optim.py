@@ -1,36 +1,36 @@
-"""Parameter update rules: adaptive moments (default) and SGD momentum."""
+"""Update rules, Adam (default) and SGD: ``opt.step(autograd.grad(loss, opt.params))``."""
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
+
+
+def _checked(params, grads):
+    """-> one gradient array per parameter, in its dtype; count and shapes must match."""
+    grads = list(grads)
+    if len(grads) != len(params):
+        raise ContractError(f"got {len(grads)} gradients for {len(params)} parameters")
+    for p, g in zip(params, grads):
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+    return [np.asarray(g.data, dtype=p.data.dtype) for p, g in zip(params, grads)]
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
+    def step(self, grads):
+        grads = _checked(self.params, grads)
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = np.asarray(p.grad.data, dtype=p.data.dtype)
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             m_hat = self.m[i] / (1 - self.beta1 ** t)
@@ -39,30 +39,13 @@ class Adam:
 
 
 class SGD:
-    def __init__(self, params, lr=1e-2, momentum=0.0, weight_decay=0.0):
+    def __init__(self, params, lr=1e-2):
         self.params = list(params)
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.step_count = 0
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
-        self.step_count += 1
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = np.asarray(p.grad.data, dtype=p.data.dtype)
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.velocity[i] = self.momentum * self.velocity[i] - self.lr * g
-            p.data = p.data + self.velocity[i]
+    def step(self, grads):
+        for p, g in zip(self.params, _checked(self.params, grads)):
+            p.data = p.data - self.lr * g
 
 
 def make_optimizer(params, kind="adam", **kw):

@@ -1,6 +1,7 @@
 """On-disk formats: NINV checkpoints, PGM/PPM image grids, CSV reports."""
 
 import csv
+import dataclasses
 import io
 import json
 import struct
@@ -8,48 +9,58 @@ import zlib
 
 import numpy as np
 
-from .errors import ContractError, FormatError
-from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
+from .errors import ContractError, FormatError, NetinvError
+from .models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
+                     classifier_param_count, generator_param_count)
 
 MAGIC = b"NINV"
 FORMAT_VERSION = 1
 
 
+# model kind -> (spec class, model class, closed-form parameter count)
+_MODELS = {"classifier": (ClassifierSpec, Classifier, classifier_param_count),
+           "generator": (GeneratorSpec, Generator, generator_param_count)}
+
+
 def _descriptor(model, seed=0, meta=None):
-    if isinstance(model, Classifier):
-        kind, spec = "classifier", model.spec
-        fields = dict(kind=spec.kind, in_shape=list(spec.in_shape),
-                      hidden=list(spec.hidden), conv_channels=list(spec.conv_channels),
-                      conv_hidden=spec.conv_hidden, classes=spec.classes)
-    elif isinstance(model, Generator):
-        kind, spec = "generator", model.spec
-        fields = dict(z_dim=spec.z_dim, cond_mode=spec.cond_mode,
-                      cond_dim=spec.cond_dim, classes=spec.classes,
-                      dropout=spec.dropout, hidden=list(spec.hidden),
-                      out_shape=list(spec.out_shape), cond_seed=spec.cond_seed)
-    else:
+    kind = next((k for k, (_, cls, _) in _MODELS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise ContractError(f"cannot serialize object of type {type(model).__name__}")
-    return json.dumps({"model": kind, "spec": fields, "seed": seed,
+    return json.dumps({"model": kind, "spec": dataclasses.asdict(model.spec), "seed": seed,
                        "meta": meta or {}}, sort_keys=True)
 
 
-def _model_from_descriptor(desc):
-    info = json.loads(desc)
-    fields = info["spec"]
-    if info["model"] == "classifier":
-        spec = ClassifierSpec(kind=fields["kind"], in_shape=tuple(fields["in_shape"]),
-                              hidden=tuple(fields["hidden"]),
-                              conv_channels=tuple(fields["conv_channels"]),
-                              conv_hidden=fields["conv_hidden"], classes=fields["classes"])
-        return Classifier(spec), info
-    if info["model"] == "generator":
-        spec = GeneratorSpec(z_dim=fields["z_dim"], cond_mode=fields["cond_mode"],
-                             cond_dim=fields["cond_dim"], classes=fields["classes"],
-                             dropout=fields["dropout"], hidden=tuple(fields["hidden"]),
-                             out_shape=tuple(fields["out_shape"]),
-                             cond_seed=fields["cond_seed"])
-        return Generator(spec), info
-    raise FormatError(f"unknown model kind {info['model']!r} in checkpoint")
+def _field_ok(default, value):
+    """A descriptor spec value has its field's type; ints are nonnegative and
+    dimension lists nonempty with positive entries."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) > 0
+                and all(type(v) is int and v > 0 for v in value))
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default) and not (type(value) is int and value < 0)
+
+
+def _model_from_descriptor(raw, max_values):
+    """-> (model, info); the architecture may hold at most ``max_values`` floats."""
+    try:
+        info = json.loads(raw.decode("utf-8"))
+        spec_cls, model_cls, param_count = _MODELS[info["model"]]
+        fields = info["spec"]
+        defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
+        bad = sorted(set(defaults) ^ set(fields))
+        bad += [k for k in defaults if k in fields and not _field_ok(defaults[k], fields[k])]
+        if bad:
+            raise FormatError(f"bad spec field(s) {bad}")
+        spec = spec_cls(**{k: tuple(v) if isinstance(v, list) else v
+                           for k, v in fields.items()})
+        n_values = param_count(spec)
+        if n_values > max_values:
+            raise FormatError(f"architecture needs {n_values} values, "
+                              f"payload holds at most {max_values}")
+        return model_cls(spec), info
+    except (ArithmeticError, ValueError, KeyError, TypeError, NetinvError) as exc:
+        raise FormatError(f"bad checkpoint descriptor: {exc}") from exc
 
 
 def save_checkpoint(model, path, seed=0, meta=None):
@@ -77,8 +88,19 @@ def save_checkpoint(model, path, seed=0, meta=None):
         f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
+def _read(buf, n):
+    data = buf.read(n)
+    if len(data) != n:
+        raise FormatError(f"checkpoint truncated: wanted {n} bytes, {len(data)} left")
+    return data
+
+
+def _u32(buf):
+    return struct.unpack("<I", _read(buf, 4))[0]
+
+
 def load_checkpoint(path):
-    """-> (model, info dict). Distinct errors for magic, version and CRC."""
+    """-> (model, info dict). Any malformed content raises ``FormatError``."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 12:
@@ -93,25 +115,29 @@ def load_checkpoint(path):
     magic = buf.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r} (expected {MAGIC!r})")
-    version, = struct.unpack("<I", buf.read(4))
+    version = _u32(buf)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    dlen, = struct.unpack("<I", buf.read(4))
-    desc = buf.read(dlen).decode("utf-8")
-    model, info = _model_from_descriptor(desc)
-    count, = struct.unpack("<I", buf.read(4))
+    desc = _read(buf, _u32(buf))
+    model, info = _model_from_descriptor(desc, (len(payload) - buf.tell()) // 4)
+    by_name = {name.encode("utf-8"): name for name in model.params}
+    count = _u32(buf)
+    if count != len(by_name):
+        raise FormatError(f"checkpoint holds {count} tensors, architecture has {len(by_name)}")
     loaded = {}
     for _ in range(count):
-        nlen, = struct.unpack("<I", buf.read(4))
-        name = buf.read(nlen).decode("utf-8")
-        rank, = struct.unpack("<I", buf.read(4))
-        shape = struct.unpack(f"<{rank}I", buf.read(4 * rank))
-        n_vals = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(buf.read(4 * n_vals), dtype="<f4").reshape(shape)
-        loaded[name] = data.copy()
-    if set(loaded) != set(model.params):
-        raise FormatError(f"checkpoint tensors {sorted(loaded)} do not match "
-                          f"architecture parameters {sorted(model.params)}")
+        name = by_name.get(_read(buf, _u32(buf)))
+        if name is None or name in loaded:
+            raise FormatError(f"checkpoint tensors do not match architecture "
+                              f"parameters {sorted(model.params)}")
+        want = model.params[name].data.shape
+        rank = _u32(buf)
+        if rank != len(want) or struct.unpack(f"<{rank}I", _read(buf, 4 * rank)) != want:
+            raise FormatError(f"checkpoint tensor {name!r} does not have shape {want}")
+        data = np.frombuffer(_read(buf, 4 * model.params[name].size), dtype="<f4")
+        loaded[name] = data.reshape(want).copy()
+    if buf.read(1):
+        raise FormatError("checkpoint has trailing bytes after its tensors")
     for name, data in loaded.items():
         model.params[name].data = data
     return model, info

@@ -1,8 +1,11 @@
 """Minibatch classifier training with (optionally weighted) cross-entropy."""
 
+import math
+
 import numpy as np
 
 from . import autograd as ag
+from .errors import DivergenceError
 from .losses import weighted_ce_loss
 from .optim import make_optimizer
 
@@ -14,23 +17,24 @@ def iterate_minibatches(n, batch_size, rng):
 
 
 def train_classifier(model, images, labels, *, class_weights=None, epochs=20,
-                     batch_size=64, lr=1e-3, optimizer="adam", rng=None,
-                     weight_decay=0.0):
+                     batch_size=64, lr=1e-3, optimizer="adam", rng=None):
     """Train in place; returns per-epoch (loss, accuracy) history."""
     rng = rng or np.random.default_rng(0)
-    opt = make_optimizer(model.parameters(), optimizer, lr=lr, weight_decay=weight_decay)
+    opt = make_optimizer(model.parameters(), optimizer, lr=lr)
     history = []
     n = len(images)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         epoch_loss, correct = 0.0, 0
-        for idx in iterate_minibatches(n, batch_size, rng):
+        for batch, idx in enumerate(iterate_minibatches(n, batch_size, rng)):
             xb = ag.Tensor(images[idx])
             logits, _ = model.forward(xb)
             loss = weighted_ce_loss(logits, labels[idx], class_weights)
-            opt.zero_grad()
-            ag.backward(loss)
-            opt.step()
-            epoch_loss += loss.item() * len(idx)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
+                                      f"minibatch {batch}")
+            opt.step(ag.grad(loss, opt.params))
+            epoch_loss += value * len(idx)
             correct += int((logits.data.argmax(axis=1) == labels[idx]).sum())
         history.append((epoch_loss / n, correct / n))
     return history

@@ -1,4 +1,7 @@
 import json
+import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from netinv import cli
 from netinv.cli import main
-from netinv.config import DEFAULTS, derive_seed, parse_config
+from netinv.config import CHOICES, DEFAULTS, derive_seed, parse_config
 from netinv.errors import ConfigError
 
 
@@ -27,6 +30,13 @@ class TestConfig:
             parse_config(conf)
         msg = str(exc.value)
         assert "bogus" in msg and "also.bad" in msg and "synth.noise" in msg
+
+    def test_bad_choices_listed_together(self, tmp_path):
+        conf = write_conf(tmp_path, "model.kind = foo\nsynth.family = bar\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(conf)
+        msg = str(exc.value)
+        assert "model.kind" in msg and "synth.family" in msg
 
     def test_comments_and_blanks(self, tmp_path):
         conf = write_conf(tmp_path, "# a comment\n\nsynth.classes = 4  # inline\n")
@@ -129,8 +139,7 @@ class TestRejectedRuns:
     @pytest.mark.parametrize("command, text", [
         ("invert", "inv.eval_every = 0\n"),
         ("invert", "inv.eval_samples = 0\n"),
-        ("train-classifier", "train.optimizer = foo\n"),
-    ], ids=["eval_every", "eval_samples", "optimizer"])
+    ], ids=["eval_every", "eval_samples"])
     def test_bad_value_exits_one_without_traceback(self, tmp_path, capsys, classifier_run,
                                                     command, text):
         conf = write_conf(tmp_path, FAST_INVERT + text)
@@ -139,12 +148,38 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["invert", "reconstruct"])
+    @pytest.mark.parametrize("key", sorted(CHOICES))
+    def test_bad_choice_exits_two_without_traceback(self, tmp_path, capsys, key):
+        conf = write_conf(tmp_path, f"{key} = foo\n")
+        assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+    def test_corrupt_classifier_exits_one_without_traceback(self, tmp_path, capsys,
+                                                            classifier_run):
+        payload = bytearray(classifier_run.read_bytes()[:-4])
+        payload[12] = 0xFF          # first descriptor byte, no longer UTF-8
+        bad = tmp_path / "bad.ninv"
+        bad.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        conf = write_conf(tmp_path, FAST_INVERT)
+        assert main(["invert", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--classifier", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-classifier", "invert", "reconstruct"])
     def test_non_finite_loss_exits_three(self, tmp_path, capsys, classifier_run, command):
-        conf = write_conf(tmp_path, FAST_INVERT + "inv.lr = 1e30\nrecon.steps = 20\n")
-        assert main([command, "--config", conf, "--out", str(tmp_path / "x"),
-                     "--classifier", str(classifier_run)]) == 3
-        assert "non-finite loss" in capsys.readouterr().err
+        conf = write_conf(tmp_path, FAST_INVERT + "train.lr = 1e30\ninv.lr = 1e30\n"
+                          "recon.steps = 20\n")
+        out = tmp_path / "x"
+        extra = [] if command == "train-classifier" else ["--classifier", str(classifier_run)]
+        assert main([command, "--config", conf, "--out", str(out), *extra]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "Traceback" not in err
+        if command == "train-classifier":
+            assert not (out / "classifier.ninv").exists()
+        else:
+            assert re.search(r"step \d+: ", err)
 
 
 class TestOod:

@@ -1,7 +1,11 @@
 import csv
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netinv.errors import ContractError, FormatError
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
@@ -65,6 +69,46 @@ class TestCheckpoint:
         save_checkpoint(clf, a, seed=1)
         save_checkpoint(clf, b, seed=1)
         assert a.read_bytes() == b.read_bytes()
+
+
+FUZZ_MODELS = {
+    "mlp": Classifier(ClassifierSpec(hidden=(6, 4)), rng=np.random.default_rng(7)),
+    "cnn": Classifier(ClassifierSpec(kind="cnn", in_shape=(1, 4, 4), conv_channels=(2, 3),
+                                     conv_hidden=4), rng=np.random.default_rng(8)),
+    "generator": Generator(GeneratorSpec(z_dim=3, cond_dim=4, hidden=(5, 6),
+                                         out_shape=(1, 4, 4)), rng=np.random.default_rng(9)),
+}
+
+# one edit replaces ``cut`` bytes at ``pos`` with ``new``: a substitution, an
+# insertion or a deletion; half the positions fall in the header and descriptor
+EDITS = st.lists(st.tuples(st.one_of(st.integers(0, 400), st.integers(0, 1 << 20)),
+                           st.binary(max_size=3), st.integers(0, 3)),
+                 min_size=1, max_size=4)
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("kind", sorted(FUZZ_MODELS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=EDITS)
+    def test_mutated_payload_raises_only_format_error(self, tmp_path, kind, edits):
+        model = FUZZ_MODELS[kind]
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        payload = bytearray(path.read_bytes()[:-4])
+        for pos, new, cut in edits:
+            pos %= len(payload) + 1
+            payload[pos:pos + cut] = new
+        # re-sign so the corruption gets past the CRC check
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        try:
+            loaded, _ = load_checkpoint(path)
+        except FormatError:
+            return
+        fresh = type(loaded)(loaded.spec)
+        for name, p in loaded.params.items():
+            assert p.data.shape == fresh.params[name].data.shape
+            assert p.data.dtype == np.float32
 
 
 class TestPgm:
