@@ -129,6 +129,11 @@ def parse_config(path=None, overrides=None):
             values[key] = val
     problems += [f"bad value for {key!r}: {values[key]!r} (choices: {', '.join(choices)})"
                  for key, choices in CHOICES.items() if values[key] not in choices]
+    for entry in filter(None, values["eval.pairs"].split(",")):
+        name, _, checkpoint = entry.partition("=")
+        if name not in FAMILIES or not checkpoint:
+            problems.append(f"bad eval.pairs entry {entry!r} (want name=checkpoint, "
+                            f"name one of: {', '.join(FAMILIES)})")
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return values

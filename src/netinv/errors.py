@@ -34,7 +34,8 @@ class ConvergenceError(NetinvError):
 
 
 class DivergenceError(NetinvError):
-    """Training diverged: accuracy fell below chance or a loss went non-finite.
+    """Training diverged: accuracy fell below chance, or a loss or a
+    classifier output went non-finite.
 
     Carries an optional diagnostic report."""
 

@@ -60,22 +60,27 @@ def uncertainty(p):
     """Normalized squared distance from uniform: 0 = one-hot, 1 = uniform.
 
     The predicted distribution's distance from uniform is divided by the
-    distance a one-hot prediction would attain, so the score is a
-    scale-free certainty measure over the n+1 classes.
+    distance a one-hot prediction would attain, (m-1)/m, so the score is a
+    scale-free certainty measure over the n+1 classes. ``p`` is one
+    distribution [m] (returns a float) or a batch [N, m] (returns [N]).
     """
     p = np.asarray(p, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
+        raise ContractError(f"uncertainty expects distributions [m] or [N, m] with m >= 2, "
+                            f"got shape {p.shape}")
     m = p.shape[-1]
-    if p.ndim != 1 or m < 2:
-        raise ContractError(f"uncertainty expects one distribution vector, got shape {p.shape}")
-    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < -1e-12):
-        raise ContractError(f"malformed distribution (sum {p.sum():.8f}, min {p.min():.3e})")
-    k = int(np.argmax(p))                       # ties: lowest index
-    u = 1.0 / m
-    num = float(np.sum((p - u) ** 2))
-    onehot = np.zeros(m)
-    onehot[k] = 1.0
-    den = float(np.sum((onehot - u) ** 2))      # equals (m-1)/m
-    return float(min(1.0, max(0.0, 1.0 - num / den)))
+    sums = p.sum(axis=-1)
+    bad = ~(np.abs(sums - 1.0) <= 1e-6) | (p.min(axis=-1) < -1e-12)     # NaN is bad too
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        row = np.atleast_2d(p)[i]
+        raise ContractError(f"malformed distribution in row {i} "
+                            f"(sum {row.sum():.8f}, min {row.min():.3e})")
+    # 1 - sum((p - 1/m)^2) / ((m-1)/m), expanded over s = sum(p) and
+    # q = sum(p^2) so that a one-hot row scores exactly 0
+    ue = (m - 2 + 2 * sums - m * (p * p).sum(axis=-1)) / (m - 1)
+    ue = np.minimum(np.maximum(ue, 0.0), 1.0)
+    return float(ue) if p.ndim == 1 else ue
 
 
 @dataclass
@@ -208,8 +213,8 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
 
         labels, images = generate_samples(gen, budget, rng,
                                           classes=range(n1))
-        probs = predict_probs(clf, images)
-        ue_vals = [uncertainty(p / p.sum()) for p in probs.astype(np.float64)]
+        probs = predict_probs(clf, images).astype(np.float64)
+        ue_vals = uncertainty(probs / probs.sum(axis=1, keepdims=True))
         garbage.add(images, f"inverted@cycle_{cycle}")
 
         id_test_acc = (accuracy(clf, id_test.images, id_test.labels)

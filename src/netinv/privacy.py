@@ -10,6 +10,8 @@ from .errors import ShapeError
 _WINDOW = 7
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
+_BLOCK_BYTES = 4 << 20       # working-set budget of one reference block in ssim_matrix
+_TIE = 1e-12                 # scores closer than this to the best are ties
 
 
 def _channel_ssim(x, y):
@@ -50,21 +52,73 @@ class PrivacyReport:
     reference_id: str = "reference"
 
 
-def privacy_score(recons, reference_set, reference_id="reference"):
-    """Best-match SSIM of every reconstruction against the reference set."""
-    recons = np.asarray(recons, dtype=np.float64)
-    refs = np.asarray(reference_set, dtype=np.float64)
-    if len(recons) == 0 or len(refs) == 0:
-        raise ShapeError("privacy_score needs nonempty reconstruction and reference sets")
+def _windows(images):
+    """[N, C, H, W] -> contiguous float64 [C*h*w, N, 49]: every valid 7x7 window, per image."""
+    w = sliding_window_view(np.asarray(images, dtype=np.float64), (_WINDOW, _WINDOW),
+                            axis=(-2, -1))
+    return w.transpose(1, 2, 3, 0, 4, 5).reshape(-1, len(images), _WINDOW * _WINDOW)
+
+
+def _moments(windows):
+    """Per-window mean and variance, [P, N] each."""
+    mean = windows.mean(axis=-1)
+    return mean, np.einsum("pnk,pnk->pn", windows, windows) / windows.shape[-1] - mean * mean
+
+
+def _image_set(images, name):
+    """Check a nonempty set of [H,W] or [C,H,W] images; [N, H, W] becomes [N, 1, H, W]."""
+    if images.ndim == 3:
+        images = images[:, None]
+    if images.ndim != 4:
+        raise ShapeError(f"{name} must be a set of [H,W] or [C,H,W] images, got {images.shape}")
+    if len(images) == 0:
+        raise ShapeError(f"scoring needs a nonempty {name} set")
+    if images.shape[-2] < _WINDOW or images.shape[-1] < _WINDOW:
+        raise ShapeError(f"image {images.shape[1:]} smaller than the {_WINDOW}x{_WINDOW} window")
+    return images
+
+
+def ssim_matrix(recons, reference_set):
+    """[R, N] SSIM of every reconstruction against every reference, as ``ssim`` scores a pair.
+
+    Window statistics are computed once per image; the cross term of every
+    pair is one batched matmul over the window axis. References are scored
+    in blocks so the working set stays under ``_BLOCK_BYTES``.
+    """
+    recons = np.asarray(recons)
+    refs = np.asarray(reference_set)                        # float64 one block at a time
     if recons.shape[1:] != refs.shape[1:]:
         raise ShapeError(f"image shape mismatch: recons {recons.shape[1:]} "
                          f"vs reference {refs.shape[1:]}")
-    scores = np.empty((len(recons), len(refs)))
-    for i, r in enumerate(recons):
-        for j, ref in enumerate(refs):
-            scores[i, j] = ssim(r, ref)
-    best = scores.argmax(axis=1)           # ties resolve to the lowest index
-    best_ssim = scores[np.arange(len(recons)), best]
+    recons = _image_set(recons, "reconstruction")
+    refs = _image_set(refs, "reference")
+    x = _windows(recons)                                    # [P, R, 49]
+    mx, vx = _moments(x)
+    n_windows, n_recons, area = x.shape
+    # per reference: its windows plus about four [P, R] float64 temporaries
+    block = max(1, _BLOCK_BYTES // (8 * n_windows * (area + 4 * n_recons)))
+    scores = np.empty((n_recons, len(refs)))
+    for start in range(0, len(refs), block):
+        y = _windows(refs[start:start + block])             # [P, n, 49]
+        my, vy = _moments(y)
+        mxy = mx[:, :, None] * my[:, None, :]
+        cov = np.matmul(x, y.transpose(0, 2, 1)) / area - mxy
+        num = (2 * mxy + _C1) * (2 * cov + _C2)
+        den = ((mx * mx)[:, :, None] + (my * my)[:, None, :] + _C1) \
+            * (vx[:, :, None] + vy[:, None, :] + _C2)
+        # every channel has the same window count: the mean over all windows
+        # equals ssim's mean of per-channel means
+        scores[:, start:start + block] = (num / den).mean(axis=0)
+    return scores
+
+
+def privacy_score(recons, reference_set, reference_id="reference"):
+    """Best-match SSIM of every reconstruction against the reference set."""
+    scores = ssim_matrix(recons, reference_set)
+    # ties resolve to the lowest index; BLAS may round the same reference
+    # differently in different matmul columns, hence the tolerance
+    best = np.argmax(scores >= scores.max(axis=1, keepdims=True) - _TIE, axis=1)
+    best_ssim = scores[np.arange(len(scores)), best]
     return PrivacyReport(match_index=best, match_ssim=best_ssim,
                          mean_ssim=float(best_ssim.mean()),
                          max_ssim=float(best_ssim.max()),

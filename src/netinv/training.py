@@ -41,10 +41,17 @@ def train_classifier(model, images, labels, *, class_weights=None, epochs=20,
 
 
 def predict_logits(model, images, batch_size=256):
-    """No-grad classifier pass in ``batch_size`` chunks -> logits ndarray [N, m]."""
+    """No-grad classifier pass in ``batch_size`` chunks -> logits ndarray [N, m].
+
+    Raises ``DivergenceError`` when any logit is non-finite: the weights
+    left by the last optimizer step are only ever checked here.
+    """
     with ag.no_grad():
-        return np.concatenate([model.forward(ag.Tensor(images[start:start + batch_size]))[0].data
-                               for start in range(0, len(images), batch_size)], axis=0)
+        logits = np.concatenate([model.forward(ag.Tensor(images[start:start + batch_size]))[0].data
+                                 for start in range(0, len(images), batch_size)], axis=0)
+    if not np.isfinite(logits).all():
+        raise DivergenceError("non-finite classifier output")
+    return logits
 
 
 def accuracy(model, images, labels, batch_size=256):

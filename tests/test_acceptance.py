@@ -144,6 +144,7 @@ def test_c2_uncertainty_score_suite():
         pts = rng.dirichlet(np.ones(m), size=100_000)
         vals = np.array([uncertainty(p) for p in pts])
         assert vals.min() >= 0.0 and vals.max() <= 1.0
+        assert np.abs(uncertainty(pts) - vals).max() <= 1e-12
     assert abs(uncertainty(np.array([0.75, 0.25])) - 0.75) <= 1e-9
     print("PASS criterion 2: one-hot=0, uniform=1, bounds on 4x1e5 simplex "
           "points, hand case 0.75, denominator (m-1)/m")

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -167,15 +168,26 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["train-classifier", "invert", "reconstruct"])
-    def test_non_finite_loss_exits_three(self, tmp_path, capsys, classifier_run, command):
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param("train-classifier", "", "non-finite loss", id="train-classifier"),
+        pytest.param("invert", "", "non-finite loss", id="invert"),
+        pytest.param("reconstruct", "", "non-finite loss", id="reconstruct"),
+        # one minibatch in all: the only loss is finite, the step after it is not
+        pytest.param("train-classifier", "synth.train = 60\ntrain.epochs = 1\n",
+                     "non-finite classifier output", id="train-classifier-last-step"),
+    ])
+    def test_non_finite_loss_exits_three(self, tmp_path, capsys, classifier_run, command,
+                                         text, message):
         conf = write_conf(tmp_path, FAST_INVERT + "train.lr = 1e30\ninv.lr = 1e30\n"
-                          "recon.steps = 20\n")
+                          "recon.steps = 20\n" + text)
         out = tmp_path / "x"
         extra = [] if command == "train-classifier" else ["--classifier", str(classifier_run)]
-        assert main([command, "--config", conf, "--out", str(out), *extra]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", conf, "--out", str(out), *extra]) == 3
         err = capsys.readouterr().err
-        assert "non-finite loss" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         if command == "train-classifier":
             assert not (out / "classifier.ninv").exists()
         else:
@@ -237,6 +249,18 @@ class TestEvaluate:
         thr_lines = (out / "threshold.csv").read_text().splitlines()
         assert thr_lines[0].startswith("model,ood_dataset,min_id_conf")
         assert len(thr_lines) == 3
+
+    @pytest.mark.parametrize("entry", ["foo={ckpt}", "bars", "bars=", "bars={ckpt},=x"],
+                             ids=["unknown-name", "no-path", "empty-path", "empty-name"])
+    def test_bad_pair_exits_two_without_traceback(self, tmp_path, capsys, classifier_run,
+                                                  entry):
+        conf = write_conf(tmp_path, FAST_TRAIN +
+                          f"eval.pairs = {entry.format(ckpt=classifier_run)}\n")
+        out = tmp_path / "x"
+        assert main(["evaluate", "--config", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "eval.pairs" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_empty_pairs_rejected(self, tmp_path):
         conf = write_conf(tmp_path, "")

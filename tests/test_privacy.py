@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from netinv import privacy
 from netinv.errors import ShapeError
-from netinv.privacy import privacy_score, ssim
+from netinv.privacy import privacy_score, ssim, ssim_matrix
 
 
 class TestSsim:
@@ -84,3 +85,53 @@ class TestPrivacyScore:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             privacy_score(np.zeros((1, 1, 10, 10)), np.zeros((1, 1, 8, 8)))
+
+
+def _oracle(recons, refs):
+    return np.array([[ssim(r, f) for f in refs] for r in recons])
+
+
+class TestSsimMatrix:
+    @pytest.mark.parametrize("shape", [(12, 12), (1, 12, 12), (3, 12, 12), (1, 10, 13),
+                                       (3, 13, 10)])
+    def test_matches_pairwise_oracle(self, shape):
+        rng = np.random.default_rng(9)
+        recons = rng.uniform(size=(4, *shape))
+        refs = rng.uniform(size=(7, *shape))
+        refs[3] = recons[1]
+        np.testing.assert_allclose(ssim_matrix(recons, refs), _oracle(recons, refs),
+                                   rtol=0, atol=1e-12)
+
+    def test_reference_blocks(self, monkeypatch):
+        unfolds = []
+        windows = privacy._windows
+        monkeypatch.setattr(privacy, "_BLOCK_BYTES", 100_000)
+        monkeypatch.setattr(privacy, "_windows",
+                            lambda images: unfolds.append(len(images)) or windows(images))
+        rng = np.random.default_rng(10)
+        recons = rng.uniform(size=(3, 2, 10, 13))
+        refs = rng.uniform(size=(50, 2, 10, 13))
+        refs[41] = refs[7] = recons[2]       # duplicates in different blocks
+        np.testing.assert_allclose(ssim_matrix(recons, refs), _oracle(recons, refs),
+                                   rtol=0, atol=1e-12)
+        assert len(unfolds) > 2 and sum(unfolds[1:]) == len(refs)
+        assert privacy_score(recons, refs).match_index[2] == 7
+
+    def test_window_larger_than_image(self):
+        with pytest.raises(ShapeError):
+            privacy_score(np.zeros((2, 1, 6, 10)), np.zeros((3, 1, 6, 10)))
+
+    @pytest.mark.parametrize("recons, refs", [
+        (np.zeros((2, 1, 10, 10)), np.zeros((3, 10, 10))),
+        (np.zeros((2, 1, 1, 10, 10)), np.zeros((3, 1, 1, 10, 10))),
+        (np.zeros((10, 10)), np.zeros((10, 10))),
+    ], ids=["rank-mismatch", "rank-5", "rank-2"])
+    def test_wrong_rank(self, recons, refs):
+        with pytest.raises(ShapeError):
+            privacy_score(recons, refs)
+
+    def test_empty_set(self):
+        with pytest.raises(ShapeError):
+            privacy_score(np.zeros((0, 1, 10, 10)), np.zeros((3, 1, 10, 10)))
+        with pytest.raises(ShapeError):
+            privacy_score(np.zeros((2, 1, 10, 10)), np.zeros((0, 1, 10, 10)))
