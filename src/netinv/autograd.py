@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The tape is implicit: every tracked operation stores its input tensors and a
-vector-Jacobian closure expressed in terms of the public ops. ``grad`` is the
-one reverse pass; it returns the adjoints rather than storing them on the
-tensors. Running it with ``create_graph=True`` records the adjoint
+vector-Jacobian closure expressed in terms of the public ops. The closure
+takes the output's adjoint and one flag per input, and builds the adjoints of
+the flagged inputs only (None for the others). ``grad`` is the one reverse
+pass; it returns the adjoints rather than storing them on the tensors. Running it with ``create_graph=True`` records the adjoint
 computation itself, which is what makes the gradient-norm penalty
 differentiable with respect to upstream inputs (a second-order replay).
 """
@@ -11,6 +12,7 @@ differentiable with respect to upstream inputs (a second-order replay).
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
@@ -133,9 +135,9 @@ def add(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
 
-    def vjp(g):
-        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+    def vjp(g, need):
+        ga = _unbroadcast(g, a.data.shape) if need[0] else None
+        gb = _unbroadcast(g, b.data.shape) if need[1] else None
         return ga, gb
 
     return _from_op(a.data + b.data, (a, b), vjp)
@@ -145,9 +147,9 @@ def sub(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
 
-    def vjp(g):
-        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(neg(g), b.data.shape) if b.requires_grad else None
+    def vjp(g, need):
+        ga = _unbroadcast(g, a.data.shape) if need[0] else None
+        gb = _unbroadcast(neg(g), b.data.shape) if need[1] else None
         return ga, gb
 
     return _from_op(a.data - b.data, (a, b), vjp)
@@ -157,9 +159,9 @@ def mul(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
 
-    def vjp(g):
-        ga = _unbroadcast(mul(g, b), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(mul(g, a), b.data.shape) if b.requires_grad else None
+    def vjp(g, need):
+        ga = _unbroadcast(mul(g, b), a.data.shape) if need[0] else None
+        gb = _unbroadcast(mul(g, a), b.data.shape) if need[1] else None
         return ga, gb
 
     return _from_op(a.data * b.data, (a, b), vjp)
@@ -169,10 +171,10 @@ def div(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
 
-    def vjp(g):
-        ga = _unbroadcast(div(g, b), a.data.shape) if a.requires_grad else None
+    def vjp(g, need):
+        ga = _unbroadcast(div(g, b), a.data.shape) if need[0] else None
         gb = None
-        if b.requires_grad:
+        if need[1]:
             gb = _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.data.shape)
         return ga, gb
 
@@ -182,7 +184,7 @@ def div(a, b):
 def neg(a):
     a = _wrap(a)
 
-    def vjp(g):
+    def vjp(g, need):
         return (neg(g),)
 
     return _from_op(-a.data, (a,), vjp)
@@ -192,7 +194,7 @@ def pow_const(a, k):
     a = _wrap(a)
     k = float(k)
 
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, mul(pow_const(a, k - 1.0), _wrap(k, a))),)
 
     return _from_op(a.data ** k, (a,), vjp)
@@ -205,7 +207,7 @@ def square(a):
 def exp(a):
     a = _wrap(a)
 
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, out),)
 
     out = _from_op(np.exp(a.data), (a,), vjp)
@@ -215,7 +217,7 @@ def exp(a):
 def log(a):
     a = _wrap(a)
 
-    def vjp(g):
+    def vjp(g, need):
         return (div(g, a),)
 
     return _from_op(np.log(a.data), (a,), vjp)
@@ -229,7 +231,7 @@ def leaky_relu(a, slope=0.01):
     a = _wrap(a)
     scale = np.where(a.data > 0, a.dtype.type(1), a.dtype.type(slope))
 
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, Tensor(scale)),)
 
     return _from_op(a.data * scale, (a,), vjp)
@@ -246,7 +248,7 @@ def sigmoid(a):
     out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
 
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, mul(out, sub(_wrap(1.0, out), out))),)
 
     out = _from_op(out_data, (a,), vjp)
@@ -258,7 +260,7 @@ def clamp01(a):
     a = _wrap(a)
     inside = ((a.data >= 0.0) & (a.data <= 1.0)).astype(a.dtype)
 
-    def vjp(g):
+    def vjp(g, need):
         return (mul(g, Tensor(inside)),)
 
     return _from_op(np.clip(a.data, 0.0, 1.0), (a,), vjp)
@@ -282,7 +284,7 @@ def reshape(a, shape):
     a = _wrap(a)
     orig = a.data.shape
 
-    def vjp(g):
+    def vjp(g, need):
         return (reshape(g, orig),)
 
     return _from_op(a.data.reshape(shape), (a,), vjp)
@@ -294,7 +296,7 @@ def transpose(a, axes=None):
         axes = tuple(reversed(range(a.data.ndim)))
     inverse = tuple(np.argsort(axes))
 
-    def vjp(g):
+    def vjp(g, need):
         return (transpose(g, inverse),)
 
     return _from_op(np.transpose(a.data, axes), (a,), vjp)
@@ -304,7 +306,7 @@ def broadcast_to(a, shape):
     a = _wrap(a)
     orig = a.data.shape
 
-    def vjp(g):
+    def vjp(g, need):
         return (_unbroadcast(g, orig),)
 
     return _from_op(np.broadcast_to(a.data, shape), (a,), vjp)
@@ -315,14 +317,9 @@ def concat(tensors, axis=0):
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def vjp(g):
-        outs = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                outs.append(take_slice(g, axis, int(lo), int(hi)))
-            else:
-                outs.append(None)
-        return tuple(outs)
+    def vjp(g, need):
+        return tuple(take_slice(g, axis, int(lo), int(hi)) if n else None
+                     for n, lo, hi in zip(need, offsets[:-1], offsets[1:]))
 
     return _from_op(np.concatenate([t.data for t in tensors], axis=axis),
                     tuple(tensors), vjp)
@@ -334,7 +331,7 @@ def take_slice(a, axis, lo, hi):
     idx = tuple(slice(lo, hi) if d == axis else slice(None)
                 for d in range(a.data.ndim))
 
-    def vjp(g):
+    def vjp(g, need):
         return (pad_slice(g, orig, axis, lo),)
 
     return _from_op(a.data[idx], (a,), vjp)
@@ -347,7 +344,7 @@ def pad_slice(a, shape, axis, lo):
     idx = tuple(slice(lo, hi) if d == axis else slice(None)
                 for d in range(len(shape)))
 
-    def vjp(g):
+    def vjp(g, need):
         return (take_slice(g, axis, lo, hi),)
 
     out = np.zeros(shape, dtype=a.dtype)
@@ -365,7 +362,7 @@ def sum_(a, axis=None, keepdims=False):
     out_data = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
     out_data = np.asarray(out_data, dtype=a.dtype)
 
-    def vjp(g):
+    def vjp(g, need):
         if axis is None:
             kshape = (1,) * len(orig)
         elif not keepdims:
@@ -399,26 +396,12 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
 
-    def vjp(g):
-        ga = matmul(g, transpose(b)) if a.requires_grad else None
-        gb = matmul(transpose(a), g) if b.requires_grad else None
+    def vjp(g, need):
+        ga = matmul(g, transpose(b)) if need[0] else None
+        gb = matmul(transpose(a), g) if need[1] else None
         return ga, gb
 
     return _from_op(a.data @ b.data, (a, b), vjp)
-
-
-def _im2col_indices(C, H, W, kh, kw, stride, pad):
-    out_h = (H + 2 * pad - kh) // stride + 1
-    out_w = (W + 2 * pad - kw) // stride + 1
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, C)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * C)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    c = np.repeat(np.arange(C), kh * kw).reshape(-1, 1)
-    return c, i, j, out_h, out_w
 
 
 def im2col(x, kh, kw, stride=1, pad=0):
@@ -427,26 +410,37 @@ def im2col(x, kh, kw, stride=1, pad=0):
     B, C, H, W = x.data.shape
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    c, i, j, out_h, out_w = _im2col_indices(C, H, W, kh, kw, stride, pad)
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = padded[:, c, i, j]
+    padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad:pad + H, pad:pad + W] = x.data
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, out_h * out_w)
 
-    def vjp(g):
+    def vjp(g, need):
         return (col2im(g, (B, C, H, W), kh, kw, stride, pad),)
 
     return _from_op(cols, (x,), vjp)
 
 
 def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
-    """Adjoint of im2col: scatter-add patch columns back into an image."""
+    """Adjoint of im2col: add patch columns back into an image.
+
+    One strided slice add per kernel offset (di, dj), in row-major order, so
+    every pixel sums its contributions in that order.
+    """
     cols = _wrap(cols)
     B, C, H, W = img_shape
-    c, i, j, out_h, out_w = _im2col_indices(C, H, W, kh, kw, stride, pad)
+    out_h = (H + 2 * pad - kh) // stride + 1
+    out_w = (W + 2 * pad - kw) // stride + 1
+    patches = cols.data.reshape(B, C, kh, kw, out_h, out_w)
     padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
-    np.add.at(padded, (slice(None), c, i, j), cols.data)
+    for di in range(kh):
+        for dj in range(kw):
+            padded[:, :, di:di + stride * out_h:stride,
+                   dj:dj + stride * out_w:stride] += patches[:, :, di, dj]
     out = padded[:, :, pad:pad + H, pad:pad + W]
 
-    def vjp(g):
+    def vjp(g, need):
         return (im2col(g, kh, kw, stride, pad),)
 
     return _from_op(out, (cols,), vjp)
@@ -486,7 +480,7 @@ def maxpool2d(x, k=2):
     mask_t = Tensor(mask)
     out_data = np.max(windows, axis=-1)
 
-    def vjp(g):
+    def vjp(g, need):
         # route pooled gradient back to argmax positions (first max on ties)
         up = broadcast_to(reshape(g, (B, C, H // k, 1, W // k, 1)),
                           (B, C, H // k, k, W // k, k))
@@ -541,22 +535,35 @@ def grad(out, wrt, create_graph=False):
 
     Returns one Tensor per entry (zeros when no path exists). With
     ``create_graph=True`` the returned gradients remain differentiable.
+    Only adjoints on a path from ``out`` to some entry of ``wrt`` are built:
+    a node is needed when it is in ``wrt`` or has a needed input, and each
+    VJP gets one flag per input saying which adjoints to return.
     """
     if out.data.size != 1:
         raise ContractError(f"grad requires a scalar output, got shape {out.data.shape}")
     wrt = list(wrt)
-    grads = {id(out): Tensor(np.ones_like(out.data))}
     keep = {id(t) for t in wrt}
+    order = _toposort(out)
+    needed = {id(t) for t in wrt if t.requires_grad}
+    need_of = {}
+    for node in order:
+        if node._op is not None:
+            need = tuple(id(inp) in needed for inp in node._op[0])
+            if any(need):
+                need_of[id(node)] = need
+                needed.add(id(node))
+    grads = {id(out): Tensor(np.ones_like(out.data))}
     with contextlib.nullcontext() if create_graph else no_grad():
-        for node in reversed(_toposort(out)):
+        for node in reversed(order):
             g = grads.get(id(node))
-            if g is None or node._op is None:
+            need = need_of.get(id(node))
+            if g is None or need is None:
                 continue
             if id(node) not in keep:
                 del grads[id(node)]
             inputs, vjp = node._op
-            for inp, ig in zip(inputs, vjp(g)):
-                if ig is None or not inp.requires_grad:
+            for inp, ig in zip(inputs, vjp(g, need)):
+                if ig is None:
                     continue
                 prev = grads.get(id(inp))
                 grads[id(inp)] = ig if prev is None else add(prev, ig)

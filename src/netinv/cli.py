@@ -157,6 +157,8 @@ def cmd_reconstruct(args):
     rng = np.random.default_rng(derive_seed(cfg["seed"], "reconstruction"))
     train_generator(gen, clf, rcfg, rng=rng)
     labels, recons = generate_samples(gen, cfg["recon.samples"], rng)
+    if not np.isfinite(recons).all():
+        raise DivergenceError("non-finite reconstructions")
     manifest.stop()
     report = privacy_score(recons, train.images, reference_id=train.name)
     holdout_report = privacy_score(recons, holdout.images, reference_id=holdout.name)

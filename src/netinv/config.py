@@ -85,6 +85,24 @@ CHOICES = {
 }
 
 
+# count keys and the least value each may take
+MINIMUMS = {
+    "inv.eval_every": 1,
+    "inv.eval_samples": 1,
+    "inv.batch": 2,                   # the pairwise diversity losses need pairs
+    "inv.steps": 1,
+    "recon.steps": 1,
+    "recon.samples": 1,
+    "train.epochs": 1,
+    "train.batch": 1,
+    "ood.cycles": 0,                  # 0 = train the baseline classifier only
+    "ood.epochs": 1,
+    "ood.inv_steps": 1,
+    "idx.limit": 0,                   # 0 = no limit
+    "ood.budget": 0,                  # 0 = one ID class's training count
+}
+
+
 def _coerce(key, raw, default):
     if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes"):
@@ -129,6 +147,8 @@ def parse_config(path=None, overrides=None):
             values[key] = val
     problems += [f"bad value for {key!r}: {values[key]!r} (choices: {', '.join(choices)})"
                  for key, choices in CHOICES.items() if values[key] not in choices]
+    problems += [f"bad value for {key!r}: {values[key]!r} (must be >= {low})"
+                 for key, low in MINIMUMS.items() if values[key] < low]
     for entry in filter(None, values["eval.pairs"].split(",")):
         name, _, checkpoint = entry.partition("=")
         if name not in FAMILIES or not checkpoint:

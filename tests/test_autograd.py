@@ -112,6 +112,59 @@ class TestConv2d:
                     [x, k], rtol=1e-4, atol=1e-6)
 
 
+def _im2col_indices(C, H, W, kh, kw, stride, pad):
+    """Index arrays of the former fancy-index im2col, kept as the oracle."""
+    out_h = (H + 2 * pad - kh) // stride + 1
+    out_w = (W + 2 * pad - kw) // stride + 1
+    i0 = np.tile(np.repeat(np.arange(kh), kw), C)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * C)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    c = np.repeat(np.arange(C), kh * kw).reshape(-1, 1)
+    return c, i, j
+
+
+def im2col_oracle(x, kh, kw, stride, pad):
+    c, i, j = _im2col_indices(*x.shape[1:], kh, kw, stride, pad)
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))[:, c, i, j]
+
+
+def col2im_oracle(cols, img_shape, kh, kw, stride, pad):
+    B, C, H, W = img_shape
+    c, i, j = _im2col_indices(C, H, W, kh, kw, stride, pad)
+    padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
+    np.add.at(padded, (slice(None), c, i, j), cols)
+    return padded[:, :, pad:pad + H, pad:pad + W]
+
+
+class TestIm2col:
+    CASES = [(stride, pad, C, H, W) for stride in (1, 2) for pad in (0, 1)
+             for C in (1, 3) for H, W in ((6, 6), (7, 5))]
+
+    @pytest.mark.parametrize("stride, pad, C, H, W", CASES)
+    def test_bit_equal_to_index_oracle(self, stride, pad, C, H, W):
+        rng = np.random.default_rng(stride * 1000 + pad * 100 + C * 10 + W)
+        x = rng.normal(size=(2, C, H, W)).astype(np.float32)
+        cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
+        want = im2col_oracle(x, 3, 3, stride, pad)
+        assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
+        y = rng.normal(size=cols.shape).astype(np.float32)
+        img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
+        want = col2im_oracle(y, x.shape, 3, 3, stride, pad)
+        assert img.shape == x.shape and img.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride, pad, C, H, W", CASES)
+    def test_col2im_is_the_adjoint(self, stride, pad, C, H, W):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, C, H, W))
+        cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
+        y = rng.normal(size=cols.shape)
+        img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
+        assert np.vdot(cols, y) == pytest.approx(np.vdot(x, img), rel=1e-12)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = ag.softmax(ag.Tensor(np.array([0.0, 0.0]))).data
@@ -161,6 +214,34 @@ class TestBackward:
             return ag.mean(ag.square(ag.softmax(out)))
 
         check_grads(loss, [w1, b1, w2], rtol=1e-4, atol=1e-7)
+
+    def test_builds_only_adjoints_that_reach_wrt(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = ag.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        loss = ag.sum_(ag.square(ag.matmul(x, w)))
+        calls = []
+        real = ag.matmul
+        monkeypatch.setattr(ag, "matmul", lambda a, b: calls.append(1) or real(a, b))
+        gx_full, _ = ag.grad(loss, [x, w])
+        assert len(calls) == 2
+        (gx,) = ag.grad(loss, [x])
+        assert len(calls) == 3
+        assert gx.data.tobytes() == gx_full.data.tobytes()
+
+    def test_kernel_gradient_builds_no_image_adjoint(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x = ag.Tensor(rng.normal(size=(2, 1, 5, 5)), requires_grad=True)
+        k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        loss = ag.sum_(ag.square(ag.conv2d(x, k, pad=1)))
+        calls = []
+        real = ag.col2im
+        monkeypatch.setattr(ag, "col2im", lambda *a: calls.append(1) or real(*a))
+        _, gk_full = ag.grad(loss, [x, k])
+        assert len(calls) == 1
+        (gk,) = ag.grad(loss, [k])
+        assert len(calls) == 1
+        assert gk.data.tobytes() == gk_full.data.tobytes()
 
     def test_nonscalar_loss_rejected(self):
         v = ag.Tensor(np.zeros(3), requires_grad=True)
@@ -216,6 +297,22 @@ class TestGradNormSq:
         gns = ag.grad_norm_sq(out, [w1, w2])
         (gx,) = ag.grad(gns, [x])
         want = fd_grad(gns_value, x0.copy(), h=1e-5)
+        np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
+
+    def test_second_order_through_conv_and_maxpool(self):
+        rng = np.random.default_rng(16)
+        k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        w = ag.Tensor(rng.normal(size=(8, 1)), requires_grad=True)
+        x0 = rng.normal(size=(2, 1, 4, 4))
+
+        def gns_of(x):
+            h = ag.leaky_relu(ag.conv2d(x, k, stride=1, pad=1), 0.1)
+            h = ag.reshape(ag.maxpool2d(h, 2), (2, 8))
+            return ag.grad_norm_sq(ag.sum_(ag.matmul(h, w)), [k, w])
+
+        x = ag.Tensor(x0.copy(), requires_grad=True)
+        (gx,) = ag.grad(gns_of(x), [x])
+        want = fd_grad(lambda a: gns_of(ag.Tensor(a)).item(), x0.copy(), h=1e-5)
         np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
 
     def test_empty_params_rejected(self):

@@ -10,7 +10,7 @@ import pytest
 
 from netinv import cli
 from netinv.cli import main
-from netinv.config import CHOICES, DEFAULTS, derive_seed, parse_config
+from netinv.config import CHOICES, DEFAULTS, MINIMUMS, derive_seed, parse_config
 from netinv.errors import ConfigError
 
 
@@ -38,6 +38,14 @@ class TestConfig:
             parse_config(conf)
         msg = str(exc.value)
         assert "model.kind" in msg and "synth.family" in msg
+
+    def test_counts_below_minimum_listed_together(self, tmp_path):
+        conf = write_conf(tmp_path, "".join(f"{k} = {low - 1}\n" for k, low in MINIMUMS.items()))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(conf)
+        assert [k for k in MINIMUMS if repr(k) not in str(exc.value)] == []
+        conf = write_conf(tmp_path, "".join(f"{k} = {low}\n" for k, low in MINIMUMS.items()))
+        assert all(parse_config(conf)[k] == low for k, low in MINIMUMS.items())
 
     def test_comments_and_blanks(self, tmp_path):
         conf = write_conf(tmp_path, "# a comment\n\nsynth.classes = 4  # inline\n")
@@ -137,17 +145,14 @@ class TestInvert:
 
 
 class TestRejectedRuns:
-    @pytest.mark.parametrize("command, text", [
-        ("invert", "inv.eval_every = 0\n"),
-        ("invert", "inv.eval_samples = 0\n"),
-    ], ids=["eval_every", "eval_samples"])
-    def test_bad_value_exits_one_without_traceback(self, tmp_path, capsys, classifier_run,
-                                                    command, text):
-        conf = write_conf(tmp_path, FAST_INVERT + text)
-        extra = ["--classifier", str(classifier_run)] if command == "invert" else []
-        assert main([command, "--config", conf, "--out", str(tmp_path / "x"), *extra]) == 1
+    @pytest.mark.parametrize("key", sorted(MINIMUMS))
+    def test_count_below_minimum_exits_two_without_traceback(self, tmp_path, capsys,
+                                                             classifier_run, key):
+        conf = write_conf(tmp_path, FAST_INVERT + f"{key} = {MINIMUMS[key] - 1}\n")
+        assert main(["invert", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--classifier", str(classifier_run)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", sorted(CHOICES))
     def test_bad_choice_exits_two_without_traceback(self, tmp_path, capsys, key):
@@ -175,6 +180,9 @@ class TestRejectedRuns:
         # one minibatch in all: the only loss is finite, the step after it is not
         pytest.param("train-classifier", "synth.train = 60\ntrain.epochs = 1\n",
                      "non-finite classifier output", id="train-classifier-last-step"),
+        # one generator step: its loss is finite, the images after it are not
+        pytest.param("reconstruct", "recon.steps = 1\n", "non-finite reconstructions",
+                     id="reconstruct-last-step"),
     ])
     def test_non_finite_loss_exits_three(self, tmp_path, capsys, classifier_run, command,
                                          text, message):
@@ -188,9 +196,9 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
-        if command == "train-classifier":
-            assert not (out / "classifier.ninv").exists()
-        else:
+        # nothing but the resolved config: no checkpoint, privacy.csv or grid
+        assert [p.name for p in out.iterdir()] == ["resolved.conf"]
+        if message == "non-finite loss" and command != "train-classifier":
             assert re.search(r"step \d+: ", err)
 
 
