@@ -294,10 +294,9 @@ def transpose(a, axes=None):
     a = _wrap(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
-    inverse = tuple(np.argsort(axes))
 
     def vjp(g, need):
-        return (transpose(g, inverse),)
+        return (transpose(g, tuple(np.argsort(axes))),)
 
     return _from_op(np.transpose(a.data, axes), (a,), vjp)
 
@@ -389,12 +388,16 @@ def mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # linear algebra / convolution
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
+def _check_matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+
+
+def matmul(a, b):
+    a, b = _wrap(a), _wrap(b)
+    _check_matmul(a, b)
 
     def vjp(g, need):
         ga = matmul(g, transpose(b)) if need[0] else None
@@ -404,8 +407,22 @@ def matmul(a, b):
     return _from_op(a.data @ b.data, (a, b), vjp)
 
 
+def linear(x, w, b):
+    """Affine layer ``x @ w + b`` as one node; same arithmetic as matmul then add."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    _check_matmul(x, w)
+
+    def vjp(g, need):
+        gx = matmul(g, transpose(w)) if need[0] else None
+        gw = matmul(transpose(x), g) if need[1] else None
+        gb = _unbroadcast(g, b.data.shape) if need[2] else None
+        return gx, gw, gb
+
+    return _from_op(x.data @ w.data + b.data, (x, w, b), vjp)
+
+
 def im2col(x, kh, kw, stride=1, pad=0):
-    """Unfold [B,C,H,W] into [B, C*kh*kw, L] patch columns."""
+    """Unfold [B,C,H,W] into [C*kh*kw, B*L] patch columns, ready for a kernel matmul."""
     x = _wrap(x)
     B, C, H, W = x.data.shape
     if kh > H + 2 * pad or kw > W + 2 * pad:
@@ -414,7 +431,7 @@ def im2col(x, kh, kw, stride=1, pad=0):
     padded[:, :, pad:pad + H, pad:pad + W] = x.data
     windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     out_h, out_w = windows.shape[2:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, out_h * out_w)
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * out_h * out_w)
 
     def vjp(g, need):
         return (col2im(g, (B, C, H, W), kh, kw, stride, pad),)
@@ -423,7 +440,7 @@ def im2col(x, kh, kw, stride=1, pad=0):
 
 
 def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
-    """Adjoint of im2col: add patch columns back into an image.
+    """Adjoint of im2col: add [C*kh*kw, B*L] patch columns back into an image.
 
     One strided slice add per kernel offset (di, dj), in row-major order, so
     every pixel sums its contributions in that order.
@@ -432,7 +449,7 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
     B, C, H, W = img_shape
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
-    patches = cols.data.reshape(B, C, kh, kw, out_h, out_w)
+    patches = cols.data.reshape(C, kh, kw, B, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
     padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
     for di in range(kh):
         for dj in range(kw):
@@ -457,31 +474,36 @@ def conv2d(x, kernel, stride=1, pad=0):
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape}, kernel {kernel.data.shape}")
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
-    cols = im2col(x, kh, kw, stride, pad)                   # [B, C*kh*kw, L]
-    cols2 = reshape(transpose(cols, (1, 0, 2)), (C * kh * kw, B * out_h * out_w))
-    kmat = reshape(kernel, (F, C * kh * kw))
-    out = matmul(kmat, cols2)                               # [F, B*L]
-    out = reshape(out, (F, B, out_h, out_w))
-    return transpose(out, (1, 0, 2, 3))
+    cols = im2col(x, kh, kw, stride, pad)                   # [C*kh*kw, B*L]
+    out = matmul(reshape(kernel, (F, C * kh * kw)), cols)   # [F, B*L]
+    return transpose(reshape(out, (F, B, out_h, out_w)), (1, 0, 2, 3))
 
 
 def maxpool2d(x, k=2):
-    """Non-overlapping k x k max pooling; H and W must be divisible by k."""
+    """Non-overlapping k x k max pooling; H and W must be divisible by k.
+
+    The output is a running maximum over the k*k strided taps x[:, :, i::k, j::k].
+    The gradient goes to the first tap, in (i, j) row-major order, that holds
+    the window's maximum.
+    """
     x = _wrap(x)
     B, C, H, W = x.data.shape
     if H % k or W % k:
         raise ShapeError(f"maxpool2d needs H, W divisible by {k}, got {x.data.shape}")
-    windows = x.data.reshape(B, C, H // k, k, W // k, k).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(B, C, H // k, W // k, k * k)
-    arg = np.argmax(windows, axis=-1)
-    onehot = np.eye(k * k, dtype=x.dtype)[arg]              # [B,C,h,w,k*k]
-    mask = onehot.reshape(B, C, H // k, W // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-    mask = mask.reshape(B, C, H, W)
+    offsets = [(i, j) for i in range(k) for j in range(k)]
+    out_data = x.data[:, :, 0::k, 0::k].copy()
+    for i, j in offsets[1:]:
+        np.maximum(out_data, x.data[:, :, i::k, j::k], out=out_data)
+    mask = np.zeros_like(x.data)
+    free = np.ones(out_data.shape, dtype=bool)
+    for i, j in offsets:
+        hit = x.data[:, :, i::k, j::k] == out_data
+        hit &= free
+        mask[:, :, i::k, j::k] = hit
+        free ^= hit
     mask_t = Tensor(mask)
-    out_data = np.max(windows, axis=-1)
 
     def vjp(g, need):
-        # route pooled gradient back to argmax positions (first max on ties)
         up = broadcast_to(reshape(g, (B, C, H // k, 1, W // k, 1)),
                           (B, C, H // k, k, W // k, k))
         up = reshape(up, (B, C, H, W))
@@ -511,25 +533,6 @@ def log_softmax(logits, axis=-1):
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def _toposort(root):
-    order, seen = [], set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if node._op is not None:
-            for inp in node._op[0]:
-                if inp.requires_grad and id(inp) not in seen:
-                    stack.append((inp, False))
-    return order
-
-
 def grad(out, wrt, create_graph=False):
     """Gradients of a scalar ``out`` w.r.t. each tensor in ``wrt``.
 
@@ -538,36 +541,42 @@ def grad(out, wrt, create_graph=False):
     Only adjoints on a path from ``out`` to some entry of ``wrt`` are built:
     a node is needed when it is in ``wrt`` or has a needed input, and each
     VJP gets one flag per input saying which adjoints to return.
+
+    Dicts and sets are keyed by the tensors themselves, which hash by
+    identity: ``Tensor`` must not define ``__eq__`` or ``__hash__``.
     """
     if out.data.size != 1:
         raise ContractError(f"grad requires a scalar output, got shape {out.data.shape}")
     wrt = list(wrt)
-    keep = {id(t) for t in wrt}
-    order = _toposort(out)
-    needed = {id(t) for t in wrt if t.requires_grad}
-    need_of = {}
-    for node in order:
-        if node._op is not None:
-            need = tuple(id(inp) in needed for inp in node._op[0])
+    needed = {t for t in wrt if t.requires_grad}
+    # one depth-first walk; a node whose inputs are all done is needed when
+    # one of them is, and the needed nodes come out in topological order
+    order, seen = [], set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            need = tuple(inp in needed for inp in node._op[0])
             if any(need):
-                need_of[id(node)] = need
-                needed.add(id(node))
-    grads = {id(out): Tensor(np.ones_like(out.data))}
+                needed.add(node)
+                order.append((node, need))
+        elif node._op is not None and node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((inp, False) for inp in node._op[0]
+                         if inp._op is not None and inp not in seen)
+    keep = set(wrt)
+    grads = {out: Tensor(np.ones_like(out.data))}
     with contextlib.nullcontext() if create_graph else no_grad():
-        for node in reversed(order):
-            g = grads.get(id(node))
-            need = need_of.get(id(node))
-            if g is None or need is None:
-                continue
-            if id(node) not in keep:
-                del grads[id(node)]
+        for node, need in reversed(order):
+            g = grads.pop(node) if node not in keep else grads[node]
             inputs, vjp = node._op
             for inp, ig in zip(inputs, vjp(g, need)):
                 if ig is None:
                     continue
-                prev = grads.get(id(inp))
-                grads[id(inp)] = ig if prev is None else add(prev, ig)
-    return [grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
+                prev = grads.get(inp)
+                grads[inp] = ig if prev is None else add(prev, ig)
+    return [grads[t] if t in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
 def grad_norm_sq(scalar_out, params):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -100,7 +101,31 @@ MINIMUMS = {
     "ood.inv_steps": 1,
     "idx.limit": 0,                   # 0 = no limit
     "ood.budget": 0,                  # 0 = one ID class's training count
+    "synth.size": 1,
+    "synth.classes": 2,
+    "gen.z_dim": 1,
+    "gen.cond_dim": 1,
 }
+
+
+# float keys and the range each must lie in; NaN lies in none
+RANGES = {
+    "synth.noise": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "gen.dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "inv.soften": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    # above 1 the loop never stops early but still evaluates
+    "inv.target_accuracy": ("finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "train.lr": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "inv.lr": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+}
+
+
+def _widths_ok(text):
+    """True when ``text`` is a comma-separated list of integer widths >= 1."""
+    try:
+        return all(int(w) >= 1 for w in text.split(","))
+    except ValueError:
+        return False
 
 
 def _coerce(key, raw, default):
@@ -149,6 +174,11 @@ def parse_config(path=None, overrides=None):
                  for key, choices in CHOICES.items() if values[key] not in choices]
     problems += [f"bad value for {key!r}: {values[key]!r} (must be >= {low})"
                  for key, low in MINIMUMS.items() if values[key] < low]
+    problems += [f"bad value for {key!r}: {values[key]!r} (must be {text})"
+                 for key, (text, ok) in RANGES.items() if not ok(values[key])]
+    if not _widths_ok(values["gen.hidden"]):
+        problems.append(f"bad value for 'gen.hidden': {values['gen.hidden']!r} "
+                        f"(want comma-separated widths >= 1)")
     for entry in filter(None, values["eval.pairs"].split(",")):
         name, _, checkpoint = entry.partition("=")
         if name not in FAMILIES or not checkpoint:

@@ -1,5 +1,6 @@
 """Dataset ingestion: synthetic desk-scale families and IDX files."""
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -133,9 +134,12 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_exact(f, n, path):
-    buf = f.read(n)
+    # check against the bytes left first, so a header that claims a huge
+    # payload allocates nothing
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    buf = f.read(n) if n <= left else b""
     if len(buf) != n:
-        raise FormatError(f"truncated IDX file {path}: wanted {n} bytes, got {len(buf)}")
+        raise FormatError(f"truncated IDX file {path}: wanted {n} bytes, {left} left")
     return buf
 
 
@@ -147,6 +151,8 @@ def load_idx(images_path, labels_path, name="idx", split="train", limit=None):
             raise FormatError(f"bad IDX image magic 0x{magic:08x} in {images_path} "
                               f"(expected 0x{_IDX_IMAGES_MAGIC:08x})")
         n, h, w = struct.unpack(">III", _read_exact(f, 12, images_path))
+        if 0 in (n, h, w):
+            raise FormatError(f"IDX images in {images_path} are {n}x{h}x{w}: zero dimension")
         raw = _read_exact(f, n * h * w, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
     with open(labels_path, "rb") as f:

@@ -25,14 +25,6 @@ class ConfigError(NetinvError):
     """Invalid run configuration; message lists every offending key."""
 
 
-class ConvergenceError(NetinvError):
-    """Iterative routine failed to converge within its iteration budget."""
-
-    def __init__(self, msg, iterations=None):
-        super().__init__(msg)
-        self.iterations = iterations
-
-
 class DivergenceError(NetinvError):
     """Training diverged: accuracy fell below chance, or a loss or a
     classifier output went non-finite.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .errors import ContractError, ConvergenceError, DivergenceError, DomainError
+from .errors import ContractError, DivergenceError, DomainError
 from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
                      kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
                      weighted_ce_loss)
@@ -197,37 +197,3 @@ def train_generator(gen, clf, cfg, rng=None, on_step=None):
         acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng, cfg.target_classes)
     return history, acc
 
-
-def pca_project(features, k):
-    """Top-k principal projection via power iteration with deflation."""
-    x = np.asarray(features, dtype=np.float64)
-    n, d = x.shape
-    if not n > k >= 1:
-        raise DomainError(f"need N > k >= 1, got N={n}, k={k}")
-    centered = x - x.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (n - 1)
-    rng = np.random.default_rng(0)
-    comps, variances = [], []
-    for _ in range(k):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lam = float(v @ cov @ v)
-        for it in range(1000):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm < 1e-300:
-                break              # null direction: any unit vector qualifies
-            v = w / norm
-            lam_new = float(v @ cov @ v)
-            # Rayleigh quotient convergence; robust on near-degenerate spectra
-            if abs(lam_new - lam) <= 1e-8 * max(1.0, abs(lam_new)):
-                lam = lam_new
-                break
-            lam = lam_new
-        else:
-            raise ConvergenceError("power iteration did not converge", iterations=1000)
-        comps.append(v)
-        variances.append(lam)
-        cov = cov - lam * np.outer(v, v)
-    comps = np.stack(comps, axis=1)
-    return centered @ comps, np.asarray(variances)

@@ -137,11 +137,11 @@ class Classifier:
             h = ag.reshape(x, (B, -1))
             n_hidden = len(self.spec.hidden)
             for i in range(n_hidden):
-                h = ag.leaky_relu(ag.add(ag.matmul(h, self.params[f"w{i}"]),
-                                         self.params[f"b{i}"]), 0.1)
+                h = ag.leaky_relu(ag.linear(h, self.params[f"w{i}"],
+                                            self.params[f"b{i}"]), 0.1)
             feats = h
-            logits = ag.add(ag.matmul(h, self.params[f"w{n_hidden}"]),
-                            self.params[f"b{n_hidden}"])
+            logits = ag.linear(h, self.params[f"w{n_hidden}"],
+                               self.params[f"b{n_hidden}"])
         else:
             h = x
             for i in range(len(self.spec.conv_channels)):
@@ -149,9 +149,8 @@ class Classifier:
                 h = ag.leaky_relu(ag.add(h, self.params[f"kb{i}"]), 0.1)
                 h = ag.maxpool2d(h, 2)
             h = ag.reshape(h, (B, -1))
-            feats = ag.leaky_relu(ag.add(ag.matmul(h, self.params["wh"]),
-                                         self.params["bh"]), 0.1)
-            logits = ag.add(ag.matmul(feats, self.params["wo"]), self.params["bo"])
+            feats = ag.leaky_relu(ag.linear(h, self.params["wh"], self.params["bh"]), 0.1)
+            logits = ag.linear(feats, self.params["wo"], self.params["bo"])
         return logits, feats
 
 
@@ -211,11 +210,10 @@ class Generator:
         h = ag.concat([z, ag.Tensor(condition_matrix(self.spec)[labels])], axis=1)
         n_hidden = len(self.spec.hidden)
         for i in range(n_hidden):
-            h = ag.leaky_relu(ag.add(ag.matmul(h, self.params[f"w{i}"]),
-                                     self.params[f"b{i}"]), 0.1)
+            h = ag.leaky_relu(ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"]), 0.1)
             h = ag.dropout(h, self.spec.dropout, rng, training=training)
-        out = ag.sigmoid(ag.add(ag.matmul(h, self.params[f"w{n_hidden}"]),
-                                self.params[f"b{n_hidden}"]))
+        out = ag.sigmoid(ag.linear(h, self.params[f"w{n_hidden}"],
+                                   self.params[f"b{n_hidden}"]))
         C, H, W = self.spec.out_shape
         return ag.reshape(out, (z.shape[0], C, H, W))
 

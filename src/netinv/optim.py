@@ -30,12 +30,24 @@ class Adam:
         grads = _checked(self.params, grads)
         self.step_count += 1
         t = self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # in place, in the operation order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        # so the result is bit-equal to that out-of-place formula
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            g2 = (1 - self.beta2) * g
+            g2 *= g
+            v += g2
+            step = m / (1 - self.beta1 ** t)
+            step *= self.lr
+            denom = np.divide(v, 1 - self.beta2 ** t, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data = p.data - step
 
 
 class SGD:

@@ -340,15 +340,17 @@ def test_c6_ssim_and_memorization_direction():
     assert abs(ssim(a, a) - 1.0) <= 1e-9
     assert abs(ssim(a, b) - ssim(b, a)) <= 1e-9
 
-    deltas = []
+    deltas, train_ssim = [], []
     for seed in range(5):
         vs_train, vs_hold = _recon_mean_ssim("mlp", seed)
         deltas.append(vs_train - vs_hold)
+        train_ssim.append(vs_train)
     med = float(np.median(deltas))
     assert med > 0.0, f"memorization direction failed: deltas {deltas}"
 
-    # soft check on the architecture ordering of memorization scores
-    mlp_train, _ = _recon_mean_ssim("mlp", 0)
+    # soft check on the architecture ordering of memorization scores; the
+    # run is deterministic, so the seed-0 MLP score is reused from the loop
+    mlp_train = train_ssim[0]
     cnn_train, _ = _recon_mean_ssim("cnn", 0, steps=600)
     verdict = "holds" if mlp_train >= cnn_train else "does NOT hold"
     print(f"PASS criterion 6: median train-vs-holdout SSIM delta {med:+.4f} "

@@ -66,6 +66,29 @@ class TestMatmul:
         b = rng.normal(size=(4, 2))
         check_grads(lambda x, y: ag.sum_(ag.square(ag.matmul(x, y))), [a, b])
 
+    def test_linear_is_matmul_plus_add_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in ((5, 4), (4, 3), (1, 3))]
+
+        def run(affine):
+            x, w, b = (ag.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = affine(x, w, b)
+            return [out] + ag.grad(ag.sum_(ag.square(ag.sigmoid(out))), [x, w, b])
+
+        fused = run(ag.linear)
+        split = run(lambda x, w, b: ag.add(ag.matmul(x, w), b))
+        assert [t.data.tobytes() for t in fused] == [t.data.tobytes() for t in split]
+
+    def test_linear_gradients(self):
+        rng = np.random.default_rng(18)
+        arrays = [rng.normal(size=s) for s in ((3, 4), (4, 2), (1, 2))]
+        check_grads(lambda x, w, b: ag.sum_(ag.square(ag.linear(x, w, b))), arrays)
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
+            ag.linear(ag.Tensor(np.zeros((3, 4))), ag.Tensor(np.zeros((3, 2))),
+                      ag.Tensor(np.zeros((1, 2))))
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -127,13 +150,16 @@ def _im2col_indices(C, H, W, kh, kw, stride, pad):
 
 
 def im2col_oracle(x, kh, kw, stride, pad):
+    """[C*kh*kw, B*L]: the index oracle's [B, C*kh*kw, L] with B moved inside."""
     c, i, j = _im2col_indices(*x.shape[1:], kh, kw, stride, pad)
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))[:, c, i, j]
+    cols = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))[:, c, i, j]
+    return cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
 
 
 def col2im_oracle(cols, img_shape, kh, kw, stride, pad):
     B, C, H, W = img_shape
     c, i, j = _im2col_indices(C, H, W, kh, kw, stride, pad)
+    cols = cols.reshape(cols.shape[0], B, -1).transpose(1, 0, 2)
     padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
     np.add.at(padded, (slice(None), c, i, j), cols)
     return padded[:, :, pad:pad + H, pad:pad + W]
@@ -163,6 +189,36 @@ class TestIm2col:
         y = rng.normal(size=cols.shape)
         img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
         assert np.vdot(cols, y) == pytest.approx(np.vdot(x, img), rel=1e-12)
+
+
+def maxpool_oracle(x, k):
+    """The former argmax / np.eye one-hot max pooling: -> (output, gradient mask)."""
+    B, C, H, W = x.shape
+    windows = x.reshape(B, C, H // k, k, W // k, k).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(B, C, H // k, W // k, k * k)
+    onehot = np.eye(k * k, dtype=x.dtype)[np.argmax(windows, axis=-1)]
+    mask = onehot.reshape(B, C, H // k, W // k, k, k).transpose(0, 1, 2, 4, 3, 5)
+    return np.max(windows, axis=-1), mask.reshape(B, C, H, W)
+
+
+class TestMaxpool:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["random", "rounded", "constant"])
+    def test_bit_equal_to_argmax_oracle(self, k, kind):
+        rng = np.random.default_rng(20 + k)
+        x = rng.normal(size=(3, 2, 4 * k, 2 * k)).astype(np.float32)
+        if kind == "rounded":           # many ties, including -0.0 against 0.0
+            x = np.round(x * 0.7)
+        elif kind == "constant":
+            x = np.full_like(x, 0.5)
+        up = rng.normal(size=(3, 2, 4, 2)).astype(np.float32)
+        xt = ag.Tensor(x, requires_grad=True)
+        out = ag.maxpool2d(xt, k)
+        (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), [xt])
+        want_out, mask = maxpool_oracle(x, k)
+        want_gx = np.repeat(np.repeat(up, k, axis=2), k, axis=3) * mask
+        assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
+        assert gx.data.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
 
 
 class TestSoftmax:
@@ -243,6 +299,11 @@ class TestBackward:
         assert len(calls) == 1
         assert gk.data.tobytes() == gk_full.data.tobytes()
 
+    def test_tensors_hash_by_identity(self):
+        # grad keys its dicts and sets by the tensors themselves
+        assert ag.Tensor.__hash__ is object.__hash__
+        assert ag.Tensor.__eq__ is object.__eq__
+
     def test_nonscalar_loss_rejected(self):
         v = ag.Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ContractError):
@@ -297,6 +358,24 @@ class TestGradNormSq:
         gns = ag.grad_norm_sq(out, [w1, w2])
         (gx,) = ag.grad(gns, [x])
         want = fd_grad(gns_value, x0.copy(), h=1e-5)
+        np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
+
+    def test_second_order_through_linear(self):
+        rng = np.random.default_rng(19)
+        w1 = ag.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b1 = ag.Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        w2 = ag.Tensor(rng.normal(size=(6, 1)), requires_grad=True)
+        b2 = ag.Tensor(rng.normal(size=(1, 1)), requires_grad=True)
+        x0 = rng.normal(size=(2, 4))
+
+        def gns_of(x):
+            h = ag.leaky_relu(ag.linear(x, w1, b1), 0.1)
+            out = ag.sum_(ag.square(ag.linear(h, w2, b2)))
+            return ag.grad_norm_sq(out, [w1, b1, w2, b2])
+
+        x = ag.Tensor(x0.copy(), requires_grad=True)
+        (gx,) = ag.grad(gns_of(x), [x])
+        want = fd_grad(lambda a: gns_of(ag.Tensor(a)).item(), x0.copy(), h=1e-5)
         np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
 
     def test_second_order_through_conv_and_maxpool(self):

@@ -10,7 +10,7 @@ import pytest
 
 from netinv import cli
 from netinv.cli import main
-from netinv.config import CHOICES, DEFAULTS, MINIMUMS, derive_seed, parse_config
+from netinv.config import CHOICES, DEFAULTS, MINIMUMS, RANGES, derive_seed, parse_config
 from netinv.errors import ConfigError
 
 
@@ -149,6 +149,20 @@ class TestRejectedRuns:
     def test_count_below_minimum_exits_two_without_traceback(self, tmp_path, capsys,
                                                              classifier_run, key):
         conf = write_conf(tmp_path, FAST_INVERT + f"{key} = {MINIMUMS[key] - 1}\n")
+        assert main(["invert", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--classifier", str(classifier_run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, raw", [
+        *[(key, raw) for key in sorted(RANGES) for raw in ("nan", "-0.5", "inf")],
+        ("synth.noise", "1.0"), ("gen.dropout", "1.0"), ("inv.soften", "1.5"),
+        ("train.lr", "0"), ("inv.lr", "0"),
+        ("gen.hidden", "0,5"), ("gen.hidden", "128,"), ("gen.hidden", "wide"),
+    ])
+    def test_value_out_of_range_exits_two_without_traceback(self, tmp_path, capsys,
+                                                            classifier_run, key, raw):
+        conf = write_conf(tmp_path, FAST_INVERT + f"{key} = {raw}\n")
         assert main(["invert", "--config", conf, "--out", str(tmp_path / "x"),
                      "--classifier", str(classifier_run)]) == 2
         err = capsys.readouterr().err

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netinv.data import Dataset, SynthSpec, load_idx, synth_dataset
 from netinv.errors import DomainError, FormatError
@@ -103,6 +105,62 @@ class TestIdx:
         _, lpath = write_idx_pair(tmp_path / "..", np.zeros((3, 2, 2), dtype=np.uint8),
                                   [0, 1, 2])
         with pytest.raises(FormatError, match="mismatch"):
+            load_idx(ipath, lpath)
+
+
+# (position, replacement bytes, bytes cut) applied in turn to a file's bytes
+IDX_EDITS = st.lists(st.tuples(st.integers(0, 80), st.binary(max_size=4),
+                               st.integers(0, 4)), max_size=3)
+# header counts: small, zero, or far beyond any file written here
+IDX_DIMS = st.tuples(*[st.integers(0, 4) | st.integers(0, 2 ** 32 - 1)] * 3)
+
+
+def _edited(blob, edits, keep):
+    blob = bytearray(blob)
+    for pos, new, cut in edits:
+        pos %= len(blob) + 1
+        blob[pos:pos + cut] = new
+    return bytes(blob if keep is None else blob[:keep])
+
+
+class TestIdxFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+           claim=st.none() | IDX_DIMS, label_claim=st.none() | st.integers(0, 2 ** 32 - 1),
+           image_edits=IDX_EDITS, label_edits=IDX_EDITS,
+           keep=st.none() | st.integers(0, 80), seed=st.integers(0, 2 ** 16))
+    def test_malformed_pair_raises_only_format_error(self, tmp_path, shape, claim,
+                                                     label_claim, image_edits,
+                                                     label_edits, keep, seed):
+        rng = np.random.default_rng(seed)
+        n, h, w = shape
+        images = rng.integers(0, 256, size=shape).astype(np.uint8).tobytes()
+        labels = rng.integers(0, 10, size=n).astype(np.uint8).tobytes()
+        ipath, lpath = tmp_path / "images.idx", tmp_path / "labels.idx"
+        ipath.write_bytes(_edited(struct.pack(">IIII", 0x803, *(claim or shape)) + images,
+                                  image_edits, keep))
+        lpath.write_bytes(_edited(struct.pack(">II", 0x801, n if label_claim is None
+                                              else label_claim) + labels, label_edits, None))
+        try:
+            ds = load_idx(ipath, lpath)
+        except FormatError:
+            return
+        assert ds.images.ndim == 4 and ds.images.shape[1] == 1
+        assert ds.images.dtype == np.float32 and len(ds.labels) == len(ds.images) >= 1
+        assert 0.0 <= ds.images.min() and ds.images.max() <= 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 3), (2, 3, 0)])
+    def test_zero_dimension(self, tmp_path, shape):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8),
+                                      list(range(shape[0])))
+        with pytest.raises(FormatError, match="zero dimension"):
+            load_idx(ipath, lpath)
+
+    def test_header_beyond_file_allocates_nothing(self, tmp_path):
+        ipath, lpath = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        ipath.write_bytes(struct.pack(">IIII", 0x803, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1))
+        with pytest.raises(FormatError, match="truncated"):
             load_idx(ipath, lpath)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from netinv.errors import ContractError, DomainError
 from netinv.inversion import (InversionConfig, inversion_accuracy,
-                              inversion_step, pca_project, train_generator)
+                              inversion_step, train_generator)
 from netinv.models import Generator, GeneratorSpec
 
 
@@ -109,44 +109,3 @@ class TestEndToEnd:
             finals.append(history[-1][1].total)
         assert np.median(finals) < np.median(initials)
 
-
-class TestPCA:
-    def test_axis_aligned(self):
-        rng = np.random.default_rng(10)
-        coords_1d = rng.normal(size=50)
-        data = np.zeros((50, 4))
-        data[:, 0] = coords_1d
-        coords, var = pca_project(data, 2)
-        centered = coords_1d - coords_1d.mean()
-        assert np.allclose(np.abs(coords[:, 0]), np.abs(centered), atol=1e-8)
-        assert var[1] == pytest.approx(0.0, abs=1e-10)
-
-    def test_isotropic_cloud(self):
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(10000, 3))
-        _, var = pca_project(data, 3)
-        assert var.max() / var.min() < 1.1
-
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(12)
-        data = rng.normal(size=(50, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.1])
-        coords, var = pca_project(data, 3)
-        centered = data - data.mean(axis=0)
-        cov = centered.T @ centered / 49
-        evals, evecs = np.linalg.eigh(cov)
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-        np.testing.assert_allclose(var, evals[:3], atol=1e-6)
-        for i in range(3):
-            want = centered @ evecs[:, i]
-            dot = abs(np.dot(coords[:, i], want) /
-                      (np.linalg.norm(coords[:, i]) * np.linalg.norm(want)))
-            assert dot == pytest.approx(1.0, abs=1e-6)
-
-    def test_variances_non_increasing(self):
-        rng = np.random.default_rng(13)
-        _, var = pca_project(rng.normal(size=(40, 6)), 4)
-        assert np.all(np.diff(var) <= 1e-9)
-
-    def test_bad_k(self):
-        with pytest.raises(DomainError):
-            pca_project(np.zeros((3, 2)), 3)

@@ -27,6 +27,28 @@ def test_adam_first_step_moves_by_lr_sign():
         np.testing.assert_allclose(p.data - b, -0.01 * np.sign(g.data), atol=1e-6)
 
 
+def test_adam_bit_equal_to_out_of_place_formula():
+    params = make_params()
+    for p in params:            # from zero the first update is -step exactly
+        p.data = np.zeros_like(p.data)
+    want = [p.data.copy() for p in params]
+    m = [np.zeros_like(w) for w in want]
+    v = [np.zeros_like(w) for w in want]
+    b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+    opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    for t in range(1, 6):
+        grads = make_grads(params, seed=t)
+        opt.step(grads)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g.data
+            v[i] = b2 * v[i] + (1 - b2) * g.data * g.data
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, exp in zip([p.data for p in params] + opt.m + opt.v, want + m + v):
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+
+
 def test_sgd_step_is_minus_lr_grad():
     params = make_params()
     before = [p.data.copy() for p in params]
