@@ -8,11 +8,11 @@ import numpy as np
 
 from .config import ManifestWriter, derive_seed, parse_config, write_resolved
 from .data import SynthSpec, load_idx, synth_dataset
-from .errors import ConfigError, DivergenceError, NetinvError
+from .errors import ConfigError, DivergenceError, DomainError, NetinvError
 from .inversion import InversionConfig, generate_samples, train_generator
 from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from .ood import OodCycleConfig, evaluate_grid, ood_training_cycle, threshold_report
-from .privacy import privacy_score
+from .privacy import WINDOW, privacy_score
 from .reconstruction import ReconConfig
 from .serialize import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .training import accuracy, train_classifier
@@ -22,13 +22,24 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
+def _build(cls, **fields):
+    """A library spec from config values; a value the spec rejects is a config error."""
+    try:
+        return cls(**fields)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _synth_spec(cfg, family):
+    return _build(SynthSpec, family=family, classes=cfg["synth.classes"],
+                  size=cfg["synth.size"], noise=cfg["synth.noise"],
+                  channels=cfg["synth.channels"], seed=derive_seed(cfg["seed"], "dataset"))
+
+
 def _load_datasets(cfg):
     if cfg["dataset"] == "synth":
-        spec = SynthSpec(family=cfg["synth.family"], classes=cfg["synth.classes"],
-                         size=cfg["synth.size"], noise=cfg["synth.noise"],
-                         channels=cfg["synth.channels"],
-                         seed=derive_seed(cfg["seed"], "dataset"))
-        return synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
+        return synth_dataset(_synth_spec(cfg, cfg["synth.family"]),
+                             cfg["synth.train"], cfg["synth.test"])
     missing = [k for k in ("idx.train_images", "idx.train_labels",
                            "idx.test_images", "idx.test_labels") if not cfg[k]]
     if missing:
@@ -41,28 +52,40 @@ def _load_datasets(cfg):
     return train, test
 
 
+def _load_classifier(path):
+    clf, _ = load_checkpoint(path)
+    if not isinstance(clf, Classifier):
+        raise ConfigError(f"{path} is not a classifier checkpoint")
+    return clf.freeze()
+
+
 def _classifier_spec(cfg, in_shape, classes):
-    return ClassifierSpec(kind=cfg["model.kind"], in_shape=tuple(in_shape),
-                          classes=classes)
+    return _build(ClassifierSpec, kind=cfg["model.kind"], in_shape=tuple(in_shape),
+                  classes=classes)
 
 
 def _generator_spec(cfg, out_shape, classes, cond_mode=None):
     hidden = tuple(int(s) for s in cfg["gen.hidden"].split(","))
-    return GeneratorSpec(z_dim=cfg["gen.z_dim"],
-                         cond_mode=cond_mode or cfg["gen.cond_mode"],
-                         cond_dim=cfg["gen.cond_dim"], classes=classes,
-                         dropout=cfg["gen.dropout"], hidden=hidden,
-                         out_shape=tuple(out_shape))
+    return _build(GeneratorSpec, z_dim=cfg["gen.z_dim"],
+                  cond_mode=cond_mode or cfg["gen.cond_mode"],
+                  cond_dim=cfg["gen.cond_dim"], classes=classes,
+                  dropout=cfg["gen.dropout"], hidden=hidden,
+                  out_shape=tuple(out_shape))
 
 
-def _inversion_config(cfg, seed):
-    return InversionConfig(alpha=cfg["inv.alpha"], beta=cfg["inv.beta"],
-                           gamma=cfg["inv.gamma"], delta=cfg["inv.delta"],
-                           batch_size=cfg["inv.batch"], steps=cfg["inv.steps"],
-                           lr=cfg["inv.lr"], soften=cfg["inv.soften"],
-                           target_accuracy=cfg["inv.target_accuracy"],
-                           eval_every=cfg["inv.eval_every"],
-                           eval_samples=cfg["inv.eval_samples"], seed=seed)
+def _inversion_config(cfg, preset=InversionConfig, **fields):
+    """Generator-training config from the inv.* keys; ``fields`` override them."""
+    return _build(preset, **{
+        "alpha": cfg["inv.alpha"], "beta": cfg["inv.beta"], "gamma": cfg["inv.gamma"],
+        "delta": cfg["inv.delta"], "batch_size": cfg["inv.batch"], "steps": cfg["inv.steps"],
+        "lr": cfg["inv.lr"], "soften": cfg["inv.soften"],
+        "target_accuracy": cfg["inv.target_accuracy"], "eval_every": cfg["inv.eval_every"],
+        "eval_samples": cfg["inv.eval_samples"], "seed": cfg["seed"], **fields})
+
+
+def _image_path(out, stem, channels):
+    """Grid file name: PGM for one channel, PPM for three."""
+    return out / (f"{stem}.pgm" if channels == 1 else f"{stem}.ppm")
 
 
 def _prepare(args):
@@ -100,32 +123,23 @@ def cmd_train_classifier(args):
 
 def cmd_invert(args):
     cfg, out, manifest = _prepare(args)
-    clf, _ = load_checkpoint(args.classifier)
-    if not isinstance(clf, Classifier):
-        raise ConfigError(f"{args.classifier} is not a classifier checkpoint")
-    clf.freeze()
+    clf = _load_classifier(args.classifier)
     manifest.start("invert")
     gen = Generator(_generator_spec(cfg, clf.spec.in_shape, clf.spec.classes),
                     rng=np.random.default_rng(derive_seed(cfg["seed"], "generator-init")))
-    inv_cfg = _inversion_config(cfg, cfg["seed"])
+    inv_cfg = _inversion_config(cfg)
     rng = np.random.default_rng(derive_seed(cfg["seed"], "inversion"))
-    rows = []
-
-    def log(step, breakdown, acc):
-        rows.append([step, breakdown.terms["kl"], breakdown.terms["ce"],
-                     breakdown.terms["cosine"], breakdown.terms["ortho"],
-                     breakdown.total, "" if acc is None else acc])
-
-    _, final_acc = train_generator(gen, clf, inv_cfg, rng=rng, on_step=log)
+    history, final_acc = train_generator(gen, clf, inv_cfg, rng=rng)
     manifest.stop()
+    rows = [[step, b.terms["kl"], b.terms["ce"], b.terms["cosine"], b.terms["ortho"],
+             b.total, "" if acc is None else acc] for step, b, acc in history]
     write_csv(rows, ["step", "kl", "ce", "cosine", "ortho", "total", "accuracy"],
               out / "inversion_loss.csv")
     manifest.record(out / "inversion_loss.csv")
     grid_rng = np.random.default_rng(derive_seed(cfg["seed"], "sample-grid"))
     for k in range(clf.spec.classes):
         _, images = generate_samples(gen, 16, grid_rng, classes=[k])
-        path = out / f"samples_class{k}.pgm" if clf.spec.in_shape[0] == 1 \
-            else out / f"samples_class{k}.ppm"
+        path = _image_path(out, f"samples_class{k}", clf.spec.in_shape[0])
         write_pgm_grid(images, 4, path)
         manifest.record(path)
     ckpt = out / "generator.ninv"
@@ -137,37 +151,38 @@ def cmd_invert(args):
 
 def cmd_reconstruct(args):
     cfg, out, manifest = _prepare(args)
-    clf, _ = load_checkpoint(args.classifier)
-    if not isinstance(clf, Classifier):
-        raise ConfigError(f"{args.classifier} is not a classifier checkpoint")
-    clf.freeze()
+    clf = _load_classifier(args.classifier)
     train, holdout = _load_datasets(cfg)
+    if train.image_shape != clf.spec.in_shape:
+        raise ConfigError(f"dataset images {train.image_shape} do not match the "
+                          f"classifier input {clf.spec.in_shape}")
+    if min(train.image_shape[1:]) < WINDOW:
+        raise ConfigError(f"images {train.image_shape} are smaller than the "
+                          f"{WINDOW}x{WINDOW} SSIM window reconstructions are scored with")
     manifest.start("reconstruct")
     gen = Generator(_generator_spec(cfg, clf.spec.in_shape, clf.spec.classes,
                                     cond_mode=cfg["recon.cond_mode"]),
                     rng=np.random.default_rng(derive_seed(cfg["seed"], "generator-init")))
-    inv = _inversion_config(cfg, cfg["seed"])
-    rcfg = ReconConfig(alpha=inv.alpha, beta=inv.beta, gamma=cfg["recon.gamma"],
-                       delta=inv.delta, batch_size=inv.batch_size,
-                       steps=cfg["recon.steps"], lr=inv.lr, soften=inv.soften,
-                       seed=cfg["seed"], alpha_pert=cfg["recon.alpha_pert"],
-                       beta_pert=cfg["recon.beta_pert"], eta_var=cfg["recon.eta_var"],
-                       eta_pix=cfg["recon.eta_pix"], eta_grad=cfg["recon.eta_grad"],
-                       eps_pert=cfg["recon.eps_pert"])
+    rcfg = _inversion_config(
+        cfg, ReconConfig, gamma=cfg["recon.gamma"], steps=cfg["recon.steps"],
+        target_accuracy=None, alpha_pert=cfg["recon.alpha_pert"],
+        beta_pert=cfg["recon.beta_pert"], eta_var=cfg["recon.eta_var"],
+        eta_pix=cfg["recon.eta_pix"], eta_grad=cfg["recon.eta_grad"],
+        eps_pert=cfg["recon.eps_pert"])
     rng = np.random.default_rng(derive_seed(cfg["seed"], "reconstruction"))
     train_generator(gen, clf, rcfg, rng=rng)
     labels, recons = generate_samples(gen, cfg["recon.samples"], rng)
     if not np.isfinite(recons).all():
         raise DivergenceError("non-finite reconstructions")
     manifest.stop()
-    report = privacy_score(recons, train.images, reference_id=train.name)
-    holdout_report = privacy_score(recons, holdout.images, reference_id=holdout.name)
+    report = privacy_score(recons, train.images)
+    holdout_report = privacy_score(recons, holdout.images)
     rows = [[i, int(report.match_index[i]), float(report.match_ssim[i])]
             for i in range(len(recons))]
     rows.append(["mean", "", report.mean_ssim])
     write_csv(rows, ["recon_id", "match_id", "ssim"], out / "privacy.csv")
     manifest.record(out / "privacy.csv")
-    grid = out / ("reconstructions.pgm" if recons.shape[1] == 1 else "reconstructions.ppm")
+    grid = _image_path(out, "reconstructions", recons.shape[1])
     write_pgm_grid(recons, 8, grid)
     manifest.record(grid)
     manifest.write(extra={
@@ -185,28 +200,25 @@ def cmd_ood(args):
     manifest.start("ood")
     clf = Classifier(_classifier_spec(cfg, train.image_shape, n + 1),
                      rng=np.random.default_rng(derive_seed(cfg["seed"], "classifier-init")))
-    inv_cfg = _inversion_config(cfg, cfg["seed"])
-    inv_cfg.steps = cfg["ood.inv_steps"]
-
+    gen_spec = _generator_spec(cfg, train.image_shape, n + 1)
     gen_rng = np.random.default_rng(derive_seed(cfg["seed"], "generator-init"))
 
     def gen_factory(cycle):
-        return Generator(_generator_spec(cfg, train.image_shape, n + 1), rng=gen_rng)
+        return Generator(gen_spec, rng=gen_rng)
 
     ocfg = OodCycleConfig(cycles=cfg["ood.cycles"], epochs_per_cycle=cfg["ood.epochs"],
                           batch_size=cfg["train.batch"], lr=cfg["train.lr"],
                           garbage_init=cfg["ood.garbage_init"],
                           budget=cfg["ood.budget"] or None,
                           capacity_factor=cfg["ood.capacity_factor"],
-                          inversion=inv_cfg, seed=cfg["seed"])
+                          inversion=_inversion_config(cfg, steps=cfg["ood.inv_steps"]),
+                          seed=cfg["seed"])
     rng = np.random.default_rng(derive_seed(cfg["seed"], "ood-cycle"))
-    grids = []
 
     def on_cycle(report, images):
-        path = out / (f"inverted_cycle{report.cycle}.pgm" if train.image_shape[0] == 1
-                      else f"inverted_cycle{report.cycle}.ppm")
+        path = _image_path(out, f"inverted_cycle{report.cycle}", train.image_shape[0])
         write_pgm_grid(images[:16], 4, path)
-        grids.append(path)
+        manifest.record(path)
 
     clf, reports = ood_training_cycle(clf, gen_factory, train, ocfg, rng=rng,
                                       id_test=test, on_cycle=on_cycle)
@@ -218,8 +230,6 @@ def cmd_ood(args):
                      "garbage_size", "mean_ue_inverted", "threshold_gap",
                      "ood_misrouted"], out / "cycles.csv")
     manifest.record(out / "cycles.csv")
-    for path in grids:
-        manifest.record(path)
     ckpt = out / "ood_classifier.ninv"
     final_acc = accuracy(clf, test.images, test.labels)
     save_checkpoint(clf, ckpt, seed=cfg["seed"],
@@ -237,26 +247,21 @@ def cmd_evaluate(args):
     models, datasets = {}, {}
     for pair in pairs:
         name, path = pair.split("=", 1)     # parse_config checked the form
-        clf, _ = load_checkpoint(path)
-        models[name] = clf
-        spec = SynthSpec(family=name, classes=cfg["synth.classes"],
-                         size=cfg["synth.size"], noise=cfg["synth.noise"],
-                         channels=cfg["synth.channels"],
-                         seed=derive_seed(cfg["seed"], "dataset"))
-        _, test = synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
-        datasets[name] = test
+        models[name] = _load_classifier(path)
+        _, datasets[name] = synth_dataset(_synth_spec(cfg, name), cfg["synth.train"],
+                                          cfg["synth.test"])
     manifest.start("evaluate")
-    row_names, col_names, matrix = evaluate_grid(models, datasets)
+    row_names, col_names, matrix, probs = evaluate_grid(models, datasets)
     rows = [[rname] + list(matrix[i]) for i, rname in enumerate(row_names)]
     write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv")
     manifest.record(out / "matrix.csv")
     thr_rows = []
-    for mname, clf in models.items():
-        ds = datasets[mname]
-        for oname, ods in datasets.items():
+    for mname in models:
+        for oname in datasets:
             if oname == mname:
                 continue
-            rep = threshold_report(clf, ds.images, ds.labels, ods.images)
+            rep = threshold_report(probs[mname, mname], datasets[mname].labels,
+                                   probs[mname, oname])
             thr_rows.append([mname, oname, rep.min_id_confidence,
                              rep.max_ood_confidence, rep.gap,
                              rep.n_ood_misrouted, int(rep.ood_all_routed)])

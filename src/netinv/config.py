@@ -179,11 +179,15 @@ def parse_config(path=None, overrides=None):
     if not _widths_ok(values["gen.hidden"]):
         problems.append(f"bad value for 'gen.hidden': {values['gen.hidden']!r} "
                         f"(want comma-separated widths >= 1)")
+    seen = set()
     for entry in filter(None, values["eval.pairs"].split(",")):
         name, _, checkpoint = entry.partition("=")
         if name not in FAMILIES or not checkpoint:
             problems.append(f"bad eval.pairs entry {entry!r} (want name=checkpoint, "
                             f"name one of: {', '.join(FAMILIES)})")
+        elif name in seen:
+            problems.append(f"bad eval.pairs entry {entry!r} (family {name!r} listed twice)")
+        seen.add(name)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return values

@@ -27,10 +27,4 @@ class ConfigError(NetinvError):
 
 class DivergenceError(NetinvError):
     """Training diverged: accuracy fell below chance, or a loss or a
-    classifier output went non-finite.
-
-    Carries an optional diagnostic report."""
-
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
+    classifier output went non-finite."""

@@ -23,7 +23,7 @@ from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
                      kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
                      weighted_ce_loss)
 from .optim import make_optimizer
-from .training import predict_logits
+from .training import logits_accuracy, predict_logits
 
 # loss term -> config field holding its weight, in composition order
 TERM_WEIGHTS = {"kl": "alpha", "kl_pert": "alpha_pert", "ce": "beta",
@@ -53,7 +53,6 @@ class InversionConfig:
     eval_every: int = 200
     eval_samples: int = 256
     seed: int = 0
-    target_classes: tuple = None   # None -> all classifier classes
 
     def __post_init__(self):
         for name in TERM_WEIGHTS.values():
@@ -137,8 +136,8 @@ def inversion_step(gen, clf, cfg, rng, opt=None):
     """One generator update; the classifier must be frozen and stays bit-unchanged."""
     if opt is None:
         opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
-    classes = list(cfg.target_classes) if cfg.target_classes else list(range(clf.spec.classes))
-    labels, images = _sample_batch(gen, classes, cfg.batch_size, rng, training=True)
+    labels, images = _sample_batch(gen, list(range(clf.spec.classes)), cfg.batch_size, rng,
+                                   training=True)
     total, breakdown = generator_loss(images, clf, labels, cfg, rng)
     if total is not None:
         opt.step(ag.grad(total, opt.params))
@@ -158,21 +157,20 @@ def generate_samples(gen, count, rng, classes=None):
     return np.concatenate(labels_all), np.concatenate(images_all, axis=0)
 
 
-def inversion_accuracy(gen, clf, n_samples, rng, target_classes=None):
+def inversion_accuracy(gen, clf, n_samples, rng):
     """Fraction of eval-mode samples whose classifier argmax equals the condition."""
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    labels, images = generate_samples(gen, n_samples, rng,
-                                      target_classes or range(clf.spec.classes))
-    return int((predict_logits(clf, images).argmax(axis=1) == labels).sum()) / n_samples
+    labels, images = generate_samples(gen, n_samples, rng, range(clf.spec.classes))
+    return logits_accuracy(predict_logits(clf, images), labels)
 
 
-def train_generator(gen, clf, cfg, rng=None, on_step=None):
+def train_generator(gen, clf, cfg, rng=None):
     """Run generator steps until the accuracy target or the step budget.
 
     With ``cfg.target_accuracy`` None the loop never evaluates and runs
-    every step.  ``on_step(step, breakdown, acc_or_None)`` is invoked after
-    every step; returns (history of those triples, final accuracy or None).
+    every step.  Returns (history of (step, breakdown, accuracy or None)
+    triples, final accuracy or None).
     """
     rng = rng or np.random.default_rng(cfg.seed)
     opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
@@ -186,14 +184,11 @@ def train_generator(gen, clf, cfg, rng=None, on_step=None):
             raise DivergenceError(f"step {step}: {exc}") from exc
         acc = None
         if evaluate and ((step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1):
-            acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng,
-                                     cfg.target_classes)
+            acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng)
         history.append((step, breakdown, acc))
-        if on_step is not None:
-            on_step(step, breakdown, acc)
         if acc is not None and acc >= cfg.target_accuracy:
             break
     if evaluate and acc is None:
-        acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng, cfg.target_classes)
+        acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng)
     return history, acc
 

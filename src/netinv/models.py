@@ -32,10 +32,6 @@ class ClassifierSpec:
         if self.kind == "cnn" and any(d % 4 for d in self.in_shape[1:]):
             raise DomainError("cnn spec needs H, W divisible by 4 (two 2x2 pools)")
 
-    @property
-    def feature_dim(self):
-        return self.hidden[-1] if self.kind == "mlp" else self.conv_hidden
-
 
 @dataclass
 class GeneratorSpec:
@@ -119,9 +115,6 @@ class Classifier:
     def parameters(self):
         return list(self.params.values())
 
-    def num_params(self):
-        return sum(p.size for p in self.parameters())
-
     def freeze(self):
         self.frozen = True
         return self
@@ -186,9 +179,6 @@ class Generator:
 
     def parameters(self):
         return list(self.params.values())
-
-    def num_params(self):
-        return sum(p.size for p in self.parameters())
 
     def forward(self, z, labels, rng=None, training=None):
         """Generate a batch of images for latent codes ``z`` and class labels.

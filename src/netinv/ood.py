@@ -10,9 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
 from .errors import ConfigError, ContractError, DivergenceError, DomainError
 from .inversion import InversionConfig, generate_samples, train_generator
-from .training import accuracy, predict_probs, train_classifier
+from .training import (accuracy, logits_accuracy, predict_logits, predict_probs,
+                       train_classifier)
+
+_WARMUP = 1     # cycles trained before ID accuracy must beat chance
 
 
 @dataclass
@@ -109,23 +113,19 @@ class ThresholdReport:
     min_id_confidence: float
     max_ood_confidence: float   # inf-flagged when no OOD sample is misrouted
     gap: float
-    n_id_correct: int
     n_ood_misrouted: int
     ood_all_routed: bool
 
 
-def threshold_report(clf, id_images, id_labels, ood_images):
-    """Confidence gap between correct ID predictions and misrouted OOD ones."""
-    if len(id_images) == 0 or len(ood_images) == 0:
+def threshold_report(id_probs, id_labels, ood_probs):
+    """Confidence gap between correct ID predictions and misrouted OOD ones,
+    from one classifier's [N, m] probabilities; the garbage class is column m-1."""
+    if len(id_probs) == 0 or len(ood_probs) == 0:
         raise ContractError("threshold report needs nonempty ID and OOD sets")
-    garbage = clf.spec.classes - 1
-    id_probs = predict_probs(clf, np.asarray(id_images, dtype=np.float32))
-    id_pred = id_probs.argmax(axis=1)
-    correct = id_pred == np.asarray(id_labels)
+    garbage = id_probs.shape[1] - 1
+    correct = id_probs.argmax(axis=1) == np.asarray(id_labels)
     min_id = float(id_probs[correct].max(axis=1).min()) if correct.any() else math.nan
-    ood_probs = predict_probs(clf, np.asarray(ood_images, dtype=np.float32))
-    ood_pred = ood_probs.argmax(axis=1)
-    misrouted = ood_pred != garbage
+    misrouted = ood_probs.argmax(axis=1) != garbage
     if misrouted.any():
         max_ood = float(ood_probs[misrouted].max(axis=1).max())
         gap = min_id - max_ood
@@ -135,8 +135,7 @@ def threshold_report(clf, id_images, id_labels, ood_images):
         gap = math.inf
         absent = True
     return ThresholdReport(min_id_confidence=min_id, max_ood_confidence=max_ood,
-                           gap=gap, n_id_correct=int(correct.sum()),
-                           n_ood_misrouted=int(misrouted.sum()),
+                           gap=gap, n_ood_misrouted=int(misrouted.sum()),
                            ood_all_routed=absent)
 
 
@@ -148,7 +147,6 @@ class CycleReport:
     inversion_accuracy: float
     garbage_size: int
     mean_ue_inverted: float
-    class_weight_vector: np.ndarray
     threshold_gap: float
     ood_misrouted: int
 
@@ -163,7 +161,6 @@ class OodCycleConfig:
     budget: int = None              # None -> one ID class's training count
     capacity_factor: int = 4
     inversion: InversionConfig = field(default_factory=InversionConfig)
-    warmup_cycles: int = 1
     seed: int = 0
 
 
@@ -186,23 +183,18 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
         labels = np.concatenate([id_train.labels,
                                  np.full(len(garbage), garbage_idx, dtype=np.int64)])
         counts = np.bincount(labels, minlength=n1)
-        weights = class_weights(counts)
-        train_classifier(clf, images, labels, class_weights=weights,
+        train_classifier(clf, images, labels, class_weights=class_weights(counts),
                          epochs=cfg.epochs_per_cycle, batch_size=cfg.batch_size,
                          lr=cfg.lr, rng=rng)
-        return weights, accuracy(clf, images[:len(id_train)], id_train.labels)
 
     reports = []
-    if cfg.cycles == 0:
-        train_once()
-        return clf, reports
-
     for cycle in range(1, cfg.cycles + 1):
-        weights, id_train_acc = train_once()
-        if cycle > cfg.warmup_cycles and id_train_acc < 1.0 / n1 + 0.05:
+        train_once()
+        id_logits = predict_logits(clf, id_train.images)
+        id_train_acc = logits_accuracy(id_logits, id_train.labels)
+        if cycle > _WARMUP and id_train_acc < 1.0 / n1 + 0.05:
             raise DivergenceError(
-                f"ID train accuracy {id_train_acc:.3f} below chance after cycle {cycle}",
-                report=reports)
+                f"ID train accuracy {id_train_acc:.3f} below chance after cycle {cycle}")
 
         # invert the current classifier over all n+1 conditioning labels
         gen = gen_factory(cycle)
@@ -219,14 +211,13 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
 
         id_test_acc = (accuracy(clf, id_test.images, id_test.labels)
                        if id_test is not None else math.nan)
-        thr = threshold_report(clf, id_train.images, id_train.labels, images)
+        thr = threshold_report(ag.softmax(id_logits).data, id_train.labels, probs)
         report = CycleReport(cycle=cycle,
                              id_train_accuracy=id_train_acc,
                              id_test_accuracy=id_test_acc,
                              inversion_accuracy=inv_acc,
                              garbage_size=len(garbage),
                              mean_ue_inverted=float(np.mean(ue_vals)),
-                             class_weight_vector=weights,
                              threshold_gap=thr.gap,
                              ood_misrouted=thr.n_ood_misrouted)
         reports.append(report)
@@ -239,22 +230,24 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
 
 
 def evaluate_grid(models, datasets):
-    """ID accuracy on the diagonal, garbage-routing rate off it."""
+    """ID accuracy on the diagonal, garbage-routing rate off it; -> (row names,
+    column names, matrix, probs[model, dataset] of the one pass behind each cell)."""
     names = list(models.keys())
     for name in names:
         if name not in datasets:
             raise ConfigError(f"no dataset named {name!r} for the model trained on it")
     matrix = np.zeros((len(names), len(datasets)))
     col_names = list(datasets.keys())
+    probs = {}
     for i, mname in enumerate(names):
         clf = models[mname]
         garbage = clf.spec.classes - 1
         for j, dname in enumerate(col_names):
             ds = datasets[dname]
-            probs = predict_probs(clf, ds.images)
-            pred = probs.argmax(axis=1)
+            probs[mname, dname] = predict_probs(clf, ds.images)
+            pred = probs[mname, dname].argmax(axis=1)
             if mname == dname:
                 matrix[i, j] = float((pred == ds.labels).mean())
             else:
                 matrix[i, j] = float((pred == garbage).mean())
-    return names, col_names, matrix
+    return names, col_names, matrix, probs

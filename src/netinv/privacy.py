@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
-_WINDOW = 7
+WINDOW = 7                   # SSIM window side; smaller images cannot be scored
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
 _BLOCK_BYTES = 4 << 20       # working-set budget of one reference block in ssim_matrix
@@ -16,8 +16,8 @@ _TIE = 1e-12                 # scores closer than this to the best are ties
 
 def _channel_ssim(x, y):
     """Mean local SSIM over sliding 7x7 uniform windows, valid region."""
-    wx = sliding_window_view(x, (_WINDOW, _WINDOW))
-    wy = sliding_window_view(y, (_WINDOW, _WINDOW))
+    wx = sliding_window_view(x, (WINDOW, WINDOW))
+    wy = sliding_window_view(y, (WINDOW, WINDOW))
     mx = wx.mean(axis=(-1, -2))
     my = wy.mean(axis=(-1, -2))
     vx = (wx * wx).mean(axis=(-1, -2)) - mx * mx
@@ -38,8 +38,8 @@ def ssim(a, b):
         a, b = a[None], b[None]
     if a.ndim != 3:
         raise ShapeError(f"ssim expects [H,W] or [C,H,W] images, got {a.shape}")
-    if a.shape[-2] < _WINDOW or a.shape[-1] < _WINDOW:
-        raise ShapeError(f"image {a.shape} smaller than the {_WINDOW}x{_WINDOW} window")
+    if a.shape[-2] < WINDOW or a.shape[-1] < WINDOW:
+        raise ShapeError(f"image {a.shape} smaller than the {WINDOW}x{WINDOW} window")
     return float(np.mean([_channel_ssim(a[c], b[c]) for c in range(a.shape[0])]))
 
 
@@ -48,15 +48,13 @@ class PrivacyReport:
     match_index: np.ndarray     # per reconstruction: argmax reference index
     match_ssim: np.ndarray      # per reconstruction: best SSIM
     mean_ssim: float
-    max_ssim: float
-    reference_id: str = "reference"
 
 
 def _windows(images):
     """[N, C, H, W] -> contiguous float64 [C*h*w, N, 49]: every valid 7x7 window, per image."""
-    w = sliding_window_view(np.asarray(images, dtype=np.float64), (_WINDOW, _WINDOW),
+    w = sliding_window_view(np.asarray(images, dtype=np.float64), (WINDOW, WINDOW),
                             axis=(-2, -1))
-    return w.transpose(1, 2, 3, 0, 4, 5).reshape(-1, len(images), _WINDOW * _WINDOW)
+    return w.transpose(1, 2, 3, 0, 4, 5).reshape(-1, len(images), WINDOW * WINDOW)
 
 
 def _moments(windows):
@@ -73,8 +71,8 @@ def _image_set(images, name):
         raise ShapeError(f"{name} must be a set of [H,W] or [C,H,W] images, got {images.shape}")
     if len(images) == 0:
         raise ShapeError(f"scoring needs a nonempty {name} set")
-    if images.shape[-2] < _WINDOW or images.shape[-1] < _WINDOW:
-        raise ShapeError(f"image {images.shape[1:]} smaller than the {_WINDOW}x{_WINDOW} window")
+    if images.shape[-2] < WINDOW or images.shape[-1] < WINDOW:
+        raise ShapeError(f"image {images.shape[1:]} smaller than the {WINDOW}x{WINDOW} window")
     return images
 
 
@@ -112,7 +110,7 @@ def ssim_matrix(recons, reference_set):
     return scores
 
 
-def privacy_score(recons, reference_set, reference_id="reference"):
+def privacy_score(recons, reference_set):
     """Best-match SSIM of every reconstruction against the reference set."""
     scores = ssim_matrix(recons, reference_set)
     # ties resolve to the lowest index; BLAS may round the same reference
@@ -120,6 +118,4 @@ def privacy_score(recons, reference_set, reference_id="reference"):
     best = np.argmax(scores >= scores.max(axis=1, keepdims=True) - _TIE, axis=1)
     best_ssim = scores[np.arange(len(scores)), best]
     return PrivacyReport(match_index=best, match_ssim=best_ssim,
-                         mean_ssim=float(best_ssim.mean()),
-                         max_ssim=float(best_ssim.max()),
-                         reference_id=reference_id)
+                         mean_ssim=float(best_ssim.mean()))

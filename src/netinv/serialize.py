@@ -175,21 +175,6 @@ def write_pgm_grid(images, cols, path):
         raise FormatError(f"failed writing image grid to {path}: {exc}") from exc
 
 
-def read_pgm(path):
-    """Minimal P5/P6 reader (round-trip checks); returns float array in [0, 1]."""
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic not in (b"P5", b"P6"):
-            raise FormatError(f"not a binary PGM/PPM file: {magic!r}")
-        dims = f.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(f.readline())
-        channels = 1 if magic == b"P5" else 3
-        data = np.frombuffer(f.read(w * h * channels), dtype=np.uint8)
-    img = data.astype(np.float64).reshape(h, w, channels) / maxval
-    return img.transpose(2, 0, 1)
-
-
 def format_value(v):
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"

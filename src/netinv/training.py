@@ -40,24 +40,27 @@ def train_classifier(model, images, labels, *, class_weights=None, epochs=20,
     return history
 
 
-def predict_logits(model, images, batch_size=256):
-    """No-grad classifier pass in ``batch_size`` chunks -> logits ndarray [N, m].
+def predict_logits(model, images):
+    """No-grad classifier pass in 256-row chunks -> logits ndarray [N, m].
 
     Raises ``DivergenceError`` when any logit is non-finite: the weights
     left by the last optimizer step are only ever checked here.
     """
     with ag.no_grad():
-        logits = np.concatenate([model.forward(ag.Tensor(images[start:start + batch_size]))[0].data
-                                 for start in range(0, len(images), batch_size)], axis=0)
+        logits = np.concatenate([model.forward(ag.Tensor(images[start:start + 256]))[0].data
+                                 for start in range(0, len(images), 256)], axis=0)
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite classifier output")
     return logits
 
 
-def accuracy(model, images, labels, batch_size=256):
-    correct = (predict_logits(model, images, batch_size).argmax(axis=1) == labels).sum()
-    return int(correct) / len(images)
+def accuracy(model, images, labels):
+    return logits_accuracy(predict_logits(model, images), labels)
 
 
-def predict_probs(model, images, batch_size=256):
-    return ag.softmax(predict_logits(model, images, batch_size)).data
+def logits_accuracy(logits, labels):
+    return int((logits.argmax(axis=1) == labels).sum()) / len(logits)
+
+
+def predict_probs(model, images):
+    return ag.softmax(predict_logits(model, images)).data

@@ -12,6 +12,8 @@ from netinv import cli
 from netinv.cli import main
 from netinv.config import CHOICES, DEFAULTS, MINIMUMS, RANGES, derive_seed, parse_config
 from netinv.errors import ConfigError
+from netinv.models import Generator, GeneratorSpec
+from netinv.serialize import save_checkpoint
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -187,6 +189,38 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("invert", "gen.cond_dim = 2\n", id="invert-cond-dim"),
+        pytest.param("ood", "gen.cond_dim = 2\n", id="ood-cond-dim"),
+        pytest.param("reconstruct", "recon.beta_pert = -1\n", id="beta-pert"),
+        pytest.param("invert", "inv.alpha = -1\n", id="alpha"),
+        pytest.param("reconstruct", "recon.eps_pert = 2\n", id="eps-pert"),
+        pytest.param("train-classifier", "model.kind = cnn\nsynth.size = 10\n", id="cnn-size"),
+        pytest.param("ood", "model.kind = cnn\nsynth.size = 10\n", id="ood-cnn-size"),
+        # the classifier was trained on 12x12 images
+        pytest.param("reconstruct", "synth.size = 16\n", id="recon-shape-mismatch"),
+    ])
+    def test_value_a_spec_rejects_exits_two_before_any_work(self, tmp_path, capsys,
+                                                            classifier_run, command, text):
+        conf = write_conf(tmp_path, FAST_INVERT + text)
+        out = tmp_path / "x"
+        extra = [] if command in ("train-classifier", "ood") else ["--classifier",
+                                                                   str(classifier_run)]
+        assert main([command, "--config", conf, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["resolved.conf"]
+
+    def test_reconstruct_below_ssim_window_exits_two_before_training(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, FAST_TRAIN + "synth.size = 4\ntrain.epochs = 1\n")
+        assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "c")]) == 0
+        out = tmp_path / "x"
+        assert main(["reconstruct", "--config", conf, "--out", str(out), "--classifier",
+                     str(tmp_path / "c" / "classifier.ninv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "7x7" in err
+        assert not (out / "privacy.csv").exists()
+
     @pytest.mark.parametrize("command, text, message", [
         pytest.param("train-classifier", "", "non-finite loss", id="train-classifier"),
         pytest.param("invert", "", "non-finite loss", id="invert"),
@@ -272,8 +306,10 @@ class TestEvaluate:
         assert thr_lines[0].startswith("model,ood_dataset,min_id_conf")
         assert len(thr_lines) == 3
 
-    @pytest.mark.parametrize("entry", ["foo={ckpt}", "bars", "bars=", "bars={ckpt},=x"],
-                             ids=["unknown-name", "no-path", "empty-path", "empty-name"])
+    @pytest.mark.parametrize("entry", ["foo={ckpt}", "bars", "bars=", "bars={ckpt},=x",
+                                       "bars={ckpt},bars={ckpt}"],
+                             ids=["unknown-name", "no-path", "empty-path", "empty-name",
+                                  "duplicate-name"])
     def test_bad_pair_exits_two_without_traceback(self, tmp_path, capsys, classifier_run,
                                                   entry):
         conf = write_conf(tmp_path, FAST_TRAIN +
@@ -283,6 +319,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "eval.pairs" in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_generator_checkpoint_exits_two(self, tmp_path, capsys):
+        gen = tmp_path / "gen.ninv"
+        save_checkpoint(Generator(GeneratorSpec()), gen)
+        conf = write_conf(tmp_path, FAST_TRAIN + f"eval.pairs = bars={gen}\n")
+        assert main(["evaluate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not a classifier checkpoint" in err
 
     def test_empty_pairs_rejected(self, tmp_path):
         conf = write_conf(tmp_path, "")

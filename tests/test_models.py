@@ -39,7 +39,8 @@ class TestClassifierForward:
             logits, feats = clf.forward(x)
             assert np.all(np.isfinite(logits.data))
             assert logits.data.shape == (8, 3)
-            assert feats.data.shape == (8, clf.spec.feature_dim)
+            width = clf.spec.hidden[-1] if kind == "mlp" else clf.spec.conv_hidden
+            assert feats.data.shape == (8, width)
 
     def test_trained_mlp_reaches_95(self, trained_mlp, bars_data):
         _, test = bars_data
@@ -49,7 +50,7 @@ class TestClassifierForward:
         for kind in ("mlp", "cnn"):
             spec = ClassifierSpec(kind=kind, classes=5)
             clf = Classifier(spec)
-            assert clf.num_params() == classifier_param_count(spec)
+            assert sum(p.size for p in clf.parameters()) == classifier_param_count(spec)
 
 
 class TestCondition:
@@ -118,4 +119,4 @@ class TestGenerator:
         for mode in ("hot", "hidden"):
             spec = GeneratorSpec(cond_mode=mode, classes=5)
             gen = Generator(spec)
-            assert gen.num_params() == generator_param_count(spec)
+            assert sum(p.size for p in gen.parameters()) == generator_param_count(spec)

@@ -10,7 +10,7 @@ from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.ood import (GarbageSet, OodCycleConfig, class_weights, evaluate_grid,
                         init_garbage, ood_predict, ood_training_cycle,
                         threshold_report, uncertainty)
-from netinv.training import train_classifier
+from netinv.training import predict_probs, train_classifier
 
 
 class TestUncertainty:
@@ -139,8 +139,9 @@ class TestPredictAndThreshold:
         clf.params["w2"].data[:] = 0.0
         clf.params["b2"].data[:] = 0.0
         clf.params["b2"].data[0, 3] = 50.0   # everything goes to garbage
-        rep = threshold_report(clf, train.images[:20], train.labels[:20],
-                               np.random.default_rng(8).uniform(size=(10, 1, 12, 12)))
+        ood = np.random.default_rng(8).uniform(size=(10, 1, 12, 12))
+        rep = threshold_report(predict_probs(clf, train.images[:20]), train.labels[:20],
+                               predict_probs(clf, ood))
         assert rep.ood_all_routed
         assert rep.gap == float("inf")
 
@@ -154,10 +155,41 @@ class TestPredictAndThreshold:
         train_classifier(clf, train.images[:40], labels4, epochs=10,
                          rng=np.random.default_rng(10))
         ood = train.images[40:41]            # an ID-looking probe as "OOD"
-        rep = threshold_report(clf, train.images[:40], labels4, ood)
+        rep = threshold_report(predict_probs(clf, train.images[:40]), labels4,
+                               predict_probs(clf, ood))
         if not rep.ood_all_routed:
             assert rep.gap == pytest.approx(
                 rep.min_id_confidence - rep.max_ood_confidence)
+
+
+class TestThresholdReport:
+    """Hand-built probabilities over 2 ID classes plus the garbage class (column 2)."""
+
+    ID = np.array([[0.9, 0.05, 0.05], [0.2, 0.7, 0.1], [0.6, 0.3, 0.1]])
+
+    def test_all_routed_gives_inf_gap(self):
+        rep = threshold_report(self.ID, [0, 1, 0], np.array([[0.1, 0.1, 0.8]]))
+        assert rep.ood_all_routed and rep.n_ood_misrouted == 0
+        assert rep.gap == rep.max_ood_confidence == float("inf")
+        assert rep.min_id_confidence == 0.6
+
+    def test_negative_gap(self):
+        ood = np.array([[0.95, 0.03, 0.02], [0.1, 0.1, 0.8], [0.3, 0.5, 0.2]])
+        rep = threshold_report(self.ID, [0, 1, 0], ood)
+        assert not rep.ood_all_routed and rep.n_ood_misrouted == 2
+        assert rep.max_ood_confidence == 0.95
+        assert rep.gap == pytest.approx(0.6 - 0.95)
+
+    def test_no_correct_id_gives_nan(self):
+        rep = threshold_report(self.ID, [1, 0, 1], np.array([[0.5, 0.2, 0.3]]))
+        assert np.isnan(rep.min_id_confidence) and np.isnan(rep.gap)
+        assert rep.n_ood_misrouted == 1
+
+    def test_empty_sets_rejected(self):
+        with pytest.raises(ContractError):
+            threshold_report(self.ID[:0], [], self.ID)
+        with pytest.raises(ContractError):
+            threshold_report(self.ID, [0, 1, 0], self.ID[:0])
 
 
 def tiny_cycle_config(cycles, steps=60):
@@ -202,6 +234,40 @@ class TestCycle:
             assert 0.0 <= r.id_train_accuracy <= 1.0
             assert 0.0 <= r.mean_ue_inverted <= 1.0
 
+    def test_one_classifier_pass_per_state_and_set(self, small_id_data, monkeypatch):
+        """Each cycle classifies id_train once and its inverted batch once; the
+        final retraining classifies nothing."""
+        from netinv import inversion, ood, training
+        train, test = small_id_data
+        calls = []
+        real = training.predict_logits
+
+        def spy(model, images, *args):
+            calls.append(np.asarray(images).tobytes())
+            return real(model, images, *args)
+
+        for module in (training, inversion, ood):
+            monkeypatch.setattr(module, "predict_logits", spy, raising=False)
+        batches, seen = [], []
+
+        def on_cycle(report, images):
+            batches.append(images.tobytes())
+            seen.append(len(calls))
+
+        def factory(cycle):
+            return Generator(GeneratorSpec(classes=4, hidden=(32, 32), z_dim=8),
+                             rng=np.random.default_rng(100 + cycle))
+
+        clf = Classifier(ClassifierSpec(classes=4), rng=np.random.default_rng(14))
+        ood_training_cycle(clf, factory, train, tiny_cycle_config(2, steps=5),
+                           rng=np.random.default_rng(15), id_test=test, on_cycle=on_cycle)
+        id_train = train.images.tobytes()
+        cycle_calls = [calls[:seen[0]], calls[seen[0]:seen[1]]]
+        for batch, cycle in zip(batches, cycle_calls):
+            assert cycle.count(id_train) == 1
+            assert cycle.count(batch) == 1
+        assert len(calls) == seen[-1]
+
     def test_label_range_contract(self, small_id_data):
         train, _ = small_id_data
         clf = Classifier(ClassifierSpec(classes=3))   # no room for garbage
@@ -218,10 +284,12 @@ class TestEvaluateGrid:
         clf.params["b2"].data[0, 3] = 50.0
         spec2 = SynthSpec(family="crosses", classes=3, size=12, noise=0.1, seed=17)
         _, other = synth_dataset(spec2, 30, 30)
-        names, cols, matrix = evaluate_grid({"bars": clf},
-                                            {"bars": test, "crosses": other})
+        names, cols, matrix, probs = evaluate_grid({"bars": clf},
+                                                   {"bars": test, "crosses": other})
         assert matrix[0, cols.index("bars")] == 0.0
         assert matrix[0, cols.index("crosses")] == 1.0
+        assert sorted(probs) == [("bars", "bars"), ("bars", "crosses")]
+        assert probs["bars", "crosses"].shape == (30, 4)
 
     def test_missing_pairing(self, small_id_data):
         _, test = small_id_data

@@ -9,8 +9,19 @@ from hypothesis import strategies as st
 
 from netinv.errors import ContractError, FormatError
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
-from netinv.serialize import (load_checkpoint, read_pgm, save_checkpoint,
-                              write_csv, write_pgm_grid)
+from netinv.serialize import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
+
+
+def read_pgm(path):
+    """Minimal P5/P6 reader for round-trip checks; -> float [C, H, W] in [0, 1]."""
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        assert magic in (b"P5", b"P6"), magic
+        w, h = map(int, f.readline().split())
+        maxval = int(f.readline())
+        channels = 1 if magic == b"P5" else 3
+        data = np.frombuffer(f.read(w * h * channels), dtype=np.uint8)
+    return (data.astype(np.float64).reshape(h, w, channels) / maxval).transpose(2, 0, 1)
 
 
 class TestCheckpoint:
