@@ -77,9 +77,12 @@ def _wrap(x, like=None):
 
 def _from_op(data, inputs, vjp):
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._op = (tuple(inputs), vjp)
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._op = (tuple(inputs), vjp)
+                break
     return out
 
 
@@ -180,15 +183,6 @@ def exp(a):
     return out
 
 
-def log(a):
-    a = _wrap(a)
-
-    def vjp(g, need):
-        return (div(g, a),)
-
-    return _from_op(np.log(a.data), (a,), vjp)
-
-
 def sqrt(a):
     return pow_const(a, 0.5)
 
@@ -211,8 +205,8 @@ def sigmoid(a):
     a = _wrap(a)
     # stable logistic: exp of the non-positive branch only
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
 
     def vjp(g, need):
         return (mul(g, mul(out, sub(_wrap(1.0, out), out))),)
@@ -478,22 +472,37 @@ def maxpool2d(x, k=2):
     return _from_op(out_data, (x,), vjp)
 
 
-def softmax(logits, axis=-1):
-    """Row-stable softmax composed from tracked primitives."""
-    logits = _wrap(logits)
+def _shifted(logits, axis):
+    """(logits - row max, row sum of its exp accumulated in 64-bit) as arrays."""
     if logits.data.shape[axis] < 1:
         raise ShapeError(f"softmax axis is empty: {logits.data.shape}")
-    shift = np.max(logits.data, axis=axis, keepdims=True)
-    z = sub(logits, Tensor(shift))
-    e = exp(z)
-    return div(e, sum_(e, axis=axis, keepdims=True))
+    z = logits.data - np.max(logits.data, axis=axis, keepdims=True)
+    e = np.exp(z)
+    return z, e, np.sum(e, axis=axis, keepdims=True, dtype=np.float64).astype(z.dtype)
+
+
+def softmax(logits, axis=-1):
+    """Row-stable softmax as one node; its VJP is ``out * (g - sum(g * out))``."""
+    logits = _wrap(logits)
+    _, e, s = _shifted(logits, axis)
+
+    def vjp(g, need):
+        return (mul(out, sub(g, sum_(mul(g, out), axis=axis, keepdims=True))),)
+
+    out = _from_op(e / s, (logits,), vjp)
+    return out
 
 
 def log_softmax(logits, axis=-1):
+    """Row-stable log-softmax as one node; its VJP is ``g - exp(out) * sum(g)``."""
     logits = _wrap(logits)
-    shift = np.max(logits.data, axis=axis, keepdims=True)
-    z = sub(logits, Tensor(shift))
-    return sub(z, log(sum_(exp(z), axis=axis, keepdims=True)))
+    z, _, s = _shifted(logits, axis)
+
+    def vjp(g, need):
+        return (sub(g, mul(exp(out), sum_(g, axis=axis, keepdims=True))),)
+
+    out = _from_op(z - np.log(s), (logits,), vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,18 +45,18 @@ def _load_datasets(cfg):
     if missing:
         raise ConfigError("missing IDX paths: " + ", ".join(missing))
     limit = cfg["idx.limit"] or None
-    train = load_idx(cfg["idx.train_images"], cfg["idx.train_labels"],
-                     name="idx", split="train", limit=limit)
-    test = load_idx(cfg["idx.test_images"], cfg["idx.test_labels"],
-                    name="idx", split="test", limit=limit)
+    train = load_idx(cfg["idx.train_images"], cfg["idx.train_labels"], limit=limit)
+    test = load_idx(cfg["idx.test_images"], cfg["idx.test_labels"], limit=limit)
     return train, test
 
 
 def _load_classifier(path):
-    clf, _ = load_checkpoint(path)
+    """-> (frozen classifier, checkpoint meta)."""
+    clf, info = load_checkpoint(path)
     if not isinstance(clf, Classifier):
         raise ConfigError(f"{path} is not a classifier checkpoint")
-    return clf.freeze()
+    meta = info.get("meta")
+    return clf.freeze(), meta if isinstance(meta, dict) else {}
 
 
 def _classifier_spec(cfg, in_shape, classes):
@@ -123,7 +123,7 @@ def cmd_train_classifier(args):
 
 def cmd_invert(args):
     cfg, out, manifest = _prepare(args)
-    clf = _load_classifier(args.classifier)
+    clf, _ = _load_classifier(args.classifier)
     manifest.start("invert")
     gen = Generator(_generator_spec(cfg, clf.spec.in_shape, clf.spec.classes),
                     rng=np.random.default_rng(derive_seed(cfg["seed"], "generator-init")))
@@ -151,7 +151,7 @@ def cmd_invert(args):
 
 def cmd_reconstruct(args):
     cfg, out, manifest = _prepare(args)
-    clf = _load_classifier(args.classifier)
+    clf, _ = _load_classifier(args.classifier)
     train, holdout = _load_datasets(cfg)
     if train.image_shape != clf.spec.in_shape:
         raise ConfigError(f"dataset images {train.image_shape} do not match the "
@@ -244,21 +244,34 @@ def cmd_evaluate(args):
     pairs = [p for p in cfg["eval.pairs"].split(",") if p]
     if not pairs:
         raise ConfigError("eval.pairs must list name=checkpoint entries")
-    models, datasets = {}, {}
+    models, datasets, garbage = {}, {}, {}
     for pair in pairs:
         name, path = pair.split("=", 1)     # parse_config checked the form
-        models[name] = _load_classifier(path)
-        _, datasets[name] = synth_dataset(_synth_spec(cfg, name), cfg["synth.train"],
-                                          cfg["synth.test"])
+        clf, meta = _load_classifier(path)
+        _, ds = synth_dataset(_synth_spec(cfg, name), cfg["synth.train"], cfg["synth.test"])
+        g = meta.get("garbage_class")
+        id_classes = clf.spec.classes - (g is not None)
+        problem = None
+        if g not in (None, clf.spec.classes - 1):
+            problem = f"garbage_class {g!r} is not the model's last class"
+        elif ds.image_shape != clf.spec.in_shape:
+            problem = (f"dataset images {ds.image_shape} do not match the classifier "
+                       f"input {clf.spec.in_shape}")
+        elif cfg["synth.classes"] != id_classes:
+            problem = (f"synth.classes = {cfg['synth.classes']}, the classifier has "
+                       f"{id_classes} ID classes")
+        if problem:
+            raise ConfigError(f"eval.pairs entry {pair}: {problem}")
+        models[name], datasets[name], garbage[name] = clf, ds, g
     manifest.start("evaluate")
-    row_names, col_names, matrix, probs = evaluate_grid(models, datasets)
+    row_names, col_names, matrix, probs = evaluate_grid(models, datasets, garbage)
     rows = [[rname] + list(matrix[i]) for i, rname in enumerate(row_names)]
     write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv")
     manifest.record(out / "matrix.csv")
     thr_rows = []
     for mname in models:
         for oname in datasets:
-            if oname == mname:
+            if oname == mname or garbage[mname] is None:
                 continue
             rep = threshold_report(probs[mname, mname], datasets[mname].labels,
                                    probs[mname, oname])

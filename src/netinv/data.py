@@ -15,7 +15,6 @@ FAMILIES = ("bars", "crosses", "blobs", "rings")
 class Dataset:
     images: np.ndarray        # [N, C, H, W] float32 in [0, 1]
     labels: np.ndarray        # [N] int64 in [0, n)
-    split: str = "train"
     name: str = "dataset"
 
     def __post_init__(self):
@@ -122,8 +121,8 @@ def synth_dataset(spec, n_train, n_test):
     tr_img, tr_lab = _generate(spec, n_train, np.random.default_rng(ss_train))
     te_img, te_lab = _generate(spec, n_test, np.random.default_rng(ss_test))
     name = f"synth-{spec.family}{spec.classes}"
-    return (Dataset(tr_img, tr_lab, "train", name),
-            Dataset(te_img, te_lab, "test", name))
+    return (Dataset(tr_img, tr_lab, name),
+            Dataset(te_img, te_lab, name))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def _read_exact(f, n, path):
     return buf
 
 
-def load_idx(images_path, labels_path, name="idx", split="train", limit=None):
+def load_idx(images_path, labels_path, name="idx", limit=None):
     """Parse a u8 image tensor / label IDX pair into a Dataset."""
     with open(images_path, "rb") as f:
         magic, = struct.unpack(">I", _read_exact(f, 4, images_path))
@@ -166,5 +165,4 @@ def load_idx(images_path, labels_path, name="idx", split="train", limit=None):
         raise FormatError(f"IDX count mismatch: {n} images vs {nl} labels")
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
-    return Dataset(images.astype(np.float32) / 255.0, labels.astype(np.int64),
-                   split=split, name=name)
+    return Dataset(images.astype(np.float32) / 255.0, labels.astype(np.int64), name=name)

@@ -20,8 +20,8 @@ import numpy as np
 from . import autograd as ag
 from .errors import ContractError, DivergenceError, DomainError
 from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
-                     kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
-                     weighted_ce_loss)
+                     feature_gram, kl_loss, ortho_loss, pixel_loss, soften_onehot,
+                     tv_loss, weighted_ce_loss)
 from .optim import make_optimizer
 from .training import logits_accuracy, predict_logits
 
@@ -91,14 +91,14 @@ def generator_loss(images, clf, labels, cfg, rng):
     labels = np.asarray(labels, dtype=np.int64)
     m = clf.spec.classes
     logits, feats = clf.forward(images)
-    probs = ag.softmax(logits)
     target = soften_onehot(labels, m, cfg.soften)
+    gram = feature_gram(feats)
 
     terms = {
-        "kl": kl_loss(probs, target),
+        "kl": kl_loss(ag.softmax(logits), target),
         "ce": weighted_ce_loss(logits, labels),
-        "cosine": cosine_diversity_loss(feats),
-        "ortho": ortho_loss(feats),
+        "cosine": cosine_diversity_loss(gram),
+        "ortho": ortho_loss(gram),
     }
     if cfg.eta_var > 0:
         terms["var"] = tv_loss(images)

@@ -39,7 +39,11 @@ def _as_tensor(x):
 
 
 def kl_loss(probs, target):
-    """Mean over the batch of KL(target || probs), eps-floored inside logs."""
+    """Mean over the batch of KL(target || probs), eps-floored inside logs.
+
+    One node over ``probs``; the target is a constant, the value is
+    accumulated in 64-bit and the VJP is ``g * (-target / B) / (probs + EPS)``.
+    """
     probs = _as_tensor(probs)
     target = np.asarray(target if not isinstance(target, ag.Tensor) else target.data,
                         dtype=np.float64)
@@ -48,55 +52,71 @@ def kl_loss(probs, target):
         if np.any(np.abs(sums - 1.0) > 1e-3):
             raise ContractError(f"{name} rows are not distributions (sum deviates by "
                                 f"{np.max(np.abs(sums - 1.0)):.2e})")
-    t = ag.Tensor(target.astype(probs.dtype))
-    log_ratio = ag.sub(ag.log(ag.add(t, EPS)), ag.log(ag.add(probs, EPS)))
-    return ag.mean(ag.sum_(ag.mul(t, log_ratio), axis=-1))
+    B = probs.data.size // probs.shape[-1]
+    log_ratio = np.log(target + EPS) - np.log(probs.data.astype(np.float64) + EPS)
+    value = np.asarray(np.sum(target * log_ratio) / B, dtype=probs.dtype)
+    coef = ag.Tensor((-target / B).astype(probs.dtype))
+
+    def vjp(g, need):
+        return (ag.div(ag.mul(g, coef), ag.add(probs, EPS)),)
+
+    return ag._from_op(value, (probs,), vjp)
 
 
 def weighted_ce_loss(logits, labels, class_weights=None):
-    """Mean over the batch of weight[label] * (-log softmax(logits)[label])."""
+    """Mean over the batch of weight[label] * (-log softmax(logits)[label]).
+
+    One node over ``logits``; the value is accumulated in 64-bit and the VJP
+    is ``g * (softmax(logits) * w_row / B - onehot * w_row / B)``, with
+    ``w_row`` the weight of each row's label.
+    """
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    m = logits.shape[-1]
+    B, m = logits.shape
     if labels.min() < 0 or labels.max() >= m:
         raise DomainError(f"labels outside [0, {m}): {labels.min()}..{labels.max()}")
     if class_weights is None:
         class_weights = np.ones(m)
-    class_weights = np.asarray(class_weights, dtype=np.float64)
-    onehot = np.zeros((len(labels), m), dtype=logits.dtype)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    per_sample = ag.neg(ag.sum_(ag.mul(ag.log_softmax(logits), ag.Tensor(onehot)), axis=-1))
-    w = class_weights[labels].astype(logits.dtype)
-    return ag.mean(ag.mul(per_sample, ag.Tensor(w)))
+    w = np.asarray(class_weights, dtype=np.float64)[labels] / B
+    rows = np.arange(B)
+    picked = ag.log_softmax(ag.Tensor(logits.data)).data[rows, labels]
+    value = np.asarray(-np.dot(w, picked.astype(np.float64)), dtype=logits.dtype)
+    w_row = ag.Tensor(w.astype(logits.dtype)[:, None])
+    w_onehot = np.zeros((B, m), dtype=logits.dtype)
+    w_onehot[rows, labels] = w
+    w_onehot = ag.Tensor(w_onehot)
+
+    def vjp(g, need):
+        return (ag.mul(g, ag.sub(ag.mul(ag.softmax(logits), w_row), w_onehot)),)
+
+    return ag._from_op(value, (logits,), vjp)
 
 
-def _row_normalize(features):
-    norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
-    return ag.div(features, norms)
-
-
-def cosine_diversity_loss(features):
-    """Mean pairwise cosine similarity over unordered feature pairs."""
+def feature_gram(features):
+    """Gram matrix [B, B] of the row-normalized features: pairwise cosines."""
     features = _as_tensor(features)
-    B = features.shape[0]
+    norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
+    n = ag.div(features, norms)
+    return ag.matmul(n, ag.transpose(n))
+
+
+def cosine_diversity_loss(gram):
+    """Mean pairwise cosine similarity over unordered feature pairs, from
+    ``feature_gram(features)``."""
+    B = gram.shape[0]
     if B < 2:
         raise ContractError("cosine diversity needs a batch of at least 2")
-    n = _row_normalize(features)
-    gram = ag.matmul(n, ag.transpose(n))
-    offdiag = (1.0 - np.eye(B)).astype(features.dtype)
+    offdiag = (1.0 - np.eye(B)).astype(gram.dtype)
     return ag.div(ag.sum_(ag.mul(gram, ag.Tensor(offdiag))),
-                  ag.Tensor(np.asarray(B * (B - 1), dtype=features.dtype)))
+                  ag.Tensor(np.asarray(B * (B - 1), dtype=gram.dtype)))
 
 
-def ortho_loss(features):
-    """Squared Frobenius distance of the normalized Gram matrix from identity."""
-    features = _as_tensor(features)
-    B = features.shape[0]
+def ortho_loss(gram):
+    """Squared Frobenius distance from identity of ``feature_gram(features)``."""
+    B = gram.shape[0]
     if B < 1:
         raise ContractError("ortho loss needs a non-empty batch")
-    n = _row_normalize(features)
-    gram = ag.matmul(n, ag.transpose(n))
-    eye = ag.Tensor(np.eye(B, dtype=features.dtype))
+    eye = ag.Tensor(np.eye(B, dtype=gram.dtype))
     return ag.sum_(ag.square(ag.sub(gram, eye)))
 
 

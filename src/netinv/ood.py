@@ -229,9 +229,13 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
     return clf, reports
 
 
-def evaluate_grid(models, datasets):
+def evaluate_grid(models, datasets, garbage):
     """ID accuracy on the diagonal, garbage-routing rate off it; -> (row names,
-    column names, matrix, probs[model, dataset] of the one pass behind each cell)."""
+    column names, matrix, probs[model, dataset] of the one pass behind each cell).
+
+    ``garbage`` maps each model name to its garbage class, or to None for a
+    model without one: its off-diagonal cells are NaN, with no pass behind them.
+    """
     names = list(models.keys())
     for name in names:
         if name not in datasets:
@@ -241,13 +245,15 @@ def evaluate_grid(models, datasets):
     probs = {}
     for i, mname in enumerate(names):
         clf = models[mname]
-        garbage = clf.spec.classes - 1
         for j, dname in enumerate(col_names):
+            if mname != dname and garbage[mname] is None:
+                matrix[i, j] = math.nan
+                continue
             ds = datasets[dname]
             probs[mname, dname] = predict_probs(clf, ds.images)
             pred = probs[mname, dname].argmax(axis=1)
             if mname == dname:
                 matrix[i, j] = float((pred == ds.labels).mean())
             else:
-                matrix[i, j] = float((pred == garbage).mean())
+                matrix[i, j] = float((pred == garbage[mname]).mean())
     return names, col_names, matrix, probs

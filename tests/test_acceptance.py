@@ -19,8 +19,8 @@ from netinv.data import SynthSpec, load_idx, synth_dataset
 from netinv.errors import FormatError
 from netinv.inversion import (TERM_ORDER, InversionConfig, generate_samples,
                               generator_loss, train_generator)
-from netinv.losses import (EPS, compose_total, cosine_diversity_loss, kl_loss,
-                           ortho_loss, pixel_loss, soften_onehot, tv_loss,
+from netinv.losses import (EPS, compose_total, cosine_diversity_loss, feature_gram,
+                           kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
                            weighted_ce_loss)
 from netinv.models import (Classifier, ClassifierSpec, Generator,
                            GeneratorSpec)
@@ -179,11 +179,11 @@ def test_c3_loss_term_oracles():
     norm = feats / np.sqrt((feats ** 2).sum(axis=1, keepdims=True) + EPS ** 2)
     cos_want = np.mean([norm[i] @ norm[j]
                         for i in range(B) for j in range(B) if i != j])
-    assert abs(cosine_diversity_loss(ag.Tensor(feats)).item()
+    assert abs(cosine_diversity_loss(feature_gram(ag.Tensor(feats))).item()
                - cos_want) <= 1e-8
 
     ortho_want = np.sum((norm @ norm.T - np.eye(B)) ** 2)
-    assert abs(ortho_loss(ag.Tensor(feats)).item() - ortho_want) <= 1e-8
+    assert abs(ortho_loss(feature_gram(ag.Tensor(feats))).item() - ortho_want) <= 1e-8
 
     tv_want = 0.0
     for b in range(B):
@@ -213,10 +213,11 @@ def test_c3_loss_term_oracles():
     total_recon, _ = generator_loss(batch, clf, blabels, cfg,
                                     np.random.default_rng(1))
     lg, ft = clf.forward(batch)
+    gram = feature_gram(ft)
     terms = {"kl": kl_loss(ag.softmax(lg), soften_onehot(blabels, 3, cfg.soften)),
              "ce": weighted_ce_loss(lg, blabels),
-             "cosine": cosine_diversity_loss(ft),
-             "ortho": ortho_loss(ft)}
+             "cosine": cosine_diversity_loss(gram),
+             "ortho": ortho_loss(gram)}
     weights = {"kl": cfg.alpha, "ce": cfg.beta, "cosine": cfg.gamma,
                "ortho": cfg.delta}
     total_inv = compose_total(terms, weights, TERM_ORDER)
@@ -446,13 +447,13 @@ _IDX_FILES = {
 def test_c8_real_idx_smoke():
     id_train = load_idx(_IDX_DIR / _IDX_FILES["train_images"],
                         _IDX_DIR / _IDX_FILES["train_labels"],
-                        name="mnist", split="train", limit=1000)
+                        name="mnist", limit=1000)
     id_test = load_idx(_IDX_DIR / _IDX_FILES["test_images"],
                        _IDX_DIR / _IDX_FILES["test_labels"],
-                       name="mnist", split="test", limit=1000)
+                       name="mnist", limit=1000)
     ood_imgs = load_idx(_IDX_DIR / _IDX_FILES["ood_images"],
                         _IDX_DIR / _IDX_FILES["ood_labels"],
-                        name="fashion", split="test", limit=500).images
+                        name="fashion", limit=500).images
 
     clf = Classifier(ClassifierSpec(classes=11, in_shape=(1, 28, 28)),
                      rng=np.random.default_rng(0))

@@ -245,6 +245,28 @@ class TestSoftmax:
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("op", [ag.softmax, ag.log_softmax])
+    def test_one_node_with_finite_difference_gradients(self, op):
+        rng = np.random.default_rng(20)
+        x = rng.normal(scale=2, size=(4, 5))
+        c = rng.normal(size=(4, 5))     # a plain sum of softmax rows is constant
+        out = op(ag.Tensor(x.copy(), requires_grad=True))
+        assert all(inp._op is None for inp in out._op[0])
+        check_grads(lambda t: ag.sum_(ag.mul(op(t), ag.Tensor(c))), [x])
+
+    def test_forward_bit_equal_to_composed_formula(self):
+        # the arithmetic of the former exp / float64 sum / div composition
+        x = np.random.default_rng(22).normal(scale=6, size=(64, 5)).astype(np.float32)
+        z = x - x.max(axis=1, keepdims=True)
+        s = np.sum(np.exp(z), axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+        assert ag.softmax(ag.Tensor(x)).data.tobytes() == (np.exp(z) / s).tobytes()
+        assert ag.log_softmax(ag.Tensor(x)).data.tobytes() == (z - np.log(s)).tobytes()
+
+    def test_log_softmax_is_log_of_softmax(self):
+        x = np.random.default_rng(21).normal(scale=5, size=(6, 4))
+        np.testing.assert_allclose(ag.log_softmax(ag.Tensor(x)).data,
+                                   np.log(ag.softmax(ag.Tensor(x)).data), atol=1e-12)
+
 
 class TestBackward:
     def test_square(self):
@@ -427,6 +449,16 @@ class TestOps:
         x = rng.normal(size=(3, 3))
         check_grads(lambda t: ag.sum_(ag.sigmoid(t)), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_equal_to_three_exp_formula(self, dtype):
+        x = np.concatenate([np.random.default_rng(13).normal(scale=8, size=500),
+                            [0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 745.0, -745.0]]).astype(dtype)
+        with np.errstate(over="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(dtype)
+            got = ag.sigmoid(ag.Tensor(x)).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     def test_broadcast_add_grad(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(4, 3))
@@ -451,7 +483,6 @@ def test_random_graph_gradients(seed):
             h = ag.leaky_relu(h, 0.2)
         else:
             h = ag.exp(ag.mul(h, ag.Tensor(np.full_like(x, 0.3, shape=()))))
-        p = ag.softmax(h)
-        return ag.mean(ag.mul(p, ag.log(ag.add(p, 1e-8))))
+        return ag.mean(ag.mul(ag.softmax(h), ag.log_softmax(h)))
 
     check_grads(loss, [x, w], rtol=1e-4, atol=1e-6)

@@ -13,7 +13,7 @@ from netinv.cli import main
 from netinv.config import CHOICES, DEFAULTS, MINIMUMS, RANGES, derive_seed, parse_config
 from netinv.errors import ConfigError
 from netinv.models import Generator, GeneratorSpec
-from netinv.serialize import save_checkpoint
+from netinv.serialize import load_checkpoint, save_checkpoint
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -116,6 +116,15 @@ class TestTrainClassifier:
 def classifier_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("clf")
     conf = write_conf(tmp, FAST_TRAIN)
+    out = tmp / "run"
+    assert main(["train-classifier", "--config", conf, "--out", str(out)]) == 0
+    return out / "classifier.ninv"
+
+
+@pytest.fixture(scope="module")
+def crosses_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("crosses")
+    conf = write_conf(tmp, FAST_TRAIN + "synth.family = crosses\n")
     out = tmp / "run"
     assert main(["train-classifier", "--config", conf, "--out", str(out)]) == 0
     return out / "classifier.ninv"
@@ -289,22 +298,54 @@ class TestEvaluate:
         val = float(lines[1].split(",")[1])
         assert 0.0 <= val <= 1.0
 
-    def test_two_dataset_grid_and_threshold(self, tmp_path, classifier_run, tmp_path_factory):
-        # train a crosses model too, then cross-evaluate
-        tmp = tmp_path_factory.mktemp("crosses")
-        conf_c = write_conf(tmp, FAST_TRAIN + "synth.family = crosses\n")
-        out_c = tmp / "run"
-        assert main(["train-classifier", "--config", conf_c, "--out", str(out_c)]) == 0
+    def test_two_dataset_grid_and_threshold(self, tmp_path, classifier_run, crosses_run):
+        # plain classifiers have no garbage class: no routing cells, no threshold rows
         conf = write_conf(tmp_path, FAST_TRAIN +
-                          f"eval.pairs = bars={classifier_run},"
-                          f"crosses={out_c / 'classifier.ninv'}\n")
+                          f"eval.pairs = bars={classifier_run},crosses={crosses_run}\n")
         out = tmp_path / "eval2"
         assert main(["evaluate", "--config", conf, "--out", str(out)]) == 0
         matrix_lines = (out / "matrix.csv").read_text().splitlines()
-        assert len(matrix_lines) == 3
+        assert matrix_lines[0] == "train\\test,bars,crosses"
+        assert matrix_lines[1].split(",")[2] == "nan"
+        assert matrix_lines[2].split(",")[1] == "nan"
+        assert float(matrix_lines[1].split(",")[1]) >= 0.9
+        assert float(matrix_lines[2].split(",")[2]) >= 0.9
         thr_lines = (out / "threshold.csv").read_text().splitlines()
-        assert thr_lines[0].startswith("model,ood_dataset,min_id_conf")
-        assert len(thr_lines) == 3
+        assert thr_lines == ["model,ood_dataset,min_id_conf,max_ood_conf,gap,"
+                             "ood_misrouted,all_routed"]
+
+    def test_garbage_class_from_ood_checkpoint(self, tmp_path, crosses_run):
+        conf_o = write_conf(tmp_path, FAST_TRAIN + "ood.cycles = 0\nood.epochs = 5\n"
+                            "ood.garbage_init = 40\n", name="ood.conf")
+        out_o = tmp_path / "ood"
+        assert main(["ood", "--config", conf_o, "--out", str(out_o)]) == 0
+        ood_ckpt = out_o / "ood_classifier.ninv"
+        conf = write_conf(tmp_path, FAST_TRAIN +
+                          f"eval.pairs = bars={ood_ckpt},crosses={crosses_run}\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", conf, "--out", str(out)]) == 0
+        matrix_lines = (out / "matrix.csv").read_text().splitlines()
+        assert 0.0 <= float(matrix_lines[1].split(",")[2]) <= 1.0   # routed to class 3
+        assert matrix_lines[2].split(",")[1] == "nan"
+        thr_lines = (out / "threshold.csv").read_text().splitlines()
+        assert len(thr_lines) == 2 and thr_lines[1].startswith("bars,crosses,")
+
+    @pytest.mark.parametrize("extra", ["synth.size = 16\n", "synth.channels = 3\n",
+                                       "synth.classes = 4\n", "garbage_class"])
+    def test_mismatched_checkpoint_exits_two_before_scoring(self, tmp_path, capsys,
+                                                            classifier_run, extra):
+        ckpt = classifier_run
+        if extra == "garbage_class":
+            ckpt = tmp_path / "relabelled.ninv"
+            save_checkpoint(load_checkpoint(classifier_run)[0], ckpt,
+                            meta={"garbage_class": 0})
+            extra = ""
+        conf = write_conf(tmp_path, FAST_TRAIN + extra + f"eval.pairs = bars={ckpt}\n")
+        out = tmp_path / "x"
+        assert main(["evaluate", "--config", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "eval.pairs entry bars=" in err
+        assert not (out / "matrix.csv").exists()
 
     @pytest.mark.parametrize("entry", ["foo={ckpt}", "bars", "bars=", "bars={ckpt},=x",
                                        "bars={ckpt},bars={ckpt}"],

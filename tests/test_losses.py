@@ -3,9 +3,12 @@ import pytest
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, DivergenceError, DomainError
-from netinv.losses import (LossBreakdown, cosine_diversity_loss, kl_loss,
-                           ortho_loss, pixel_loss, soften_onehot, tv_loss,
+from netinv.inversion import InversionConfig, _sample_batch, generator_loss
+from netinv.losses import (LossBreakdown, cosine_diversity_loss, feature_gram,
+                           kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
                            weighted_ce_loss)
+from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
+from test_autograd import check_grads, fd_grad
 
 
 def rand_dist(rng, shape):
@@ -82,11 +85,11 @@ class TestWeightedCE:
 class TestCosineDiversity:
     def test_identical_rows(self):
         f = np.tile([[1.0, 2.0, 3.0]], (4, 1))
-        assert cosine_diversity_loss(ag.Tensor(f)).item() == pytest.approx(1.0, abs=1e-6)
+        assert cosine_diversity_loss(feature_gram(ag.Tensor(f))).item() == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_rows(self):
         f = np.eye(3)
-        assert cosine_diversity_loss(ag.Tensor(f)).item() == pytest.approx(0.0, abs=1e-7)
+        assert cosine_diversity_loss(feature_gram(ag.Tensor(f))).item() == pytest.approx(0.0, abs=1e-7)
 
     def test_pairwise_oracle(self):
         rng = np.random.default_rng(5)
@@ -95,40 +98,40 @@ class TestCosineDiversity:
         for i in range(3):
             for j in range(i + 1, 3):
                 pairs.append(f[i] @ f[j] / (np.linalg.norm(f[i]) * np.linalg.norm(f[j])))
-        got = cosine_diversity_loss(ag.Tensor(f)).item()
+        got = cosine_diversity_loss(feature_gram(ag.Tensor(f))).item()
         assert got == pytest.approx(np.mean(pairs), abs=1e-6)
 
     def test_range(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             f = rng.normal(size=(5, 4))
-            v = cosine_diversity_loss(ag.Tensor(f)).item()
+            v = cosine_diversity_loss(feature_gram(ag.Tensor(f))).item()
             assert -1.0 - 1e-6 <= v <= 1.0 + 1e-6
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ContractError):
-            cosine_diversity_loss(ag.Tensor(np.ones((1, 3))))
+            cosine_diversity_loss(feature_gram(ag.Tensor(np.ones((1, 3)))))
 
 
 class TestOrtho:
     def test_orthonormal_rows(self):
-        assert ortho_loss(ag.Tensor(np.eye(3))).item() == pytest.approx(0.0, abs=1e-7)
+        assert ortho_loss(feature_gram(ag.Tensor(np.eye(3)))).item() == pytest.approx(0.0, abs=1e-7)
 
     def test_identical_unit_rows(self):
         f = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert ortho_loss(ag.Tensor(f)).item() == pytest.approx(2.0, abs=1e-6)
+        assert ortho_loss(feature_gram(ag.Tensor(f))).item() == pytest.approx(2.0, abs=1e-6)
 
     def test_gram_oracle(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(4, 5))
         n = f / np.linalg.norm(f, axis=1, keepdims=True)
         want = np.sum((n @ n.T - np.eye(4)) ** 2)
-        assert ortho_loss(ag.Tensor(f)).item() == pytest.approx(want, abs=1e-6)
+        assert ortho_loss(feature_gram(ag.Tensor(f))).item() == pytest.approx(want, abs=1e-6)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            assert ortho_loss(ag.Tensor(rng.normal(size=(4, 3)))).item() >= 0
+            assert ortho_loss(feature_gram(ag.Tensor(rng.normal(size=(4, 3))))).item() >= 0
 
 
 class TestTV:
@@ -192,3 +195,56 @@ def test_soften_onehot_rows_are_distributions():
     np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-6)
     assert t[0, 0] == pytest.approx(0.925, abs=1e-6)
     assert t[0, 1] == pytest.approx(0.025, abs=1e-6)
+
+
+class TestFusedNodeGradients:
+    """First- and second-order gates for the one-node KL and CE, in float64."""
+
+    def test_kl_finite_differences(self):
+        rng = np.random.default_rng(30)
+        p = rand_dist(rng, (5, 4))
+        t = rand_dist(rng, (5, 4))
+        check_grads(lambda q: kl_loss(q, t), [p], rtol=1e-5, atol=1e-7)
+
+    def test_weighted_ce_finite_differences(self):
+        rng = np.random.default_rng(31)
+        logits = rng.normal(scale=2, size=(6, 4))
+        labels = rng.integers(0, 4, size=6)
+        cw = rng.uniform(0.3, 2.5, size=4)
+        check_grads(lambda z: weighted_ce_loss(z, labels, cw), [logits])
+
+    @pytest.mark.parametrize("head", ["ce", "kl"])
+    def test_second_order_through_the_loss_node(self, head):
+        rng = np.random.default_rng(32)
+        w = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = ag.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        x0 = rng.normal(size=(4, 5))
+        labels = np.array([0, 2, 1, 2])
+        cw = np.array([0.5, 1.0, 2.0])
+        target = soften_onehot(labels, 3, 0.2, dtype=np.float64)
+
+        def gns_of(x):
+            logits = ag.linear(x, w, b)
+            loss = (weighted_ce_loss(logits, labels, cw) if head == "ce"
+                    else kl_loss(ag.softmax(logits), target))
+            return ag.grad_norm_sq(loss, [w, b])
+
+        x = ag.Tensor(x0.copy(), requires_grad=True)
+        (gx,) = ag.grad(gns_of(x), [x])
+        want = fd_grad(lambda a: gns_of(ag.Tensor(a)).item(), x0.copy(), h=1e-5)
+        np.testing.assert_allclose(gx.data, want, rtol=1e-4, atol=1e-8)
+
+
+def test_mlp_generator_loss_tape_is_small():
+    clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0)).freeze()
+    gen = Generator(GeneratorSpec(), rng=np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    labels, images = _sample_batch(gen, [0, 1, 2], 32, rng, training=True)
+    total, _ = generator_loss(images, clf, labels, InversionConfig(), rng)
+    seen, stack = {total}, [total]
+    while stack:
+        for inp in stack.pop()._op[0]:
+            if inp._op is not None and inp not in seen:
+                seen.add(inp)
+                stack.append(inp)
+    assert len(seen) <= 40

@@ -285,7 +285,8 @@ class TestEvaluateGrid:
         spec2 = SynthSpec(family="crosses", classes=3, size=12, noise=0.1, seed=17)
         _, other = synth_dataset(spec2, 30, 30)
         names, cols, matrix, probs = evaluate_grid({"bars": clf},
-                                                   {"bars": test, "crosses": other})
+                                                   {"bars": test, "crosses": other},
+                                                   {"bars": 3})
         assert matrix[0, cols.index("bars")] == 0.0
         assert matrix[0, cols.index("crosses")] == 1.0
         assert sorted(probs) == [("bars", "bars"), ("bars", "crosses")]
@@ -295,4 +296,4 @@ class TestEvaluateGrid:
         _, test = small_id_data
         clf = Classifier(ClassifierSpec(classes=4))
         with pytest.raises(ConfigError):
-            evaluate_grid({"bars": clf}, {"crosses": test})
+            evaluate_grid({"bars": clf}, {"crosses": test}, {"bars": 3})

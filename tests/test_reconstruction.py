@@ -5,7 +5,7 @@ from netinv import autograd as ag
 from netinv.errors import DomainError
 from netinv.inversion import (TERM_WEIGHTS, InversionConfig, _sample_batch,
                               generator_loss, linf_perturb)
-from netinv.losses import (cosine_diversity_loss, kl_loss, ortho_loss,
+from netinv.losses import (cosine_diversity_loss, feature_gram, kl_loss, ortho_loss,
                            pixel_loss, soften_onehot, tv_loss, weighted_ce_loss)
 from netinv.models import Generator, GeneratorSpec
 from netinv.reconstruction import ReconConfig
@@ -57,8 +57,8 @@ class TestReconstructionLoss:
         probs = ag.softmax(logits)
         inv = (cfg.alpha * kl_loss(probs, soften_onehot(labels, 3, cfg.soften)).item()
                + cfg.beta * weighted_ce_loss(logits, labels).item()
-               + cfg.gamma * cosine_diversity_loss(feats).item()
-               + cfg.delta * ortho_loss(feats).item())
+               + cfg.gamma * cosine_diversity_loss(feature_gram(feats)).item()
+               + cfg.delta * ortho_loss(feature_gram(feats)).item())
         assert total.item() == pytest.approx(inv, rel=1e-6)
 
     def test_constant_in_range_batch_has_zero_priors(self, trained_mlp):
