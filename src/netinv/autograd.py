@@ -4,15 +4,22 @@ The tape is implicit: every tracked operation stores its input tensors and a
 vector-Jacobian closure expressed in terms of the public ops. The closure
 takes the output's adjoint and one flag per input, and builds the adjoints of
 the flagged inputs only (None for the others). ``grad`` is the one reverse
-pass; it returns the adjoints rather than storing them on the tensors. Running it with ``create_graph=True`` records the adjoint
-computation itself, which is what makes the gradient-norm penalty
-differentiable with respect to upstream inputs (a second-order replay).
+pass; it returns the adjoints rather than storing them on the tensors.
+Running it with ``create_graph=True`` records the adjoint computation itself,
+which is what makes the gradient-norm penalty differentiable with respect to
+upstream inputs (a second-order replay).
+
+A forward computes its output and nothing else, so a ``no_grad`` pass or an
+op whose inputs need no gradient pays only for the output. State that only a
+VJP reads (a pooling mask, an activation's slope scale) is built inside the
+VJP on its first call and kept in the closure, because the second-order
+replay calls the same VJP twice (inner and outer pass). The VJP therefore
+reads the forward's inputs, which must not change before the reverse pass.
 """
 
 import contextlib
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
@@ -188,13 +195,31 @@ def sqrt(a):
 
 
 def leaky_relu(a, slope=0.01):
+    """``x * (1 if x > 0 else slope)`` for a slope in [0, 1]."""
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu slope must be in [0, 1], got {slope}")
     a = _wrap(a)
-    scale = np.where(a.data > 0, a.dtype.type(1), a.dtype.type(slope))
+    x = a.data
+    s = a.dtype.type(slope)
+    scale = None
 
     def vjp(g, need):
-        return (mul(g, Tensor(scale)),)
+        nonlocal scale
+        if scale is None:
+            # (1 - up) * s + up: the 1-or-slope select without a data-dependent
+            # branch, in place
+            up = (x > 0).astype(x.dtype)
+            sel = 1 - up
+            sel *= s
+            sel += up
+            scale = Tensor(sel)
+        return (mul(g, scale),)
 
-    return _from_op(a.data * scale, (a,), vjp)
+    # with a slope in [0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere;
+    # a slope that is 0 in the data type (relu, or one that underflows) masks
+    # instead, as max(inf, inf * 0) would be nan
+    out = x * (x > 0) if s == 0 else np.maximum(x, x * s)
+    return _from_op(out, (a,), vjp)
 
 
 def relu(a):
@@ -206,7 +231,10 @@ def sigmoid(a):
     # stable logistic: exp of the non-positive branch only
     x = a.data
     e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    d = 1 + e
+    # branch-free select of 1/d where x >= 0 and e/d elsewhere
+    m = (x >= 0).astype(x.dtype)
+    out_data = m * (1 / d) + (1 - m) * (e / d)
 
     def vjp(g, need):
         return (mul(g, mul(out, sub(_wrap(1.0, out), out))),)
@@ -389,8 +417,12 @@ def im2col(x, kh, kw, stride=1, pad=0):
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
     padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
     padded[:, :, pad:pad + H, pad:pad + W] = x.data
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_h, out_w = windows.shape[2:4]
+    out_h = (H + 2 * pad - kh) // stride + 1
+    out_w = (W + 2 * pad - kw) // stride + 1
+    # [B, C, out_h, out_w, kh, kw] window view straight from the strides
+    sB, sC, sH, sW = padded.strides
+    windows = np.ndarray((B, C, out_h, out_w, kh, kw), padded.dtype, buffer=padded,
+                         strides=(sB, sC, sH * stride, sW * stride, sH, sW))
     cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * out_h * out_w)
 
     def vjp(g, need):
@@ -444,7 +476,7 @@ def maxpool2d(x, k=2):
 
     The output is a running maximum over the k*k strided taps x[:, :, i::k, j::k].
     The gradient goes to the first tap, in (i, j) row-major order, that holds
-    the window's maximum.
+    the window's maximum; the VJP builds that first-hit mask once per node.
     """
     x = _wrap(x)
     B, C, H, W = x.data.shape
@@ -454,20 +486,23 @@ def maxpool2d(x, k=2):
     out_data = x.data[:, :, 0::k, 0::k].copy()
     for i, j in offsets[1:]:
         np.maximum(out_data, x.data[:, :, i::k, j::k], out=out_data)
-    mask = np.zeros_like(x.data)
-    free = np.ones(out_data.shape, dtype=bool)
-    for i, j in offsets:
-        hit = x.data[:, :, i::k, j::k] == out_data
-        hit &= free
-        mask[:, :, i::k, j::k] = hit
-        free ^= hit
-    mask_t = Tensor(mask)
+    mask = None
 
     def vjp(g, need):
+        nonlocal mask
+        if mask is None:
+            first = np.zeros_like(x.data)
+            free = np.ones(out_data.shape, dtype=bool)
+            for i, j in offsets:
+                hit = x.data[:, :, i::k, j::k] == out_data
+                hit &= free
+                first[:, :, i::k, j::k] = hit
+                free ^= hit
+            mask = Tensor(first)
         up = broadcast_to(reshape(g, (B, C, H // k, 1, W // k, 1)),
                           (B, C, H // k, k, W // k, k))
         up = reshape(up, (B, C, H, W))
-        return (mul(up, mask_t),)
+        return (mul(up, mask),)
 
     return _from_op(out_data, (x,), vjp)
 

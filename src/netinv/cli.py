@@ -30,16 +30,22 @@ def _build(cls, **fields):
         raise ConfigError(str(exc)) from exc
 
 
-def _synth_spec(cfg, family):
-    return _build(SynthSpec, family=family, classes=cfg["synth.classes"],
+def _synth_splits(cfg, family):
+    """-> (train, test) synthetic splits of ``family`` from the synth.* keys."""
+    classes = cfg["synth.classes"]
+    for key in ("synth.train", "synth.test"):
+        if cfg[key] < classes:
+            raise ConfigError(f"bad value for {key!r}: {cfg[key]} (must be >= "
+                              f"synth.classes = {classes}, one sample per class)")
+    spec = _build(SynthSpec, family=family, classes=classes,
                   size=cfg["synth.size"], noise=cfg["synth.noise"],
                   channels=cfg["synth.channels"], seed=derive_seed(cfg["seed"], "dataset"))
+    return synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
 
 
 def _load_datasets(cfg):
     if cfg["dataset"] == "synth":
-        return synth_dataset(_synth_spec(cfg, cfg["synth.family"]),
-                             cfg["synth.train"], cfg["synth.test"])
+        return _synth_splits(cfg, cfg["synth.family"])
     missing = [k for k in ("idx.train_images", "idx.train_labels",
                            "idx.test_images", "idx.test_labels") if not cfg[k]]
     if missing:
@@ -248,7 +254,7 @@ def cmd_evaluate(args):
     for pair in pairs:
         name, path = pair.split("=", 1)     # parse_config checked the form
         clf, meta = _load_classifier(path)
-        _, ds = synth_dataset(_synth_spec(cfg, name), cfg["synth.train"], cfg["synth.test"])
+        _, ds = _synth_splits(cfg, name)
         g = meta.get("garbage_class")
         id_classes = clf.spec.classes - (g is not None)
         problem = None

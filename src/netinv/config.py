@@ -99,6 +99,7 @@ MINIMUMS = {
     "ood.cycles": 0,                  # 0 = train the baseline classifier only
     "ood.epochs": 1,
     "ood.inv_steps": 1,
+    "ood.garbage_init": 1,            # the first cycle trains on a non-empty garbage class
     "idx.limit": 0,                   # 0 = no limit
     "ood.budget": 0,                  # 0 = one ID class's training count
     "synth.size": 1,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,11 @@ class TestIm2col:
         cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
         want = im2col_oracle(x, 3, 3, stride, pad)
         assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
+        # the same values laid out as a strided view and as an offset view
+        strided = np.swapaxes(np.swapaxes(x, 0, 1).copy(), 0, 1)
+        offset = np.concatenate([x[:1], x])[1:]
+        for view in (strided, offset):
+            assert ag.im2col(ag.Tensor(view), 3, 3, stride, pad).data.tobytes() == want.tobytes()
         y = rng.normal(size=cols.shape).astype(np.float32)
         img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
         want = col2im_oracle(y, x.shape, 3, 3, stride, pad)
@@ -422,6 +429,87 @@ class TestGradNormSq:
             ag.grad_norm_sq(ag.square(x), [])
 
 
+def where_leaky_relu(x, slope):
+    """The former data-dependent select: -> (output, VJP scale)."""
+    scale = np.where(x > 0, x.dtype.type(1), x.dtype.type(slope))
+    return x * scale, scale
+
+
+def where_sigmoid(x):
+    """The former three-exp select: -> (output, VJP scale)."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    return out, out * (1 - out)
+
+
+class TestActivations:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op, oracle", [
+        (lambda t: ag.leaky_relu(t, 0.1), lambda x: where_leaky_relu(x, 0.1)),
+        (ag.leaky_relu, lambda x: where_leaky_relu(x, 0.01)),
+        (ag.relu, lambda x: where_leaky_relu(x, 0.0)),
+        # 0 in float32, not in float64
+        (lambda t: ag.leaky_relu(t, 1e-50), lambda x: where_leaky_relu(x, 1e-50)),
+        (ag.sigmoid, where_sigmoid),
+    ], ids=["leaky_relu-0.1", "leaky_relu-default", "relu", "leaky_relu-1e-50", "sigmoid"])
+    def test_bit_equal_to_where_formula(self, op, oracle, dtype):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([
+            rng.normal(scale=8, size=500),
+            np.round(rng.normal(size=100)),     # ties at 0, including -0.0
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30,
+             88.0, -88.0, 745.0, -745.0]]).astype(dtype)
+        up = rng.normal(size=x.shape).astype(dtype)
+        with np.errstate(all="ignore"):
+            want_out, want_scale = oracle(x)
+            xt = ag.Tensor(x, requires_grad=True)
+            out = op(xt)
+            (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), [xt])
+            want_gx = up * want_scale
+        assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
+        assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_leaky_relu_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ContractError):
+            ag.leaky_relu(ag.Tensor(np.ones(3)), slope)
+
+
+class TestBackwardState:
+    @pytest.mark.parametrize("mode", ["no_grad", "constant_input"])
+    def test_maxpool_forward_allocates_only_its_output(self, mode):
+        x = np.random.default_rng(32).normal(size=(8, 16, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            if mode == "no_grad":
+                with ag.no_grad():
+                    ag.maxpool2d(ag.Tensor(x, requires_grad=True), 2)
+            else:
+                ag.maxpool2d(ag.Tensor(x), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes
+
+    def test_second_pass_reuses_vjp_state_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        x0 = np.round(rng.normal(size=(2, 3, 4, 4)) * 0.7).astype(np.float32)  # ties
+        w = ag.Tensor(rng.normal(size=(12, 1)).astype(np.float32), requires_grad=True)
+
+        def loss_of(x):
+            h = ag.maxpool2d(ag.leaky_relu(x, 0.1), 2)
+            return ag.sum_(ag.square(ag.matmul(ag.reshape(h, (2, 12)), w)))
+
+        x = ag.Tensor(x0, requires_grad=True)
+        loss = loss_of(x)
+        inner = ag.grad(loss, [x, w], create_graph=True)    # as in grad_norm_sq
+        outer = ag.grad(loss, [x, w])
+        x_fresh = ag.Tensor(x0, requires_grad=True)
+        fresh = ag.grad(loss_of(x_fresh), [x_fresh, w])
+        for a, b, c in zip(inner, outer, fresh):
+            assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
+
+
 class TestOps:
     def test_maxpool_forward_and_grad(self):
         rng = np.random.default_rng(9)
@@ -448,16 +536,6 @@ class TestOps:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, 3))
         check_grads(lambda t: ag.sum_(ag.sigmoid(t)), [x])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sigmoid_bit_equal_to_three_exp_formula(self, dtype):
-        x = np.concatenate([np.random.default_rng(13).normal(scale=8, size=500),
-                            [0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 745.0, -745.0]]).astype(dtype)
-        with np.errstate(over="ignore"):
-            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(dtype)
-            got = ag.sigmoid(ag.Tensor(x)).data
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_broadcast_add_grad(self):
         rng = np.random.default_rng(12)

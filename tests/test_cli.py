@@ -220,6 +220,40 @@ class TestRejectedRuns:
         assert err.startswith("config error:") and "Traceback" not in err
         assert [p.name for p in out.iterdir()] == ["resolved.conf"]
 
+    @pytest.mark.parametrize("command, text, key", [
+        pytest.param("train-classifier", "synth.train = 2\n", "synth.train",
+                     id="train-classifier"),
+        pytest.param("reconstruct", "synth.test = 2\n", "synth.test", id="reconstruct"),
+        pytest.param("ood", "synth.train = 2\n", "synth.train", id="ood"),
+        pytest.param("evaluate", "synth.test = 2\neval.pairs = bars={ckpt}\n", "synth.test",
+                     id="evaluate"),
+    ])
+    def test_split_below_class_count_exits_two_before_any_work(self, tmp_path, capsys,
+                                                               classifier_run, command,
+                                                               text, key):
+        conf = write_conf(tmp_path, FAST_INVERT + text.format(ckpt=classifier_run))
+        out = tmp_path / "x"
+        extra = ["--classifier", str(classifier_run)] if command == "reconstruct" else []
+        assert main([command, "--config", conf, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert "synth.classes = 3" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["resolved.conf"]
+
+    def test_split_sizes_are_not_checked_for_idx_data(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "dataset = idx\nsynth.train = 1\n")
+        assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "missing IDX paths" in err and "synth.train" not in err
+
+    def test_empty_garbage_seed_exits_two_at_parse_time(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, FAST_TRAIN + "ood.garbage_init = 0\n")
+        out = tmp_path / "x"
+        assert main(["ood", "--config", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'ood.garbage_init'" in err
+        assert not out.exists()
+
     def test_reconstruct_below_ssim_window_exits_two_before_training(self, tmp_path, capsys):
         conf = write_conf(tmp_path, FAST_TRAIN + "synth.size = 4\ntrain.epochs = 1\n")
         assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "c")]) == 0
