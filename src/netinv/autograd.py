@@ -75,7 +75,9 @@ def parameter(data, dtype=None):
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def _wrap(x, like=None):
+def as_tensor(x, like=None):
+    """``x`` itself if it is a Tensor, else a constant in ``like``'s dtype
+    (float32 without ``like``)."""
     if isinstance(x, Tensor):
         return x
     dtype = like.dtype if like is not None else DEFAULT_DTYPE
@@ -108,8 +110,8 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 def add(a, b):
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
+    a = as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = as_tensor(b, a)
 
     def vjp(g, need):
         ga = _unbroadcast(g, a.data.shape) if need[0] else None
@@ -120,8 +122,8 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
+    a = as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = as_tensor(b, a)
 
     def vjp(g, need):
         ga = _unbroadcast(g, a.data.shape) if need[0] else None
@@ -132,8 +134,8 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
+    a = as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = as_tensor(b, a)
 
     def vjp(g, need):
         ga = _unbroadcast(mul(g, b), a.data.shape) if need[0] else None
@@ -144,8 +146,8 @@ def mul(a, b):
 
 
 def div(a, b):
-    a = _wrap(a, b if isinstance(b, Tensor) else None)
-    b = _wrap(b, a)
+    a = as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = as_tensor(b, a)
 
     def vjp(g, need):
         ga = _unbroadcast(div(g, b), a.data.shape) if need[0] else None
@@ -158,7 +160,7 @@ def div(a, b):
 
 
 def neg(a):
-    a = _wrap(a)
+    a = as_tensor(a)
 
     def vjp(g, need):
         return (neg(g),)
@@ -167,11 +169,11 @@ def neg(a):
 
 
 def pow_const(a, k):
-    a = _wrap(a)
+    a = as_tensor(a)
     k = float(k)
 
     def vjp(g, need):
-        return (mul(g, mul(pow_const(a, k - 1.0), _wrap(k, a))),)
+        return (mul(g, mul(pow_const(a, k - 1.0), as_tensor(k, a))),)
 
     return _from_op(a.data ** k, (a,), vjp)
 
@@ -181,7 +183,7 @@ def square(a):
 
 
 def exp(a):
-    a = _wrap(a)
+    a = as_tensor(a)
 
     def vjp(g, need):
         return (mul(g, out),)
@@ -194,13 +196,13 @@ def sqrt(a):
     return pow_const(a, 0.5)
 
 
-def leaky_relu(a, slope=0.01):
-    """``x * (1 if x > 0 else slope)`` for a slope in [0, 1]."""
-    if not 0.0 <= slope <= 1.0:
-        raise ContractError(f"leaky_relu slope must be in [0, 1], got {slope}")
-    a = _wrap(a)
+def leaky_relu(a, slope):
+    """``x * (1 if x > 0 else slope)`` for a slope in (0, 1] in the input's dtype."""
+    a = as_tensor(a)
     x = a.data
     s = a.dtype.type(slope)
+    if not 0 < s <= 1:
+        raise ContractError(f"leaky_relu slope must be in (0, 1] in {a.dtype}, got {slope}")
     scale = None
 
     def vjp(g, need):
@@ -215,19 +217,12 @@ def leaky_relu(a, slope=0.01):
             scale = Tensor(sel)
         return (mul(g, scale),)
 
-    # with a slope in [0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere;
-    # a slope that is 0 in the data type (relu, or one that underflows) masks
-    # instead, as max(inf, inf * 0) would be nan
-    out = x * (x > 0) if s == 0 else np.maximum(x, x * s)
-    return _from_op(out, (a,), vjp)
-
-
-def relu(a):
-    return leaky_relu(a, slope=0.0)
+    # with a slope in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
+    return _from_op(np.maximum(x, x * s), (a,), vjp)
 
 
 def sigmoid(a):
-    a = _wrap(a)
+    a = as_tensor(a)
     # stable logistic: exp of the non-positive branch only
     x = a.data
     e = np.exp(-np.abs(x))
@@ -237,7 +232,7 @@ def sigmoid(a):
     out_data = m * (1 / d) + (1 - m) * (e / d)
 
     def vjp(g, need):
-        return (mul(g, mul(out, sub(_wrap(1.0, out), out))),)
+        return (mul(g, mul(out, sub(as_tensor(1.0, out), out))),)
 
     out = _from_op(out_data, (a,), vjp)
     return out
@@ -245,7 +240,7 @@ def sigmoid(a):
 
 def clamp01(a):
     """Clip to [0, 1] with pass-through gradient strictly inside the range."""
-    a = _wrap(a)
+    a = as_tensor(a)
     inside = ((a.data >= 0.0) & (a.data <= 1.0)).astype(a.dtype)
 
     def vjp(g, need):
@@ -256,7 +251,7 @@ def clamp01(a):
 
 def dropout(a, rate, rng, training=True):
     """Inverted dropout with an explicit RNG stream for reproducibility."""
-    a = _wrap(a)
+    a = as_tensor(a)
     if not training or rate == 0.0:
         return a
     if not 0.0 <= rate < 1.0:
@@ -269,7 +264,7 @@ def dropout(a, rate, rng, training=True):
 # shape manipulation
 
 def reshape(a, shape):
-    a = _wrap(a)
+    a = as_tensor(a)
     orig = a.data.shape
 
     def vjp(g, need):
@@ -279,7 +274,7 @@ def reshape(a, shape):
 
 
 def transpose(a, axes=None):
-    a = _wrap(a)
+    a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
 
@@ -290,7 +285,7 @@ def transpose(a, axes=None):
 
 
 def broadcast_to(a, shape):
-    a = _wrap(a)
+    a = as_tensor(a)
     orig = a.data.shape
 
     def vjp(g, need):
@@ -300,7 +295,7 @@ def broadcast_to(a, shape):
 
 
 def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -313,7 +308,7 @@ def concat(tensors, axis=0):
 
 
 def take_slice(a, axis, lo, hi):
-    a = _wrap(a)
+    a = as_tensor(a)
     orig = a.data.shape
     idx = tuple(slice(lo, hi) if d == axis else slice(None)
                 for d in range(a.data.ndim))
@@ -326,7 +321,7 @@ def take_slice(a, axis, lo, hi):
 
 def pad_slice(a, shape, axis, lo):
     """Embed ``a`` into zeros of ``shape`` starting at ``lo`` along ``axis``."""
-    a = _wrap(a)
+    a = as_tensor(a)
     hi = lo + a.data.shape[axis]
     idx = tuple(slice(lo, hi) if d == axis else slice(None)
                 for d in range(len(shape)))
@@ -343,7 +338,7 @@ def pad_slice(a, shape, axis, lo):
 # reductions
 
 def sum_(a, axis=None, keepdims=False):
-    a = _wrap(a)
+    a = as_tensor(a)
     orig = a.data.shape
     # accumulate in 64-bit, return in the input dtype
     out_data = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
@@ -364,13 +359,13 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def mean(a, axis=None, keepdims=False):
-    a = _wrap(a)
+    a = as_tensor(a)
     if axis is None:
         count = a.data.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return div(sum_(a, axis=axis, keepdims=keepdims), _wrap(float(count), a))
+    return div(sum_(a, axis=axis, keepdims=keepdims), as_tensor(float(count), a))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def _check_matmul(a, b):
 
 
 def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_tensor(a), as_tensor(b)
     _check_matmul(a, b)
 
     def vjp(g, need):
@@ -397,7 +392,7 @@ def matmul(a, b):
 
 def linear(x, w, b):
     """Affine layer ``x @ w + b`` as one node; same arithmetic as matmul then add."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w)
 
     def vjp(g, need):
@@ -411,7 +406,7 @@ def linear(x, w, b):
 
 def im2col(x, kh, kw, stride=1, pad=0):
     """Unfold [B,C,H,W] into [C*kh*kw, B*L] patch columns, ready for a kernel matmul."""
-    x = _wrap(x)
+    x = as_tensor(x)
     B, C, H, W = x.data.shape
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
@@ -437,7 +432,7 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
     One strided slice add per kernel offset (di, dj), in row-major order, so
     every pixel sums its contributions in that order.
     """
-    cols = _wrap(cols)
+    cols = as_tensor(cols)
     B, C, H, W = img_shape
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
@@ -457,7 +452,7 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
 
 def conv2d(x, kernel, stride=1, pad=0):
     """Cross-correlation of [B,C,H,W] with [F,C,kh,kw] kernels."""
-    x, kernel = _wrap(x), _wrap(kernel)
+    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.data.shape} and {kernel.data.shape}")
     B, C, H, W = x.data.shape
@@ -478,7 +473,7 @@ def maxpool2d(x, k=2):
     The gradient goes to the first tap, in (i, j) row-major order, that holds
     the window's maximum; the VJP builds that first-hit mask once per node.
     """
-    x = _wrap(x)
+    x = as_tensor(x)
     B, C, H, W = x.data.shape
     if H % k or W % k:
         raise ShapeError(f"maxpool2d needs H, W divisible by {k}, got {x.data.shape}")
@@ -518,7 +513,7 @@ def _shifted(logits, axis):
 
 def softmax(logits, axis=-1):
     """Row-stable softmax as one node; its VJP is ``out * (g - sum(g * out))``."""
-    logits = _wrap(logits)
+    logits = as_tensor(logits)
     _, e, s = _shifted(logits, axis)
 
     def vjp(g, need):
@@ -530,7 +525,7 @@ def softmax(logits, axis=-1):
 
 def log_softmax(logits, axis=-1):
     """Row-stable log-softmax as one node; its VJP is ``g - exp(out) * sum(g)``."""
-    logits = _wrap(logits)
+    logits = as_tensor(logits)
     z, _, s = _shifted(logits, axis)
 
     def vjp(g, need):

@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ManifestWriter, derive_seed, parse_config, write_resolved
-from .data import SynthSpec, load_idx, synth_dataset
+from .data import SynthSpec, load_idx, synth_dataset, synth_split
 from .errors import ConfigError, DivergenceError, DomainError, NetinvError
 from .inversion import InversionConfig, generate_samples, train_generator
 from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
-from .ood import OodCycleConfig, evaluate_grid, ood_training_cycle, threshold_report
+from .ood import OodCycleConfig, evaluate_grid, ood_training_cycle
 from .privacy import WINDOW, privacy_score
-from .reconstruction import ReconConfig
 from .serialize import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
 from .training import accuracy, train_classifier
 
@@ -30,22 +29,23 @@ def _build(cls, **fields):
         raise ConfigError(str(exc)) from exc
 
 
-def _synth_splits(cfg, family):
-    """-> (train, test) synthetic splits of ``family`` from the synth.* keys."""
+def _synth_spec(cfg, family, size_keys):
+    """Synthetic spec of ``family`` from the synth.* keys, once each split size
+    in ``size_keys`` is checked."""
     classes = cfg["synth.classes"]
-    for key in ("synth.train", "synth.test"):
+    for key in size_keys:
         if cfg[key] < classes:
             raise ConfigError(f"bad value for {key!r}: {cfg[key]} (must be >= "
                               f"synth.classes = {classes}, one sample per class)")
-    spec = _build(SynthSpec, family=family, classes=classes,
+    return _build(SynthSpec, family=family, classes=classes,
                   size=cfg["synth.size"], noise=cfg["synth.noise"],
                   channels=cfg["synth.channels"], seed=derive_seed(cfg["seed"], "dataset"))
-    return synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
 
 
 def _load_datasets(cfg):
     if cfg["dataset"] == "synth":
-        return _synth_splits(cfg, cfg["synth.family"])
+        spec = _synth_spec(cfg, cfg["synth.family"], ("synth.train", "synth.test"))
+        return synth_dataset(spec, cfg["synth.train"], cfg["synth.test"])
     missing = [k for k in ("idx.train_images", "idx.train_labels",
                            "idx.test_images", "idx.test_labels") if not cfg[k]]
     if missing:
@@ -79,9 +79,9 @@ def _generator_spec(cfg, out_shape, classes, cond_mode=None):
                   out_shape=tuple(out_shape))
 
 
-def _inversion_config(cfg, preset=InversionConfig, **fields):
+def _inversion_config(cfg, **fields):
     """Generator-training config from the inv.* keys; ``fields`` override them."""
-    return _build(preset, **{
+    return _build(InversionConfig, **{
         "alpha": cfg["inv.alpha"], "beta": cfg["inv.beta"], "gamma": cfg["inv.gamma"],
         "delta": cfg["inv.delta"], "batch_size": cfg["inv.batch"], "steps": cfg["inv.steps"],
         "lr": cfg["inv.lr"], "soften": cfg["inv.soften"],
@@ -170,7 +170,7 @@ def cmd_reconstruct(args):
                                     cond_mode=cfg["recon.cond_mode"]),
                     rng=np.random.default_rng(derive_seed(cfg["seed"], "generator-init")))
     rcfg = _inversion_config(
-        cfg, ReconConfig, gamma=cfg["recon.gamma"], steps=cfg["recon.steps"],
+        cfg, gamma=cfg["recon.gamma"], steps=cfg["recon.steps"],
         target_accuracy=None, alpha_pert=cfg["recon.alpha_pert"],
         beta_pert=cfg["recon.beta_pert"], eta_var=cfg["recon.eta_var"],
         eta_pix=cfg["recon.eta_pix"], eta_grad=cfg["recon.eta_grad"],
@@ -215,7 +215,7 @@ def cmd_ood(args):
     ocfg = OodCycleConfig(cycles=cfg["ood.cycles"], epochs_per_cycle=cfg["ood.epochs"],
                           batch_size=cfg["train.batch"], lr=cfg["train.lr"],
                           garbage_init=cfg["ood.garbage_init"],
-                          budget=cfg["ood.budget"] or None,
+                          budget=cfg["ood.budget"],
                           capacity_factor=cfg["ood.capacity_factor"],
                           inversion=_inversion_config(cfg, steps=cfg["ood.inv_steps"]),
                           seed=cfg["seed"])
@@ -254,7 +254,7 @@ def cmd_evaluate(args):
     for pair in pairs:
         name, path = pair.split("=", 1)     # parse_config checked the form
         clf, meta = _load_classifier(path)
-        _, ds = _synth_splits(cfg, name)
+        ds = synth_split(_synth_spec(cfg, name, ("synth.test",)), "test", cfg["synth.test"])
         g = meta.get("garbage_class")
         id_classes = clf.spec.classes - (g is not None)
         problem = None
@@ -270,20 +270,13 @@ def cmd_evaluate(args):
             raise ConfigError(f"eval.pairs entry {pair}: {problem}")
         models[name], datasets[name], garbage[name] = clf, ds, g
     manifest.start("evaluate")
-    row_names, col_names, matrix, probs = evaluate_grid(models, datasets, garbage)
+    row_names, col_names, matrix, reports = evaluate_grid(models, datasets, garbage)
     rows = [[rname] + list(matrix[i]) for i, rname in enumerate(row_names)]
     write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv")
     manifest.record(out / "matrix.csv")
-    thr_rows = []
-    for mname in models:
-        for oname in datasets:
-            if oname == mname or garbage[mname] is None:
-                continue
-            rep = threshold_report(probs[mname, mname], datasets[mname].labels,
-                                   probs[mname, oname])
-            thr_rows.append([mname, oname, rep.min_id_confidence,
-                             rep.max_ood_confidence, rep.gap,
-                             rep.n_ood_misrouted, int(rep.ood_all_routed)])
+    thr_rows = [[mname, oname, rep.min_id_confidence, rep.max_ood_confidence, rep.gap,
+                 rep.n_ood_misrouted, int(rep.ood_all_routed)]
+                for (mname, oname), rep in reports.items()]
     write_csv(thr_rows, ["model", "ood_dataset", "min_id_conf", "max_ood_conf",
                          "gap", "ood_misrouted", "all_routed"],
               out / "threshold.csv")
@@ -328,7 +321,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NetinvError as exc:

@@ -129,13 +129,7 @@ def _widths_ok(text):
         return False
 
 
-def _coerce(key, raw, default):
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"expected boolean for {key}")
+def _coerce(raw, default):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -163,7 +157,7 @@ def parse_config(path=None, overrides=None):
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
             try:
-                values[key] = _coerce(key, raw, DEFAULTS[key])
+                values[key] = _coerce(raw, DEFAULTS[key])
             except ValueError:
                 problems.append(f"line {lineno}: bad value for {key!r}: {raw!r}")
     for key, val in (overrides or {}).items():

@@ -113,16 +113,23 @@ def _generate(spec, count, rng):
     return images, labels.astype(np.int64)
 
 
+_SPLITS = ("train", "test")
+
+
+def synth_split(spec, split, count):
+    """One deterministic synthetic split ("train" or "test"), drawn from its
+    own RNG substream, so each split is the same whether or not the other is
+    built."""
+    if count < spec.classes:
+        raise DomainError(f"the {split} split needs at least one sample per class")
+    seq = np.random.SeedSequence(spec.seed, spawn_key=(_SPLITS.index(split),))
+    images, labels = _generate(spec, count, np.random.default_rng(seq))
+    return Dataset(images, labels, f"synth-{spec.family}{spec.classes}")
+
+
 def synth_dataset(spec, n_train, n_test):
-    """Deterministic synthetic splits drawn from disjoint RNG substreams."""
-    if n_train < spec.classes or n_test < spec.classes:
-        raise DomainError("each split needs at least one sample per class")
-    ss_train, ss_test = np.random.SeedSequence(spec.seed).spawn(2)
-    tr_img, tr_lab = _generate(spec, n_train, np.random.default_rng(ss_train))
-    te_img, te_lab = _generate(spec, n_test, np.random.default_rng(ss_test))
-    name = f"synth-{spec.family}{spec.classes}"
-    return (Dataset(tr_img, tr_lab, name),
-            Dataset(te_img, te_lab, name))
+    """-> (train, test) synthetic splits."""
+    return synth_split(spec, "train", n_train), synth_split(spec, "test", n_test)
 
 
 # ---------------------------------------------------------------------------

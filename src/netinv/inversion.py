@@ -71,7 +71,7 @@ def linf_perturb(images, eps_pert, rng):
     """Uniform noise in the L-infinity ball, then clamp to [0, 1]."""
     if eps_pert < 0:
         raise DomainError("perturbation radius must be nonnegative")
-    t = images if isinstance(images, ag.Tensor) else ag.Tensor(np.asarray(images, dtype=np.float32))
+    t = ag.as_tensor(images)
     base = ag.clamp01(t)
     if eps_pert == 0:
         return base
@@ -132,10 +132,9 @@ def _sample_batch(gen, classes, batch_size, rng, training):
     return labels, images
 
 
-def inversion_step(gen, clf, cfg, rng, opt=None):
-    """One generator update; the classifier must be frozen and stays bit-unchanged."""
-    if opt is None:
-        opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
+def inversion_step(gen, clf, cfg, rng, opt):
+    """One update of ``gen`` by ``opt``, an optimizer over its parameters; the
+    classifier must be frozen and stays bit-unchanged."""
     labels, images = _sample_batch(gen, list(range(clf.spec.classes)), cfg.batch_size, rng,
                                    training=True)
     total, breakdown = generator_loss(images, clf, labels, cfg, rng)

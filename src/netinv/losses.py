@@ -34,19 +34,14 @@ class LossBreakdown:
         return self
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ag.Tensor) else ag.Tensor(np.asarray(x, dtype=np.float32))
-
-
 def kl_loss(probs, target):
     """Mean over the batch of KL(target || probs), eps-floored inside logs.
 
     One node over ``probs``; the target is a constant, the value is
     accumulated in 64-bit and the VJP is ``g * (-target / B) / (probs + EPS)``.
     """
-    probs = _as_tensor(probs)
-    target = np.asarray(target if not isinstance(target, ag.Tensor) else target.data,
-                        dtype=np.float64)
+    probs = ag.as_tensor(probs)
+    target = np.asarray(target, dtype=np.float64)
     for name, rows in (("probs", probs.data), ("target", target)):
         sums = np.sum(rows, axis=-1)
         if np.any(np.abs(sums - 1.0) > 1e-3):
@@ -70,7 +65,7 @@ def weighted_ce_loss(logits, labels, class_weights=None):
     is ``g * (softmax(logits) * w_row / B - onehot * w_row / B)``, with
     ``w_row`` the weight of each row's label.
     """
-    logits = _as_tensor(logits)
+    logits = ag.as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     B, m = logits.shape
     if labels.min() < 0 or labels.max() >= m:
@@ -94,7 +89,7 @@ def weighted_ce_loss(logits, labels, class_weights=None):
 
 def feature_gram(features):
     """Gram matrix [B, B] of the row-normalized features: pairwise cosines."""
-    features = _as_tensor(features)
+    features = ag.as_tensor(features)
     norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
     n = ag.div(features, norms)
     return ag.matmul(n, ag.transpose(n))
@@ -122,7 +117,7 @@ def ortho_loss(gram):
 
 def tv_loss(images):
     """Mean squared adjacent-pixel difference, normalized per image pixel."""
-    images = _as_tensor(images)
+    images = ag.as_tensor(images)
     B, C, H, W = images.shape
     if H < 2 or W < 2:
         raise ContractError(f"tv loss needs H, W >= 2, got {images.shape}")
@@ -133,11 +128,10 @@ def tv_loss(images):
 
 
 def pixel_loss(images):
-    """Mean squared hinge outside [0, 1]: (max(0, x-1))^2 + (max(0, -x))^2."""
-    images = _as_tensor(images)
-    over = ag.relu(ag.sub(images, 1.0))
-    under = ag.relu(ag.neg(images))
-    return ag.mean(ag.add(ag.square(over), ag.square(under)))
+    """Mean squared hinge outside [0, 1]: (x - clamp01(x))^2, which is
+    (max(0, x-1))^2 + (max(0, -x))^2."""
+    images = ag.as_tensor(images)
+    return ag.mean(ag.square(ag.sub(images, ag.clamp01(images))))
 
 
 def compose_total(terms, weights, order):

@@ -121,7 +121,7 @@ class Classifier:
 
     def forward(self, batch):
         """-> (logits [B, m], penultimate features [B, d]) from one pass."""
-        x = batch if isinstance(batch, ag.Tensor) else ag.Tensor(np.asarray(batch, dtype=np.float32))
+        x = ag.as_tensor(batch)
         B = x.shape[0]
         if tuple(x.shape[1:]) != tuple(self.spec.in_shape):
             raise ShapeError(f"input shape {tuple(x.shape[1:])} does not match "
@@ -190,7 +190,7 @@ class Generator:
             raise ContractError("generator forward requires an explicit training flag")
         if training and rng is None:
             raise ContractError("training-mode generation requires an RNG stream for dropout")
-        z = z if isinstance(z, ag.Tensor) else ag.Tensor(np.asarray(z, dtype=np.float32))
+        z = ag.as_tensor(z)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.shape[0],):
             raise ShapeError(f"batch mismatch: {z.shape[0]} latents vs labels of shape {labels.shape}")

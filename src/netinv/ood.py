@@ -158,7 +158,7 @@ class OodCycleConfig:
     batch_size: int = 64
     lr: float = 1e-3
     garbage_init: int = 100
-    budget: int = None              # None -> one ID class's training count
+    budget: int = 0                 # 0 -> one ID class's training count
     capacity_factor: int = 4
     inversion: InversionConfig = field(default_factory=InversionConfig)
     seed: int = 0
@@ -173,7 +173,7 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
         raise ContractError(f"ID labels must lie in [0, {n}) for an {n1}-class model")
     rng = rng or np.random.default_rng(cfg.seed)
     garbage_idx = n
-    budget = cfg.budget if cfg.budget is not None else max(1, len(id_train) // n)
+    budget = cfg.budget or max(1, len(id_train) // n)
     capacity = cfg.capacity_factor * len(id_train)
     garbage = init_garbage(cfg.garbage_init, id_train.image_shape, rng,
                            capacity=capacity)
@@ -231,10 +231,12 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
 
 def evaluate_grid(models, datasets, garbage):
     """ID accuracy on the diagonal, garbage-routing rate off it; -> (row names,
-    column names, matrix, probs[model, dataset] of the one pass behind each cell).
+    column names, matrix, threshold reports[model, dataset]).
 
     ``garbage`` maps each model name to its garbage class, or to None for a
-    model without one: its off-diagonal cells are NaN, with no pass behind them.
+    model without one: its off-diagonal cells are NaN, with no pass behind
+    them. Each other off-diagonal cell gets a ``ThresholdReport``, in row
+    order, from the same passes as the matrix.
     """
     names = list(models.keys())
     for name in names:
@@ -242,18 +244,20 @@ def evaluate_grid(models, datasets, garbage):
             raise ConfigError(f"no dataset named {name!r} for the model trained on it")
     matrix = np.zeros((len(names), len(datasets)))
     col_names = list(datasets.keys())
-    probs = {}
+    reports = {}
     for i, mname in enumerate(names):
         clf = models[mname]
+        probs = {}
         for j, dname in enumerate(col_names):
             if mname != dname and garbage[mname] is None:
                 matrix[i, j] = math.nan
                 continue
             ds = datasets[dname]
-            probs[mname, dname] = predict_probs(clf, ds.images)
-            pred = probs[mname, dname].argmax(axis=1)
-            if mname == dname:
-                matrix[i, j] = float((pred == ds.labels).mean())
-            else:
-                matrix[i, j] = float((pred == garbage[mname]).mean())
-    return names, col_names, matrix, probs
+            probs[dname] = predict_probs(clf, ds.images)
+            want = ds.labels if mname == dname else garbage[mname]
+            matrix[i, j] = float((probs[dname].argmax(axis=1) == want).mean())
+        for dname, ood_probs in probs.items():
+            if dname != mname:
+                reports[mname, dname] = threshold_report(
+                    probs[mname], datasets[mname].labels, ood_probs)
+    return names, col_names, matrix, reports

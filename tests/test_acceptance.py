@@ -60,7 +60,7 @@ def _graph_mlp(rng):
     coeff = ag.Tensor(rng.standard_normal((2, 3)))
 
     def forward():
-        h = ag.leaky_relu(ag.add(ag.matmul(x, w1), b1))
+        h = ag.leaky_relu(ag.add(ag.matmul(x, w1), b1), 0.01)
         return ag.sum_(ag.mul(ag.log_softmax(ag.matmul(h, w2)), coeff))
 
     return forward, [x, w1, b1, w2]
@@ -80,7 +80,7 @@ def _graph_cnn(rng):
 def _graph_chain(rng):
     x = ag.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     c = ag.Tensor(rng.standard_normal((3, 4)))
-    ops = [ag.square, ag.sigmoid, ag.leaky_relu,
+    ops = [ag.square, ag.sigmoid, lambda t: ag.leaky_relu(t, 0.01),
            lambda t: ag.exp(ag.mul(t, 0.3)),
            lambda t: ag.mul(t, c), lambda t: ag.add(t, c)]
     picks = [ops[i] for i in rng.integers(0, len(ops), size=int(rng.integers(3, 6)))]
@@ -115,7 +115,7 @@ def test_c1_autodiff_matches_finite_differences():
     c = ag.Tensor(rng.standard_normal((3, 3)))
 
     def gns():
-        out = ag.sum_(ag.mul(ag.leaky_relu(ag.matmul(x, w)), c))
+        out = ag.sum_(ag.mul(ag.leaky_relu(ag.matmul(x, w), 0.01), c))
         return ag.grad_norm_sq(out, [w])
 
     g2_ad = ag.grad(gns(), [x])[0].data

@@ -442,16 +442,23 @@ def where_sigmoid(x):
     return out, out * (1 - out)
 
 
+def _leaky(slope):
+    return (lambda t: ag.leaky_relu(t, slope)), (lambda x: where_leaky_relu(x, slope))
+
+
+BOTH = (np.float32, np.float64)
+
+
 class TestActivations:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("op, oracle", [
-        (lambda t: ag.leaky_relu(t, 0.1), lambda x: where_leaky_relu(x, 0.1)),
-        (ag.leaky_relu, lambda x: where_leaky_relu(x, 0.01)),
-        (ag.relu, lambda x: where_leaky_relu(x, 0.0)),
-        # 0 in float32, not in float64
-        (lambda t: ag.leaky_relu(t, 1e-50), lambda x: where_leaky_relu(x, 1e-50)),
-        (ag.sigmoid, where_sigmoid),
-    ], ids=["leaky_relu-0.1", "leaky_relu-default", "relu", "leaky_relu-1e-50", "sigmoid"])
+    @pytest.mark.parametrize("op, oracle, dtype", [
+        pytest.param(op, oracle, dtype, id=f"{name}-{np.dtype(dtype).name}")
+        for name, (op, oracle), dtypes in [
+            ("leaky_relu-0.1", _leaky(0.1), BOTH),
+            ("leaky_relu-0.01", _leaky(0.01), BOTH),
+            # 0 in float32, where it is rejected; not 0 in float64
+            ("leaky_relu-1e-50", _leaky(1e-50), (np.float64,)),
+            ("sigmoid", (ag.sigmoid, where_sigmoid), BOTH),
+        ] for dtype in dtypes])
     def test_bit_equal_to_where_formula(self, op, oracle, dtype):
         rng = np.random.default_rng(13)
         x = np.concatenate([
@@ -469,10 +476,11 @@ class TestActivations:
         assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
 
-    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    # 1e-50 is 0 in float32
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), 0.0, 1e-50])
     def test_leaky_relu_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ContractError):
-            ag.leaky_relu(ag.Tensor(np.ones(3)), slope)
+            ag.leaky_relu(ag.Tensor(np.ones(3, dtype=np.float32)), slope)
 
 
 class TestBackwardState:

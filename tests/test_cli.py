@@ -3,7 +3,6 @@ import re
 import struct
 import warnings
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,13 +56,68 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/run.conf")
 
-    def test_every_key_is_read_by_the_cli(self):
-        source = Path(cli.__file__).read_text()
-        assert [k for k in DEFAULTS if f'"{k}"' not in source] == []
+    def test_every_key_is_read_by_the_cli(self, tmp_path, monkeypatch):
+        """The keys the subcommand runs read, taken together, are every key."""
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        prepare = cli._prepare
+
+        def recording_prepare(args):
+            cfg, out, manifest = prepare(args)
+            return Recording(cfg), out, manifest
+
+        monkeypatch.setattr(cli, "_prepare", recording_prepare)
+        conf = write_conf(tmp_path, TINY_RUN)
+        ckpt = str(tmp_path / "clf" / "classifier.ninv")
+        runs = [["train-classifier"], ["invert", "--classifier", ckpt],
+                ["reconstruct", "--classifier", ckpt], ["ood"]]
+        for i, (command, *extra) in enumerate(runs):
+            out = str(tmp_path / ("clf" if i == 0 else command))
+            assert main([command, "--config", conf, "--out", out, *extra]) == 0
+        conf = write_conf(tmp_path, TINY_RUN + f"eval.pairs = bars={ckpt}\n", name="eval.conf")
+        assert main(["evaluate", "--config", conf, "--out", str(tmp_path / "eval")]) == 0
+        conf = write_conf(tmp_path, TINY_RUN + write_idx(tmp_path), name="idx.conf")
+        assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "idx")]) == 0
+        assert read == set(DEFAULTS)
 
     def test_phase_seeds_differ(self):
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert derive_seed(0, "a") == derive_seed(0, "a")
+
+
+TINY_RUN = """
+synth.train = 30
+synth.test = 15
+train.epochs = 1
+inv.batch = 4
+inv.steps = 2
+inv.eval_every = 2
+inv.eval_samples = 4
+recon.steps = 2
+recon.samples = 2
+ood.cycles = 1
+ood.epochs = 1
+ood.inv_steps = 2
+ood.garbage_init = 3
+"""
+
+
+def write_idx(tmp_path, n=6, size=12):
+    """Tiny IDX image and label files for both splits; -> their config lines."""
+    rng = np.random.default_rng(0)
+    lines = "dataset = idx\nidx.limit = 5\n"
+    for split in ("train", "test"):
+        images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, n, size, size)
+                           + rng.integers(0, 256, n * size * size, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+        lines += f"idx.{split}_images = {images}\nidx.{split}_labels = {labels}\n"
+    return lines
 
 
 FAST_TRAIN = """
@@ -119,6 +173,16 @@ def classifier_run(tmp_path_factory):
     out = tmp / "run"
     assert main(["train-classifier", "--config", conf, "--out", str(out)]) == 0
     return out / "classifier.ninv"
+
+
+@pytest.fixture(scope="module")
+def ood_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ood")
+    conf = write_conf(tmp, FAST_TRAIN + "ood.cycles = 0\nood.epochs = 5\n"
+                      "ood.garbage_init = 40\n")
+    out = tmp / "run"
+    assert main(["ood", "--config", conf, "--out", str(out)]) == 0
+    return out / "ood_classifier.ninv"
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +304,23 @@ class TestRejectedRuns:
         assert "synth.classes = 3" in err and "Traceback" not in err
         assert [p.name for p in out.iterdir()] == ["resolved.conf"]
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["invert", "--config", "{conf}", "--out", "{out}", "--classifier", "{dir}"],
+                     id="invert-classifier-directory"),
+        pytest.param(["train-classifier", "--config", "{dir}", "--out", "{out}"],
+                     id="train-classifier-config-directory"),
+        pytest.param(["train-classifier", "--config", "{conf}", "--out", "{file}"],
+                     id="train-classifier-out-existing-file"),
+    ])
+    def test_os_error_exits_two_without_traceback(self, tmp_path, capsys, argv):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        paths = {"conf": write_conf(tmp_path, FAST_INVERT), "out": tmp_path / "x",
+                 "dir": tmp_path / "dir", "file": tmp_path / "file"}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_split_sizes_are_not_checked_for_idx_data(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "dataset = idx\nsynth.train = 1\n")
         assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "x")]) == 2
@@ -348,14 +429,9 @@ class TestEvaluate:
         assert thr_lines == ["model,ood_dataset,min_id_conf,max_ood_conf,gap,"
                              "ood_misrouted,all_routed"]
 
-    def test_garbage_class_from_ood_checkpoint(self, tmp_path, crosses_run):
-        conf_o = write_conf(tmp_path, FAST_TRAIN + "ood.cycles = 0\nood.epochs = 5\n"
-                            "ood.garbage_init = 40\n", name="ood.conf")
-        out_o = tmp_path / "ood"
-        assert main(["ood", "--config", conf_o, "--out", str(out_o)]) == 0
-        ood_ckpt = out_o / "ood_classifier.ninv"
+    def test_garbage_class_from_ood_checkpoint(self, tmp_path, ood_run, crosses_run):
         conf = write_conf(tmp_path, FAST_TRAIN +
-                          f"eval.pairs = bars={ood_ckpt},crosses={crosses_run}\n")
+                          f"eval.pairs = bars={ood_run},crosses={crosses_run}\n")
         out = tmp_path / "eval"
         assert main(["evaluate", "--config", conf, "--out", str(out)]) == 0
         matrix_lines = (out / "matrix.csv").read_text().splitlines()
@@ -363,6 +439,17 @@ class TestEvaluate:
         assert matrix_lines[2].split(",")[1] == "nan"
         thr_lines = (out / "threshold.csv").read_text().splitlines()
         assert len(thr_lines) == 2 and thr_lines[1].startswith("bars,crosses,")
+
+    def test_train_split_size_does_not_gate_evaluate(self, tmp_path, ood_run, crosses_run):
+        pairs = f"eval.pairs = bars={ood_run},crosses={crosses_run}\n"
+        outs = []
+        for name, extra in (("default", ""), ("small", "synth.train = 2\n")):
+            conf = write_conf(tmp_path, FAST_TRAIN + extra + pairs, name=f"{name}.conf")
+            outs.append(tmp_path / name)
+            assert main(["evaluate", "--config", conf, "--out", str(outs[-1])]) == 0
+        for name in ("matrix.csv", "threshold.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len((outs[1] / "threshold.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("extra", ["synth.size = 16\n", "synth.channels = 3\n",
                                        "synth.classes = 4\n", "garbage_class"])

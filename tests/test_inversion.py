@@ -5,6 +5,7 @@ from netinv.errors import ContractError, DomainError
 from netinv.inversion import (InversionConfig, inversion_accuracy,
                               inversion_step, train_generator)
 from netinv.models import Generator, GeneratorSpec
+from netinv.optim import make_optimizer
 
 
 def small_gen(classes=3, seed=0):
@@ -12,12 +13,17 @@ def small_gen(classes=3, seed=0):
                      rng=np.random.default_rng(seed))
 
 
+def step(gen, clf, cfg, rng):
+    return inversion_step(gen, clf, cfg, rng,
+                          make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr))
+
+
 class TestInversionStep:
     def test_requires_frozen_classifier(self, trained_mlp):
         trained_mlp.frozen = False
         gen = small_gen()
         with pytest.raises(ContractError):
-            inversion_step(gen, trained_mlp, InversionConfig(), np.random.default_rng(0))
+            step(gen, trained_mlp, InversionConfig(), np.random.default_rng(0))
         trained_mlp.freeze()
 
     def test_zero_weights_leave_parameters_unchanged(self, trained_mlp):
@@ -25,7 +31,7 @@ class TestInversionStep:
         gen = small_gen()
         before = [p.data.copy() for p in gen.parameters()]
         cfg = InversionConfig(alpha=0, beta=0, gamma=0, delta=0)
-        breakdown = inversion_step(gen, trained_mlp, cfg, np.random.default_rng(1))
+        breakdown = step(gen, trained_mlp, cfg, np.random.default_rng(1))
         assert breakdown.total == 0.0
         for p, b in zip(gen.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
@@ -36,14 +42,13 @@ class TestInversionStep:
         before = [p.data.copy() for p in trained_mlp.parameters()]
         cfg = InversionConfig(steps=1)
         for _ in range(5):
-            inversion_step(gen, trained_mlp, cfg, np.random.default_rng(2))
+            step(gen, trained_mlp, cfg, np.random.default_rng(2))
         for p, b in zip(trained_mlp.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
 
     def test_breakdown_total_is_weighted_sum(self, trained_mlp):
         trained_mlp.freeze()
-        breakdown = inversion_step(small_gen(), trained_mlp,
-                                   InversionConfig(), np.random.default_rng(3))
+        breakdown = step(small_gen(), trained_mlp, InversionConfig(), np.random.default_rng(3))
         breakdown.check()          # raises on violation
 
     def test_batch_size_one_rejected(self):

@@ -173,6 +173,36 @@ class TestPixel:
         want = np.mean(np.maximum(0, x - 1) ** 2 + np.maximum(0, -x) ** 2)
         assert pixel_loss(ag.Tensor(x)).item() == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("special", [None, np.inf, -np.inf, np.nan])
+    def test_bit_equal_to_former_hinge(self, dtype, special):
+        """Against mean(relu(x - 1)^2 + relu(-x)^2) and its gradient in numpy,
+        reduced as ``ag.mean`` reduces: a 64-bit sum, then one division."""
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(-2, 3, 300),
+                            np.round(rng.uniform(-1, 2, 100)),    # ties at 0 and 1
+                            [0.0, -0.0, 1.0, -1e-30, 1 + 1e-7]]).astype(dtype)
+        if special is not None:
+            x[7] = special
+        over, under = np.maximum(x - 1, 0), np.maximum(-x, 0)
+        n = dtype(x.size)
+        want = np.asarray(np.sum(over * over + under * under, dtype=np.float64), dtype) / n
+        g = dtype(1) / n
+        want_gx = (g * over + g * over) - (g * under + g * under)
+        xt = ag.Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            loss = pixel_loss(xt)
+            (gx,) = ag.grad(loss, [xt])
+        assert loss.data.dtype == dtype and gx.data.dtype == dtype
+        if special is None or np.isinf(special):
+            assert loss.data.tobytes() == want.tobytes()
+        else:
+            assert np.isnan(loss.item()) and np.isnan(want)
+        finite = ~np.isinf(x)
+        assert np.array_equal(gx.data[finite], want_gx[finite], equal_nan=True)
+        # at +-inf the clamp path adds -(inf) * 0
+        assert np.isnan(gx.data[~finite]).all()
+
 
 class TestBreakdown:
     def test_consistent(self):

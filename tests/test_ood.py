@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,13 +286,16 @@ class TestEvaluateGrid:
         clf.params["b2"].data[0, 3] = 50.0
         spec2 = SynthSpec(family="crosses", classes=3, size=12, noise=0.1, seed=17)
         _, other = synth_dataset(spec2, 30, 30)
-        names, cols, matrix, probs = evaluate_grid({"bars": clf},
-                                                   {"bars": test, "crosses": other},
-                                                   {"bars": 3})
+        names, cols, matrix, reports = evaluate_grid({"bars": clf},
+                                                     {"bars": test, "crosses": other},
+                                                     {"bars": 3})
         assert matrix[0, cols.index("bars")] == 0.0
         assert matrix[0, cols.index("crosses")] == 1.0
-        assert sorted(probs) == [("bars", "bars"), ("bars", "crosses")]
-        assert probs["bars", "crosses"].shape == (30, 4)
+        # every ID image is misclassified and every OOD image routed
+        assert list(reports) == [("bars", "crosses")]
+        rep = reports["bars", "crosses"]
+        assert math.isnan(rep.min_id_confidence) and rep.ood_all_routed
+        assert rep.n_ood_misrouted == 0 and rep.gap == math.inf
 
     def test_missing_pairing(self, small_id_data):
         _, test = small_id_data
