@@ -15,9 +15,18 @@ VJP reads (a pooling mask, an activation's slope scale) is built inside the
 VJP on its first call and kept in the closure, because the second-order
 replay calls the same VJP twice (inner and outer pass). The VJP therefore
 reads the forward's inputs, which must not change before the reverse pass.
+
+A VJP never closes over its own output. An op whose VJP reads its output
+(``exp``, ``sigmoid``, ``softmax``, ``log_softmax``) holds it through a weak
+reference: ``grad`` keeps every node it visits alive while it runs the VJPs,
+and the adjoint nodes a second-order replay records take the output as a
+strong input. A closure that held the output would make the cycle
+``out -> _op -> vjp -> out``, and each step's tape, every intermediate array
+included, would outlive the step until Python's cyclic collector ran.
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -44,7 +53,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_op")
+    __slots__ = ("data", "requires_grad", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -186,9 +195,10 @@ def exp(a):
     a = as_tensor(a)
 
     def vjp(g, need):
-        return (mul(g, out),)
+        return (mul(g, out_ref()),)
 
     out = _from_op(np.exp(a.data), (a,), vjp)
+    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
     return out
 
 
@@ -232,9 +242,11 @@ def sigmoid(a):
     out_data = m * (1 / d) + (1 - m) * (e / d)
 
     def vjp(g, need):
+        out = out_ref()
         return (mul(g, mul(out, sub(as_tensor(1.0, out), out))),)
 
     out = _from_op(out_data, (a,), vjp)
+    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
     return out
 
 
@@ -517,9 +529,11 @@ def softmax(logits, axis=-1):
     _, e, s = _shifted(logits, axis)
 
     def vjp(g, need):
+        out = out_ref()
         return (mul(out, sub(g, sum_(mul(g, out), axis=axis, keepdims=True))),)
 
     out = _from_op(e / s, (logits,), vjp)
+    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
     return out
 
 
@@ -529,9 +543,10 @@ def log_softmax(logits, axis=-1):
     z, _, s = _shifted(logits, axis)
 
     def vjp(g, need):
-        return (sub(g, mul(exp(out), sum_(g, axis=axis, keepdims=True))),)
+        return (sub(g, mul(exp(out_ref()), sum_(g, axis=axis, keepdims=True))),)
 
     out = _from_op(z - np.log(s), (logits,), vjp)
+    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
     return out
 
 

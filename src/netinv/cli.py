@@ -151,7 +151,11 @@ def cmd_invert(args):
     ckpt = out / "generator.ninv"
     save_checkpoint(gen, ckpt, seed=cfg["seed"], meta={"inversion_accuracy": final_acc})
     manifest.record(ckpt)
-    manifest.write(extra={"inversion_accuracy": final_acc})
+    manifest.write(extra={
+        "inversion_accuracy": final_acc,
+        "stop_reason": "target" if final_acc >= inv_cfg.target_accuracy else "budget",
+        "steps_run": len(history),
+    })
     return EXIT_OK
 
 
@@ -203,6 +207,11 @@ def cmd_ood(args):
     cfg, out, manifest = _prepare(args)
     train, test = _load_datasets(cfg)
     n = train.n_classes
+    if cfg["ood.capacity_factor"] * len(train) <= cfg["ood.garbage_init"]:
+        raise ConfigError(
+            f"bad value for 'ood.capacity_factor': {cfg['ood.capacity_factor']} (times "
+            f"{len(train)} training images it must exceed 'ood.garbage_init' = "
+            f"{cfg['ood.garbage_init']}, or every inverted sample is evicted on arrival)")
     manifest.start("ood")
     clf = Classifier(_classifier_spec(cfg, train.image_shape, n + 1),
                      rng=np.random.default_rng(derive_seed(cfg["seed"], "classifier-init")))

@@ -102,6 +102,7 @@ MINIMUMS = {
     "ood.garbage_init": 1,            # the first cycle trains on a non-empty garbage class
     "idx.limit": 0,                   # 0 = no limit
     "ood.budget": 0,                  # 0 = one ID class's training count
+    "ood.capacity_factor": 1,         # 0 would evict every inverted sample
     "synth.size": 1,
     "synth.classes": 2,
     "gen.z_dim": 1,

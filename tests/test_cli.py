@@ -212,6 +212,20 @@ class TestInvert:
         for k in range(3):
             assert (out / f"samples_class{k}.pgm").exists()
 
+    @pytest.mark.parametrize("target, reason, steps_run",
+                             [(0.0, "target", 2), (2.0, "budget", 6)])
+    def test_manifest_records_why_inversion_stopped(self, tmp_path, classifier_run,
+                                                    target, reason, steps_run):
+        conf = write_conf(tmp_path, FAST_TRAIN + "inv.steps = 6\ninv.eval_every = 2\n"
+                          f"inv.eval_samples = 8\ninv.target_accuracy = {target}\n")
+        out = tmp_path / "inv"
+        assert main(["invert", "--config", conf, "--out", str(out),
+                     "--classifier", str(classifier_run)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["stop_reason"], manifest["steps_run"]) == (reason, steps_run)
+        rows = (out / "inversion_loss.csv").read_text().splitlines()[1:]
+        assert len(rows) == steps_run
+
     def test_diversity_terms_disabled(self, tmp_path, classifier_run):
         conf = write_conf(tmp_path, FAST_INVERT + "inv.gamma = 0\ninv.delta = 0\n")
         out = tmp_path / "inv0"
@@ -334,6 +348,21 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'ood.garbage_init'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("factor, init", [(0, 40), (1, 200)],
+                             ids=["zero-factor", "capacity-equals-garbage-init"])
+    def test_garbage_capacity_no_inverted_sample_survives_exits_two(self, tmp_path, capsys,
+                                                                   factor, init):
+        # synth.train = 200: a capacity of at most garbage_init evicts every
+        # inverted sample as soon as it is added
+        conf = write_conf(tmp_path, FAST_TRAIN + f"ood.capacity_factor = {factor}\n"
+                          f"ood.garbage_init = {init}\n")
+        out = tmp_path / "x"
+        assert main(["ood", "--config", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'ood.capacity_factor'" in err
+        assert factor == 0 or "'ood.garbage_init'" in err
+        assert not list(out.glob("inverted_cycle*")) and not (out / "cycles.csv").exists()
 
     def test_reconstruct_below_ssim_window_exits_two_before_training(self, tmp_path, capsys):
         conf = write_conf(tmp_path, FAST_TRAIN + "synth.size = 4\ntrain.epochs = 1\n")

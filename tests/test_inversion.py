@@ -1,11 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
 from netinv.errors import ContractError, DomainError
 from netinv.inversion import (InversionConfig, inversion_accuracy,
                               inversion_step, train_generator)
-from netinv.models import Generator, GeneratorSpec
+from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.optim import make_optimizer
+from netinv.reconstruction import ReconConfig
+from netinv.training import train_classifier
 
 
 def small_gen(classes=3, seed=0):
@@ -112,3 +116,41 @@ class TestEndToEnd:
             finals.append(history[-1][1].total)
         assert np.median(finals) < np.median(initials)
 
+
+
+def cyclic_garbage(run):
+    """Objects only the cyclic collector can free after ``run()``, with the
+    collector off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestTapeFreedOnStepEnd:
+    """A step's tape must be freed by reference counting as soon as the step
+    ends: one reference cycle through a node keeps the whole tape, with every
+    intermediate array, alive until the cyclic collector runs."""
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("mlp", InversionConfig(batch_size=4)),
+        ("mlp", ReconConfig(batch_size=4)),     # runs the grad_norm_sq replay
+        ("cnn", ReconConfig(batch_size=4)),
+    ], ids=["mlp-inversion", "mlp-reconstruction", "cnn-reconstruction"])
+    def test_generator_step_leaves_no_cycles(self, kind, cfg):
+        clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0)).freeze()
+        gen = small_gen()
+        opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
+        rng = np.random.default_rng(1)
+        assert cyclic_garbage(lambda: inversion_step(gen, clf, cfg, rng, opt)) == 0
+
+    def test_classifier_minibatch_leaves_no_cycles(self):
+        clf = Classifier(ClassifierSpec(kind="mlp"), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        images = rng.random((8, 1, 12, 12)).astype(np.float32)
+        labels = np.arange(8) % 3
+        assert cyclic_garbage(lambda: train_classifier(
+            clf, images, labels, epochs=1, batch_size=8, rng=rng)) == 0
