@@ -23,6 +23,12 @@ and the adjoint nodes a second-order replay records take the output as a
 strong input. A closure that held the output would make the cycle
 ``out -> _op -> vjp -> out``, and each step's tape, every intermediate array
 included, would outlive the step until Python's cyclic collector ran.
+
+The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
+return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
+then touches contiguous runs of ``ow * B`` or ``B`` values instead of rows a
+few pixels long, and the kernel matmul's [F, oh*ow*B] output is already the
+next layer's image. Kernels stay [F, C, kh, kw].
 """
 
 import contextlib
@@ -417,44 +423,56 @@ def linear(x, w, b):
 
 
 def im2col(x, kh, kw, stride=1, pad=0):
-    """Unfold [B,C,H,W] into [C*kh*kw, B*L] patch columns, ready for a kernel matmul."""
+    """Unfold a [C, H, W, B] image into [C*kh*kw, oh*ow*B] patch columns.
+
+    The columns are ordered (y, x, b), batch innermost, which is the layout
+    the kernel matmul takes and returns. One strided view [C, kh, kw, oh, ow,
+    B] of the padded image is reshaped in one copy; at stride 1 that copy
+    moves contiguous runs of ow*B values.
+    """
     x = as_tensor(x)
-    B, C, H, W = x.data.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"im2col expects a 4-D [C, H, W, B] image, got {x.data.shape}")
+    C, H, W, B = x.data.shape
     if kh > H + 2 * pad or kw > W + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
-    padded[:, :, pad:pad + H, pad:pad + W] = x.data
+    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=x.dtype)
+    padded[:, pad:pad + H, pad:pad + W] = x.data
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
-    # [B, C, out_h, out_w, kh, kw] window view straight from the strides
-    sB, sC, sH, sW = padded.strides
-    windows = np.ndarray((B, C, out_h, out_w, kh, kw), padded.dtype, buffer=padded,
-                         strides=(sB, sC, sH * stride, sW * stride, sH, sW))
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * out_h * out_w)
+    sC, sH, sW, sB = padded.strides
+    windows = np.ndarray((C, kh, kw, out_h, out_w, B), padded.dtype, buffer=padded,
+                         strides=(sC, sH, sW, sH * stride, sW * stride, sB))
+    cols = windows.reshape(C * kh * kw, out_h * out_w * B)
 
     def vjp(g, need):
-        return (col2im(g, (B, C, H, W), kh, kw, stride, pad),)
+        return (col2im(g, (C, H, W, B), kh, kw, stride, pad),)
 
     return _from_op(cols, (x,), vjp)
 
 
 def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
-    """Adjoint of im2col: add [C*kh*kw, B*L] patch columns back into an image.
+    """Adjoint of im2col: add [C*kh*kw, oh*ow*B] patch columns back into a
+    [C, H, W, B] image.
 
     One strided slice add per kernel offset (di, dj), in row-major order, so
     every pixel sums its contributions in that order.
     """
     cols = as_tensor(cols)
-    B, C, H, W = img_shape
+    C, H, W, B = img_shape
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
-    patches = cols.data.reshape(C, kh, kw, B, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
-    padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
+    if cols.data.shape != (C * kh * kw, out_h * out_w * B):
+        raise ShapeError(f"col2im expects [C*kh*kw, oh*ow*B] = "
+                         f"{(C * kh * kw, out_h * out_w * B)} columns for a [C, H, W, B] "
+                         f"image {tuple(img_shape)}, got {cols.data.shape}")
+    patches = cols.data.reshape(C, kh, kw, out_h, out_w, B)
+    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=cols.dtype)
     for di in range(kh):
         for dj in range(kw):
-            padded[:, :, di:di + stride * out_h:stride,
-                   dj:dj + stride * out_w:stride] += patches[:, :, di, dj]
-    out = padded[:, :, pad:pad + H, pad:pad + W]
+            padded[:, di:di + stride * out_h:stride,
+                   dj:dj + stride * out_w:stride] += patches[:, di, dj]
+    out = padded[:, pad:pad + H, pad:pad + W]
 
     def vjp(g, need):
         return (im2col(g, kh, kw, stride, pad),)
@@ -463,36 +481,43 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
 
 
 def conv2d(x, kernel, stride=1, pad=0):
-    """Cross-correlation of [B,C,H,W] with [F,C,kh,kw] kernels."""
+    """Cross-correlation of a [C, H, W, B] image with [F, C, kh, kw] kernels
+    -> [F, oh, ow, B]: the kernel matmul's output, reshaped without a copy."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.data.shape} and {kernel.data.shape}")
-    B, C, H, W = x.data.shape
+        raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, kh, kw] kernel, "
+                         f"got {x.data.shape} and {kernel.data.shape}")
+    C, H, W, B = x.data.shape
     F, Ck, kh, kw = kernel.data.shape
     if Ck != C:
-        raise ShapeError(f"conv2d channel mismatch: input {x.data.shape}, kernel {kernel.data.shape}")
+        raise ShapeError(f"conv2d channel mismatch: [C, H, W, B] input {x.data.shape}, "
+                         f"[F, C, kh, kw] kernel {kernel.data.shape}")
     out_h = (H + 2 * pad - kh) // stride + 1
     out_w = (W + 2 * pad - kw) // stride + 1
-    cols = im2col(x, kh, kw, stride, pad)                   # [C*kh*kw, B*L]
-    out = matmul(reshape(kernel, (F, C * kh * kw)), cols)   # [F, B*L]
-    return transpose(reshape(out, (F, B, out_h, out_w)), (1, 0, 2, 3))
+    cols = im2col(x, kh, kw, stride, pad)                   # [C*kh*kw, oh*ow*B]
+    out = matmul(reshape(kernel, (F, C * kh * kw)), cols)   # [F, oh*ow*B]
+    return reshape(out, (F, out_h, out_w, B))
 
 
 def maxpool2d(x, k=2):
-    """Non-overlapping k x k max pooling; H and W must be divisible by k.
+    """Non-overlapping k x k max pooling of a [C, H, W, B] image; H and W must
+    be divisible by k.
 
-    The output is a running maximum over the k*k strided taps x[:, :, i::k, j::k].
+    The output is a running maximum over the k*k strided taps x[:, i::k, j::k].
     The gradient goes to the first tap, in (i, j) row-major order, that holds
     the window's maximum; the VJP builds that first-hit mask once per node.
     """
     x = as_tensor(x)
-    B, C, H, W = x.data.shape
+    if x.data.ndim != 4:
+        raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] image, got {x.data.shape}")
+    C, H, W, B = x.data.shape
     if H % k or W % k:
-        raise ShapeError(f"maxpool2d needs H, W divisible by {k}, got {x.data.shape}")
+        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by {k}, "
+                         f"got {x.data.shape}")
     offsets = [(i, j) for i in range(k) for j in range(k)]
-    out_data = x.data[:, :, 0::k, 0::k].copy()
+    out_data = x.data[:, 0::k, 0::k].copy()
     for i, j in offsets[1:]:
-        np.maximum(out_data, x.data[:, :, i::k, j::k], out=out_data)
+        np.maximum(out_data, x.data[:, i::k, j::k], out=out_data)
     mask = None
 
     def vjp(g, need):
@@ -501,14 +526,14 @@ def maxpool2d(x, k=2):
             first = np.zeros_like(x.data)
             free = np.ones(out_data.shape, dtype=bool)
             for i, j in offsets:
-                hit = x.data[:, :, i::k, j::k] == out_data
+                hit = x.data[:, i::k, j::k] == out_data
                 hit &= free
-                first[:, :, i::k, j::k] = hit
+                first[:, i::k, j::k] = hit
                 free ^= hit
             mask = Tensor(first)
-        up = broadcast_to(reshape(g, (B, C, H // k, 1, W // k, 1)),
-                          (B, C, H // k, k, W // k, k))
-        up = reshape(up, (B, C, H, W))
+        up = broadcast_to(reshape(g, (C, H // k, 1, W // k, 1, B)),
+                          (C, H // k, k, W // k, k, B))
+        up = reshape(up, (C, H, W, B))
         return (mul(up, mask),)
 
     return _from_op(out_data, (x,), vjp)

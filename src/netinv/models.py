@@ -136,12 +136,15 @@ class Classifier:
             logits = ag.linear(h, self.params[f"w{n_hidden}"],
                                self.params[f"b{n_hidden}"])
         else:
-            h = x
-            for i in range(len(self.spec.conv_channels)):
+            # the image ops run batch-innermost, [C, H, W, B]; the head
+            # flattens [B, C, H, W] as before, so checkpoints keep their logits
+            h = ag.transpose(x, (1, 2, 3, 0))
+            for i, F in enumerate(self.spec.conv_channels):
                 h = ag.conv2d(h, self.params[f"k{i}"], stride=1, pad=1)
-                h = ag.leaky_relu(ag.add(h, self.params[f"kb{i}"]), 0.1)
+                bias = ag.reshape(self.params[f"kb{i}"], (F, 1, 1, 1))
+                h = ag.leaky_relu(ag.add(h, bias), 0.1)
                 h = ag.maxpool2d(h, 2)
-            h = ag.reshape(h, (B, -1))
+            h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (B, -1))
             feats = ag.leaky_relu(ag.linear(h, self.params["wh"], self.params["bh"]), 0.1)
             logits = ag.linear(feats, self.params["wo"], self.params["bo"])
         return logits, feats

@@ -13,8 +13,8 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError, ContractError, DivergenceError, DomainError
 from .inversion import InversionConfig, generate_samples, train_generator
-from .training import (accuracy, logits_accuracy, predict_logits, predict_probs,
-                       train_classifier)
+from .training import (accuracy, check_finite, logits_accuracy, predict_logits,
+                       predict_probs, train_classifier)
 
 _WARMUP = 1     # cycles trained before ID accuracy must beat chance
 
@@ -97,9 +97,17 @@ class Prediction:
 
 
 def ood_predict(clf, image):
-    """Single-image prediction with garbage routing and uncertainty score."""
+    """Single-image prediction with garbage routing and uncertainty score.
+
+    One no-grad forward of the one row, and the softmax arithmetic on its
+    array: the same probabilities ``predict_probs`` gives for that row.
+    """
     image = np.asarray(image, dtype=np.float32)
-    probs = predict_probs(clf, image[None])[0].astype(np.float64)
+    with ag.no_grad():
+        logits, _ = clf.forward(ag.Tensor(image[None]))
+    check_finite(logits.data)
+    _, e, s = ag._shifted(logits, -1)
+    probs = (e / s)[0].astype(np.float64)
     probs = probs / probs.sum()
     k = int(np.argmax(probs))
     return Prediction(probs=probs, index=k,

@@ -49,6 +49,11 @@ def predict_logits(model, images):
     with ag.no_grad():
         logits = np.concatenate([model.forward(ag.Tensor(images[start:start + 256]))[0].data
                                  for start in range(0, len(images), 256)], axis=0)
+    return check_finite(logits)
+
+
+def check_finite(logits):
+    """``logits`` unchanged; ``DivergenceError`` when any of them is non-finite."""
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite classifier output")
     return logits

@@ -7,6 +7,7 @@ IDX files and skips itself when they are absent.
 """
 
 import filecmp
+import json
 import os
 from pathlib import Path
 
@@ -67,7 +68,8 @@ def _graph_mlp(rng):
 
 
 def _graph_cnn(rng):
-    x = ag.Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
+    # [C, H, W, B]: the batch-innermost layout of the image ops
+    x = ag.Tensor(rng.standard_normal((1, 2, 6, 6)).transpose(1, 2, 3, 0), requires_grad=True)
     k = ag.Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.5, requires_grad=True)
 
     def forward():
@@ -385,13 +387,21 @@ def _run(subcommand, conf, out, extra=()):
     assert rc == 0, f"{subcommand} exited {rc}"
 
 
-def _compare_trees(a, b):
-    names = sorted(p.name for p in Path(a).iterdir()
-                   if p.suffix in (".csv", ".pgm", ".ppm", ".ninv"))
+def _compare_runs(a, b):
+    """Every file of two run directories byte-identical; manifests compared
+    without their wall-clock timings."""
+    names = sorted(p.name for p in Path(a).iterdir())
     assert names, "no comparable outputs produced"
+    assert names == sorted(p.name for p in Path(b).iterdir())
     for name in names:
-        assert filecmp.cmp(Path(a) / name, Path(b) / name, shallow=False), \
-            f"{name} differs between identical runs"
+        if name == "manifest.json":
+            ma, mb = (json.loads((Path(d) / name).read_text()) for d in (a, b))
+            ma.pop("wall_clock_seconds")
+            mb.pop("wall_clock_seconds")
+            assert ma == mb, "manifest.json differs between identical runs"
+        else:
+            assert filecmp.cmp(Path(a) / name, Path(b) / name, shallow=False), \
+                f"{name} differs between identical runs"
     return names
 
 
@@ -415,14 +425,38 @@ def test_c7_persistence_and_determinism(tmp_path):
     t1, t2 = tmp_path / "t1", tmp_path / "t2"
     _run("train-classifier", conf, t1)
     _run("train-classifier", conf, t2)
-    names = _compare_trees(t1, t2)
+    names = _compare_runs(t1, t2)
     i1, i2 = tmp_path / "i1", tmp_path / "i2"
     ckpt = str(t1 / "classifier.ninv")
     _run("invert", conf, i1, ("--classifier", ckpt))
     _run("invert", conf, i2, ("--classifier", ckpt))
-    names += _compare_trees(i1, i2)
+    names += _compare_runs(i1, i2)
     print(f"PASS criterion 7: checkpoint round-trip bit-exact, CRC corruption "
           f"caught, {len(names)} repeated outputs byte-identical")
+
+
+_CNN_CONF = _SMALL_CONF + """
+model.kind = cnn
+recon.steps = 10
+recon.samples = 8
+"""
+
+
+def test_c7_cnn_determinism(tmp_path):
+    """The CNN path (batch-innermost image ops, grad-norm replay) repeats
+    byte for byte: train-classifier then reconstruct, twice."""
+    conf = tmp_path / "cnn.conf"
+    conf.write_text(_CNN_CONF)
+    names = []
+    for run in ("1", "2"):
+        _run("train-classifier", conf, tmp_path / f"t{run}")
+        _run("reconstruct", conf, tmp_path / f"r{run}",
+             ("--classifier", str(tmp_path / f"t{run}" / "classifier.ninv")))
+    names += _compare_runs(tmp_path / "t1", tmp_path / "t2")
+    names += _compare_runs(tmp_path / "r1", tmp_path / "r2")
+    assert {"classifier.ninv", "metrics.csv", "privacy.csv",
+            "reconstructions.pgm", "manifest.json"} <= set(names)
+    print(f"PASS criterion 7 (cnn): {len(names)} repeated outputs identical")
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,32 @@ class TestMatmul:
                       ag.Tensor(np.zeros((1, 2))))
 
 
+def chwn(x):
+    """[B, C, H, W] -> the [C, H, W, B] layout of the image ops."""
+    return x.transpose(1, 2, 3, 0)
+
+
+def b_inner(cols, B):
+    """[R, B*L] columns ordered (b, l) -> [R, L*B] ordered (l, b)."""
+    R = cols.shape[0]
+    return cols.reshape(R, B, -1).transpose(0, 2, 1).reshape(R, -1)
+
+
+def b_outer(cols, B):
+    """Inverse of ``b_inner``."""
+    R = cols.shape[0]
+    return cols.reshape(R, -1, B).transpose(0, 2, 1).reshape(R, -1)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 1, 3, 3))
+        x = chwn(rng.normal(size=(1, 1, 3, 3)))
         k = np.ones((1, 1, 1, 1))
         np.testing.assert_allclose(ag.conv2d(ag.Tensor(x), ag.Tensor(k)).data, x)
 
     def test_sum_kernel(self):
-        x = np.ones((1, 1, 3, 3))
+        x = chwn(np.ones((1, 1, 3, 3)))
         k = np.ones((1, 1, 3, 3))
         out = ag.conv2d(ag.Tensor(x), ag.Tensor(k)).data
         assert out.shape == (1, 1, 1, 1)
@@ -122,16 +139,16 @@ class TestConv2d:
                             for u in range(3):
                                 for v in range(3):
                                     want[b, f, i, j] += xp[b, c, i * stride + u, j * stride + v] * k[f, c, u, v]
-        got = ag.conv2d(ag.Tensor(x), ag.Tensor(k), stride=stride, pad=pad).data
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        got = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(k), stride=stride, pad=pad).data
+        np.testing.assert_allclose(got, chwn(want), atol=1e-10)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            ag.conv2d(ag.Tensor(np.zeros((1, 1, 3, 3))), ag.Tensor(np.zeros((1, 1, 5, 5))))
+            ag.conv2d(ag.Tensor(chwn(np.zeros((1, 1, 3, 3)))), ag.Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 2, 5, 5))
+        x = chwn(rng.normal(size=(2, 2, 5, 5)))
         k = rng.normal(size=(3, 2, 3, 3))
         check_grads(lambda a, b: ag.sum_(ag.square(ag.conv2d(a, b, stride=1, pad=1))),
                     [x, k], rtol=1e-4, atol=1e-6)
@@ -175,23 +192,35 @@ class TestIm2col:
     def test_bit_equal_to_index_oracle(self, stride, pad, C, H, W):
         rng = np.random.default_rng(stride * 1000 + pad * 100 + C * 10 + W)
         x = rng.normal(size=(2, C, H, W)).astype(np.float32)
-        cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
-        want = im2col_oracle(x, 3, 3, stride, pad)
+        xc = np.ascontiguousarray(chwn(x))
+        cols = ag.im2col(ag.Tensor(xc), 3, 3, stride, pad).data
+        want = b_inner(im2col_oracle(x, 3, 3, stride, pad), 2)
         assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
         # the same values laid out as a strided view and as an offset view
-        strided = np.swapaxes(np.swapaxes(x, 0, 1).copy(), 0, 1)
-        offset = np.concatenate([x[:1], x])[1:]
+        strided = chwn(x)
+        offset = np.concatenate([xc[:, :, :, :1], xc], axis=3)[:, :, :, 1:]
         for view in (strided, offset):
             assert ag.im2col(ag.Tensor(view), 3, 3, stride, pad).data.tobytes() == want.tobytes()
         y = rng.normal(size=cols.shape).astype(np.float32)
-        img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
-        want = col2im_oracle(y, x.shape, 3, 3, stride, pad)
-        assert img.shape == x.shape and img.tobytes() == want.tobytes()
+        img = ag.col2im(ag.Tensor(y), xc.shape, 3, 3, stride, pad).data
+        want = chwn(col2im_oracle(b_outer(y, 2), x.shape, 3, 3, stride, pad))
+        assert img.shape == xc.shape and img.tobytes() == want.tobytes()
+
+    def test_shape_errors_name_the_layout(self):
+        img = ag.Tensor(np.zeros((1, 6, 6), dtype=np.float32))
+        bad = [lambda: ag.im2col(img, 3, 3),
+               lambda: ag.col2im(ag.Tensor(np.zeros((9, 35))), (1, 6, 6, 1), 3, 3),
+               lambda: ag.conv2d(img, ag.Tensor(np.zeros((2, 1, 3, 3)))),
+               lambda: ag.maxpool2d(img, 2),
+               lambda: ag.maxpool2d(ag.Tensor(np.zeros((1, 6, 5, 2))), 2)]
+        for call in bad:
+            with pytest.raises(ShapeError, match=r"\[C, H, W, B\]"):
+                call()
 
     @pytest.mark.parametrize("stride, pad, C, H, W", CASES)
     def test_col2im_is_the_adjoint(self, stride, pad, C, H, W):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, C, H, W))
+        x = chwn(rng.normal(size=(2, C, H, W)))
         cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
         y = rng.normal(size=cols.shape)
         img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
@@ -219,11 +248,12 @@ class TestMaxpool:
         elif kind == "constant":
             x = np.full_like(x, 0.5)
         up = rng.normal(size=(3, 2, 4, 2)).astype(np.float32)
-        xt = ag.Tensor(x, requires_grad=True)
+        xt = ag.Tensor(chwn(x), requires_grad=True)
         out = ag.maxpool2d(xt, k)
-        (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), [xt])
+        (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(chwn(up)))), [xt])
         want_out, mask = maxpool_oracle(x, k)
-        want_gx = np.repeat(np.repeat(up, k, axis=2), k, axis=3) * mask
+        want_gx = chwn(np.repeat(np.repeat(up, k, axis=2), k, axis=3) * mask)
+        want_out = chwn(want_out)
         assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
 
@@ -316,7 +346,7 @@ class TestBackward:
 
     def test_kernel_gradient_builds_no_image_adjoint(self, monkeypatch):
         rng = np.random.default_rng(15)
-        x = ag.Tensor(rng.normal(size=(2, 1, 5, 5)), requires_grad=True)
+        x = ag.Tensor(chwn(rng.normal(size=(2, 1, 5, 5))), requires_grad=True)
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         loss = ag.sum_(ag.square(ag.conv2d(x, k, pad=1)))
         calls = []
@@ -411,11 +441,11 @@ class TestGradNormSq:
         rng = np.random.default_rng(16)
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         w = ag.Tensor(rng.normal(size=(8, 1)), requires_grad=True)
-        x0 = rng.normal(size=(2, 1, 4, 4))
+        x0 = chwn(rng.normal(size=(2, 1, 4, 4)))
 
         def gns_of(x):
             h = ag.leaky_relu(ag.conv2d(x, k, stride=1, pad=1), 0.1)
-            h = ag.reshape(ag.maxpool2d(h, 2), (2, 8))
+            h = ag.reshape(ag.transpose(ag.maxpool2d(h, 2), (3, 0, 1, 2)), (2, 8))
             return ag.grad_norm_sq(ag.sum_(ag.matmul(h, w)), [k, w])
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
@@ -487,6 +517,7 @@ class TestBackwardState:
     @pytest.mark.parametrize("mode", ["no_grad", "constant_input"])
     def test_maxpool_forward_allocates_only_its_output(self, mode):
         x = np.random.default_rng(32).normal(size=(8, 16, 32, 32)).astype(np.float32)
+        x = np.ascontiguousarray(chwn(x))
         tracemalloc.start()
         try:
             if mode == "no_grad":
@@ -501,11 +532,11 @@ class TestBackwardState:
 
     def test_second_pass_reuses_vjp_state_bit_for_bit(self):
         rng = np.random.default_rng(33)
-        x0 = np.round(rng.normal(size=(2, 3, 4, 4)) * 0.7).astype(np.float32)  # ties
+        x0 = chwn(np.round(rng.normal(size=(2, 3, 4, 4)) * 0.7).astype(np.float32))  # ties
         w = ag.Tensor(rng.normal(size=(12, 1)).astype(np.float32), requires_grad=True)
 
         def loss_of(x):
-            h = ag.maxpool2d(ag.leaky_relu(x, 0.1), 2)
+            h = ag.transpose(ag.maxpool2d(ag.leaky_relu(x, 0.1), 2), (3, 0, 1, 2))
             return ag.sum_(ag.square(ag.matmul(ag.reshape(h, (2, 12)), w)))
 
         x = ag.Tensor(x0, requires_grad=True)
@@ -522,10 +553,10 @@ class TestOps:
     def test_maxpool_forward_and_grad(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 2, 4, 4))
-        out = ag.maxpool2d(ag.Tensor(x)).data
+        out = ag.maxpool2d(ag.Tensor(chwn(x))).data
         want = x.reshape(2, 2, 2, 2, 2, 2).max(axis=(3, 5))
-        np.testing.assert_array_equal(out, want)
-        check_grads(lambda t: ag.sum_(ag.square(ag.maxpool2d(t))), [x])
+        np.testing.assert_array_equal(out, chwn(want))
+        check_grads(lambda t: ag.sum_(ag.square(ag.maxpool2d(t))), [chwn(x)])
 
     def test_concat_slice_grad(self):
         rng = np.random.default_rng(10)

@@ -7,6 +7,7 @@ from netinv.models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
                            _condition_matrix, classifier_param_count, condition_matrix,
                            generator_param_count)
 from netinv.training import accuracy
+from test_autograd import im2col_oracle, maxpool_oracle
 
 
 class TestClassifierForward:
@@ -120,3 +121,46 @@ class TestGenerator:
             spec = GeneratorSpec(cond_mode=mode, classes=5)
             gen = Generator(spec)
             assert sum(p.size for p in gen.parameters()) == generator_param_count(spec)
+
+
+def cnn_forward_oracle(clf, x):
+    """The [B, C, H, W] CNN forward in numpy, from the im2col and max-pool oracles."""
+    p = {name: t.data for name, t in clf.params.items()}
+    B = len(x)
+    h = x
+    for i in range(len(clf.spec.conv_channels)):
+        k = p[f"k{i}"]
+        F, (H, W) = k.shape[0], h.shape[2:]
+        cols = im2col_oracle(h, 3, 3, 1, 1)                   # [C*9, B*H*W]
+        h = (k.reshape(F, -1) @ cols).reshape(F, B, H, W).transpose(1, 0, 2, 3)
+        h = h + p[f"kb{i}"]
+        h, _ = maxpool_oracle(np.maximum(h, h * np.float32(0.1)), 2)
+    feats = h.reshape(B, -1) @ p["wh"] + p["bh"]
+    feats = np.maximum(feats, feats * np.float32(0.1))
+    return feats @ p["wo"] + p["bo"]
+
+
+class TestCnnLayout:
+    # The kernel matmul's columns are ordered (b, y, x) in the oracle and
+    # (y, x, b) in the classifier. BLAS may round the last columns of a
+    # matmul whose column count is not a multiple of its block width by
+    # another kernel, so a column's bits can depend on its position. B = 1
+    # orders both alike; at B = 5 the 16x16 input makes every conv matmul's
+    # column count (1280, 320) a multiple of 64.
+    @pytest.mark.parametrize("in_shape, B", [((1, 12, 12), 1), ((1, 16, 16), 5)])
+    def test_forward_bit_equal_to_nchw_oracle(self, in_shape, B):
+        spec = ClassifierSpec(kind="cnn", in_shape=in_shape)
+        clf = Classifier(spec, rng=np.random.default_rng(40))
+        for name, t in clf.params.items():      # random biases, not zeros
+            if name.startswith(("kb", "b")):
+                t.data[:] = np.random.default_rng(41).normal(size=t.shape)
+        cin = spec.in_shape[0]
+        for i, F in enumerate(spec.conv_channels):
+            assert clf.params[f"k{i}"].shape == (F, cin, 3, 3)
+            assert clf.params[f"kb{i}"].shape == (1, F, 1, 1)
+            cin = F
+        x = np.random.default_rng(42).uniform(size=(B, *in_shape)).astype(np.float32)
+        with ag.no_grad():
+            logits, _ = clf.forward(x)
+        want = cnn_forward_oracle(clf, x)
+        assert logits.dtype == want.dtype and np.array_equal(logits.data, want)

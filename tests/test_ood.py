@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netinv.data import SynthSpec, synth_dataset
-from netinv.errors import ConfigError, ContractError, DomainError
+from netinv.errors import ConfigError, ContractError, DivergenceError, DomainError
 from netinv.inversion import InversionConfig
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.ood import (GarbageSet, OodCycleConfig, class_weights, evaluate_grid,
@@ -126,6 +126,22 @@ class TestPredictAndThreshold:
         pred = ood_predict(clf, train.images[0])
         assert pred.index == 0
         assert pred.ue == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_probs_bit_equal_to_predict_probs(self, kind):
+        clf = Classifier(ClassifierSpec(kind=kind, classes=4), rng=np.random.default_rng(8))
+        probes = np.random.default_rng(9).uniform(size=(40, 1, 12, 12)).astype(np.float32)
+        for img in probes:
+            want = predict_probs(clf, img[None])[0].astype(np.float64)
+            want = want / want.sum()
+            assert ood_predict(clf, img).probs.tobytes() == want.tobytes()
+
+    def test_non_finite_logits_diverge(self, bars_data):
+        train, _ = bars_data
+        clf = Classifier(ClassifierSpec(classes=4), rng=np.random.default_rng(10))
+        clf.params["b2"].data[0, 1] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite classifier output"):
+            ood_predict(clf, train.images[0])
 
     def test_fuzz_sweep(self, trained_mlp):
         rng = np.random.default_rng(6)
