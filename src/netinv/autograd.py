@@ -32,6 +32,7 @@ next layer's image. Kernels stay [F, C, kh, kw].
 """
 
 import contextlib
+import functools
 import weakref
 
 import numpy as np
@@ -212,13 +213,21 @@ def sqrt(a):
     return pow_const(a, 0.5)
 
 
+@functools.lru_cache(maxsize=64)
+def _leaky_slope(dtype, slope):
+    """``slope`` in ``dtype``, checked to lie in (0, 1]. A rejection raises
+    and so is never cached: each call with a bad slope is checked again."""
+    s = dtype.type(slope)
+    if not 0 < s <= 1:
+        raise ContractError(f"leaky_relu slope must be in (0, 1] in {dtype}, got {slope}")
+    return s
+
+
 def leaky_relu(a, slope):
     """``x * (1 if x > 0 else slope)`` for a slope in (0, 1] in the input's dtype."""
     a = as_tensor(a)
     x = a.data
-    s = a.dtype.type(slope)
-    if not 0 < s <= 1:
-        raise ContractError(f"leaky_relu slope must be in (0, 1] in {a.dtype}, got {slope}")
+    s = _leaky_slope(x.dtype, slope)
     scale = None
 
     def vjp(g, need):
@@ -359,7 +368,7 @@ def sum_(a, axis=None, keepdims=False):
     a = as_tensor(a)
     orig = a.data.shape
     # accumulate in 64-bit, return in the input dtype
-    out_data = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64)
+    out_data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
     out_data = np.asarray(out_data, dtype=a.dtype)
 
     def vjp(g, need):
@@ -539,19 +548,20 @@ def maxpool2d(x, k=2):
     return _from_op(out_data, (x,), vjp)
 
 
-def _shifted(logits, axis):
-    """(logits - row max, row sum of its exp accumulated in 64-bit) as arrays."""
-    if logits.data.shape[axis] < 1:
-        raise ShapeError(f"softmax axis is empty: {logits.data.shape}")
-    z = logits.data - np.max(logits.data, axis=axis, keepdims=True)
+def _shifted(x, axis):
+    """The softmax arithmetic on an array ``x``: (x - max, its exp, the sum of
+    that exp accumulated in 64-bit and cast back), reduced along ``axis``."""
+    if x.shape[axis] < 1:
+        raise ShapeError(f"softmax axis is empty: {x.shape}")
+    z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return z, e, np.sum(e, axis=axis, keepdims=True, dtype=np.float64).astype(z.dtype)
+    return z, e, e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(z.dtype)
 
 
 def softmax(logits, axis=-1):
     """Row-stable softmax as one node; its VJP is ``out * (g - sum(g * out))``."""
     logits = as_tensor(logits)
-    _, e, s = _shifted(logits, axis)
+    _, e, s = _shifted(logits.data, axis)
 
     def vjp(g, need):
         out = out_ref()
@@ -565,7 +575,7 @@ def softmax(logits, axis=-1):
 def log_softmax(logits, axis=-1):
     """Row-stable log-softmax as one node; its VJP is ``g - exp(out) * sum(g)``."""
     logits = as_tensor(logits)
-    z, _, s = _shifted(logits, axis)
+    z, _, s = _shifted(logits.data, axis)
 
     def vjp(g, need):
         return (sub(g, mul(exp(out_ref()), sum_(g, axis=axis, keepdims=True))),)

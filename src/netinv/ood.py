@@ -67,24 +67,33 @@ def uncertainty(p):
     distance a one-hot prediction would attain, (m-1)/m, so the score is a
     scale-free certainty measure over the n+1 classes. ``p`` is one
     distribution [m] (returns a float) or a batch [N, m] (returns [N]).
+    A row whose sum is not within 1e-6 of 1, with an entry below -1e-12 or
+    with a NaN raises ``ContractError``.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ContractError(f"uncertainty expects distributions [m] or [N, m] with m >= 2, "
                             f"got shape {p.shape}")
     m = p.shape[-1]
+    # 1 - sum((p - 1/m)^2) / ((m-1)/m), expanded over s = sum(p) and
+    # q = sum(p^2) so that a one-hot row scores exactly 0
+    if p.ndim == 1:
+        # one row in Python floats, without numpy's per-call cost
+        row = p.tolist()
+        s = sum(row)
+        if not abs(s - 1.0) <= 1e-6 or min(row) < -1e-12:     # NaN is bad too
+            raise ContractError(f"malformed distribution in row 0 "
+                                f"(sum {s:.8f}, min {min(row):.3e})")
+        ue = (m - 2 + 2 * s - m * sum([x * x for x in row])) / (m - 1)
+        return min(max(ue, 0.0), 1.0)
     sums = p.sum(axis=-1)
     bad = ~(np.abs(sums - 1.0) <= 1e-6) | (p.min(axis=-1) < -1e-12)     # NaN is bad too
     if np.any(bad):
         i = int(np.argmax(bad))
-        row = np.atleast_2d(p)[i]
         raise ContractError(f"malformed distribution in row {i} "
-                            f"(sum {row.sum():.8f}, min {row.min():.3e})")
-    # 1 - sum((p - 1/m)^2) / ((m-1)/m), expanded over s = sum(p) and
-    # q = sum(p^2) so that a one-hot row scores exactly 0
+                            f"(sum {p[i].sum():.8f}, min {p[i].min():.3e})")
     ue = (m - 2 + 2 * sums - m * (p * p).sum(axis=-1)) / (m - 1)
-    ue = np.minimum(np.maximum(ue, 0.0), 1.0)
-    return float(ue) if p.ndim == 1 else ue
+    return np.minimum(np.maximum(ue, 0.0), 1.0)
 
 
 @dataclass
@@ -105,11 +114,10 @@ def ood_predict(clf, image):
     image = np.asarray(image, dtype=np.float32)
     with ag.no_grad():
         logits, _ = clf.forward(ag.Tensor(image[None]))
-    check_finite(logits.data)
-    _, e, s = ag._shifted(logits, -1)
-    probs = (e / s)[0].astype(np.float64)
-    probs = probs / probs.sum()
-    k = int(np.argmax(probs))
+    _, e, s = ag._shifted(check_finite(logits.data)[0], -1)
+    probs = (e / s).astype(np.float64)
+    probs /= probs.sum()
+    k = int(probs.argmax())
     return Prediction(probs=probs, index=k,
                       is_ood=(k == clf.spec.classes - 1),
                       confidence=float(probs[k]),

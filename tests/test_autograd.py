@@ -506,11 +506,19 @@ class TestActivations:
         assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
 
-    # 1e-50 is 0 in float32
+    # 1e-50 is 0 in float32 but a valid slope in float64; float64 runs first,
+    # so a slope checked for one dtype is never taken as checked for another
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), 0.0, 1e-50])
     def test_leaky_relu_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ContractError):
-            ag.leaky_relu(ag.Tensor(np.ones(3, dtype=np.float32)), slope)
+        for dtype in (np.float64, np.float32):
+            x = ag.Tensor(np.array([-1.0, 2.0], dtype=dtype))
+            if dtype is np.float64 and slope == 1e-50:
+                assert ag.leaky_relu(x, slope).data.tolist() == [-1e-50, 2.0]
+                continue
+            # the second call finds the slope checked before: still rejected
+            for _ in range(2):
+                with pytest.raises(ContractError):
+                    ag.leaky_relu(x, slope)
 
 
 class TestBackwardState:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netinv import ood
 from netinv.data import SynthSpec, synth_dataset
 from netinv.errors import ConfigError, ContractError, DivergenceError, DomainError
 from netinv.inversion import InversionConfig
@@ -54,9 +55,26 @@ class TestUncertainty:
         perm = rng.permutation(m)
         assert uncertainty(p[perm]) == pytest.approx(uncertainty(p), abs=1e-12)
 
-    def test_malformed_distribution(self):
-        with pytest.raises(ContractError):
-            uncertainty(np.array([0.7, 0.7]))
+    @pytest.mark.parametrize("row", [
+        [0.7, 0.7],
+        [1.1, -0.1],                    # sums to 1
+        [0.5 + 2e-6, 0.5],
+        [math.nan, 0.5, 0.5],
+        [0.5, 0.5, math.nan],
+    ], ids=["sum-1.4", "negative", "sum-1+2e-6", "nan-first", "nan-last"])
+    def test_malformed_distribution(self, row):
+        row = np.array(row)
+        with pytest.raises(ContractError, match="row 0"):
+            uncertainty(row)
+        # the batched form rejects the same row
+        valid = np.full(len(row), 1.0 / len(row))
+        with pytest.raises(ContractError, match="row 1"):
+            uncertainty(np.stack([valid, row]))
+
+    def test_within_tolerance_accepted(self):
+        for p in (np.array([0.5 + 5e-7, 0.5]), np.array([1.0 + 1e-13, -1e-13])):
+            assert 0.0 <= uncertainty(p) <= 1.0
+            assert uncertainty(p[None]).shape == (1,)
 
     def test_tie_breaks_to_lowest_index(self):
         p = np.array([0.4, 0.4, 0.2])
@@ -135,6 +153,54 @@ class TestPredictAndThreshold:
             want = predict_probs(clf, img[None])[0].astype(np.float64)
             want = want / want.sum()
             assert ood_predict(clf, img).probs.tobytes() == want.tobytes()
+
+    def test_one_forward_and_its_scores(self, trained_mlp, monkeypatch):
+        """One ``Classifier.forward`` per prediction; ``ue`` is ``uncertainty``
+        of the returned probabilities, looked up through the ``ood`` module so
+        a wrapper installed there sees every call."""
+        forwards, scored = [], []
+        forward, score = Classifier.forward, ood.uncertainty
+
+        def counted_forward(clf, batch):
+            forwards.append(batch.shape)
+            return forward(clf, batch)
+
+        def counted_uncertainty(p):
+            scored.append(p)
+            return score(p)
+
+        monkeypatch.setattr(Classifier, "forward", counted_forward)
+        monkeypatch.setattr(ood, "uncertainty", counted_uncertainty)
+        probes = np.random.default_rng(11).uniform(size=(5, 1, 12, 12)).astype(np.float32)
+        for i, img in enumerate(probes, 1):
+            pred = ood_predict(trained_mlp, img)
+            assert forwards == [(1, 1, 12, 12)] * i
+            assert len(scored) == i and scored[-1] is pred.probs
+            assert type(pred.ue) is float and pred.ue == score(pred.probs)
+            assert pred.index == int(np.argmax(pred.probs))
+            assert pred.confidence == pred.probs[pred.index]
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_routing_matches_batched_argmax(self, kind, bars_data):
+        """A one-row forward rounds differently from the same row inside a
+        batch; away from near-ties that must never change the routed class."""
+        train, _ = bars_data
+        clf = Classifier(ClassifierSpec(kind=kind, classes=4), rng=np.random.default_rng(12))
+        garbage = np.random.default_rng(13).uniform(size=(100, 1, 12, 12)).astype(np.float32)
+        images = np.concatenate([train.images, garbage])
+        labels = np.concatenate([train.labels, np.full(len(garbage), 3)])
+        train_classifier(clf, images, labels, epochs=5, rng=np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        crosses, _ = synth_dataset(SynthSpec(family="crosses", classes=3, size=12, noise=0.1,
+                                             seed=int(rng.integers(2 ** 31))), 100, 3)
+        probes = np.concatenate([rng.random((100, 1, 12, 12)).astype(np.float32),
+                                 crosses.images])
+        batch = predict_probs(clf, probes)
+        top2 = np.sort(batch, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 1e-4
+        assert clear.sum() >= len(probes) // 2
+        for img, want in zip(probes[clear], batch[clear].argmax(axis=1)):
+            assert ood_predict(clf, img).index == want
 
     def test_non_finite_logits_diverge(self, bars_data):
         train, _ = bars_data
