@@ -10,19 +10,17 @@ which is what makes the gradient-norm penalty differentiable with respect to
 upstream inputs (a second-order replay).
 
 A forward computes its output and nothing else, so a ``no_grad`` pass or an
-op whose inputs need no gradient pays only for the output. State that only a
-VJP reads (a pooling mask, an activation's slope scale) is built inside the
-VJP on its first call and kept in the closure, because the second-order
-replay calls the same VJP twice (inner and outer pass). The VJP therefore
-reads the forward's inputs, which must not change before the reverse pass.
-
-A VJP never closes over its own output. An op whose VJP reads its output
-(``exp``, ``sigmoid``, ``softmax``, ``log_softmax``) holds it through a weak
-reference: ``grad`` keeps every node it visits alive while it runs the VJPs,
-and the adjoint nodes a second-order replay records take the output as a
-strong input. A closure that held the output would make the cycle
-``out -> _op -> vjp -> out``, and each step's tape, every intermediate array
-included, would outlive the step until Python's cyclic collector ran.
+op whose inputs need no gradient pays only for the output. One rule holds for
+every VJP: it reads its node's inputs and its adjoint, never its own output,
+so the inputs must not change before the reverse pass. An op whose derivative
+is written in terms of its output (``exp``, ``sigmoid``, ``softmax``,
+``log_softmax``) recomputes that output from its input inside the VJP. No
+closure then holds its own node, no node sits on a reference cycle, and
+reference counting frees each step's tape, every intermediate array included,
+when the step ends. State that only a VJP reads (a pooling mask, an
+activation's slope scale) is built inside the VJP on its first call and kept
+in the closure, because the second-order replay calls the same VJP twice
+(inner and outer pass).
 
 The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
 return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
@@ -33,7 +31,6 @@ next layer's image. Kernels stay [F, C, kh, kw].
 
 import contextlib
 import functools
-import weakref
 
 import numpy as np
 
@@ -60,7 +57,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_op")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -202,11 +199,9 @@ def exp(a):
     a = as_tensor(a)
 
     def vjp(g, need):
-        return (mul(g, out_ref()),)
+        return (mul(g, exp(a)),)
 
-    out = _from_op(np.exp(a.data), (a,), vjp)
-    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
-    return out
+    return _from_op(np.exp(a.data), (a,), vjp)
 
 
 def sqrt(a):
@@ -257,12 +252,10 @@ def sigmoid(a):
     out_data = m * (1 / d) + (1 - m) * (e / d)
 
     def vjp(g, need):
-        out = out_ref()
-        return (mul(g, mul(out, sub(as_tensor(1.0, out), out))),)
+        s = sigmoid(a)
+        return (mul(g, mul(s, sub(as_tensor(1.0, s), s))),)
 
-    out = _from_op(out_data, (a,), vjp)
-    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
-    return out
+    return _from_op(out_data, (a,), vjp)
 
 
 def clamp01(a):
@@ -564,25 +557,21 @@ def softmax(logits, axis=-1):
     _, e, s = _shifted(logits.data, axis)
 
     def vjp(g, need):
-        out = out_ref()
+        out = softmax(logits, axis)
         return (mul(out, sub(g, sum_(mul(g, out), axis=axis, keepdims=True))),)
 
-    out = _from_op(e / s, (logits,), vjp)
-    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
-    return out
+    return _from_op(e / s, (logits,), vjp)
 
 
 def log_softmax(logits, axis=-1):
-    """Row-stable log-softmax as one node; its VJP is ``g - exp(out) * sum(g)``."""
+    """Row-stable log-softmax as one node; its VJP is ``g - softmax(logits) * sum(g)``."""
     logits = as_tensor(logits)
     z, _, s = _shifted(logits.data, axis)
 
     def vjp(g, need):
-        return (sub(g, mul(exp(out_ref()), sum_(g, axis=axis, keepdims=True))),)
+        return (sub(g, mul(softmax(logits, axis), sum_(g, axis=axis, keepdims=True))),)
 
-    out = _from_op(z - np.log(s), (logits,), vjp)
-    out_ref = weakref.ref(out)      # no cycle: a VJP never holds its own output
-    return out
+    return _from_op(z - np.log(s), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

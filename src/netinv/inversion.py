@@ -45,11 +45,11 @@ class InversionConfig:
     eta_grad: float = 0.0       # classifier weight-gradient penalty
     eps_pert: float = 0.0       # L-infinity perturbation radius
     batch_size: int = 32
-    steps: int = 2000
+    steps: int = 3000
     lr: float = 2e-3
     optimizer: str = "adam"
     soften: float = 0.1         # KL target smoothing mass
-    target_accuracy: float = 0.9   # None -> no evaluation, run every step
+    target_accuracy: float = 0.95  # None -> no evaluation, run every step
     eval_every: int = 200
     eval_samples: int = 256
     seed: int = 0

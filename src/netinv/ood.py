@@ -170,7 +170,7 @@ class CycleReport:
 @dataclass
 class OodCycleConfig:
     cycles: int = 5
-    epochs_per_cycle: int = 15
+    epochs_per_cycle: int = 12
     batch_size: int = 64
     lr: float = 1e-3
     garbage_init: int = 100

@@ -23,6 +23,7 @@ class ReconConfig(InversionConfig):
     eta_pix: float = 1.0
     eta_grad: float = 0.01
     eps_pert: float = 0.05
+    steps: int = 600
     target_accuracy: float = None
 
 

@@ -11,7 +11,10 @@ from netinv import cli
 from netinv.cli import main
 from netinv.config import CHOICES, DEFAULTS, MINIMUMS, RANGES, derive_seed, parse_config
 from netinv.errors import ConfigError
+from netinv.inversion import InversionConfig
 from netinv.models import Generator, GeneratorSpec
+from netinv.ood import OodCycleConfig
+from netinv.reconstruction import ReconConfig
 from netinv.serialize import load_checkpoint, save_checkpoint
 
 
@@ -19,6 +22,20 @@ def write_conf(tmp_path, text, name="run.conf"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# config field -> the key the CLI fills it from
+INV_KEYS = {"alpha": "inv.alpha", "beta": "inv.beta", "gamma": "inv.gamma",
+            "delta": "inv.delta", "batch_size": "inv.batch", "steps": "inv.steps",
+            "lr": "inv.lr", "soften": "inv.soften", "target_accuracy": "inv.target_accuracy",
+            "eval_every": "inv.eval_every", "eval_samples": "inv.eval_samples", "seed": "seed"}
+RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
+              "alpha_pert": "recon.alpha_pert", "beta_pert": "recon.beta_pert",
+              "eta_var": "recon.eta_var", "eta_pix": "recon.eta_pix",
+              "eta_grad": "recon.eta_grad", "eps_pert": "recon.eps_pert"}
+OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
+            "batch_size": "train.batch", "lr": "train.lr", "garbage_init": "ood.garbage_init",
+            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor", "seed": "seed"}
 
 
 class TestConfig:
@@ -84,6 +101,17 @@ class TestConfig:
         conf = write_conf(tmp_path, TINY_RUN + write_idx(tmp_path), name="idx.conf")
         assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "idx")]) == 0
         assert read == set(DEFAULTS)
+
+    @pytest.mark.parametrize("config, keys", [
+        (InversionConfig, INV_KEYS),
+        # cmd_reconstruct: the inv.* keys under the recon.* ones, no accuracy target
+        (ReconConfig, {**{f: k for f, k in INV_KEYS.items() if f != "target_accuracy"},
+                       **RECON_KEYS}),
+        (OodCycleConfig, OOD_KEYS),
+    ], ids=["InversionConfig", "ReconConfig", "OodCycleConfig"])
+    def test_library_defaults_are_the_cli_key_defaults(self, config, keys):
+        lib = config()
+        assert {f: getattr(lib, f) for f in keys} == {f: DEFAULTS[k] for f, k in keys.items()}
 
     def test_phase_seeds_differ(self):
         assert derive_seed(0, "a") != derive_seed(0, "b")

@@ -3,6 +3,8 @@ import gc
 import numpy as np
 import pytest
 
+from netinv import autograd as ag
+from netinv import losses
 from netinv.errors import ContractError, DomainError
 from netinv.inversion import (InversionConfig, inversion_accuracy,
                               inversion_step, train_generator)
@@ -117,6 +119,33 @@ class TestEndToEnd:
         assert np.median(finals) < np.median(initials)
 
 
+def _kl_of_normalized(h):
+    """KL over the rows of ``h * h`` scaled to sum to one: no other guarded op runs."""
+    target = losses.soften_onehot(np.arange(len(h.data)) % 3, 3)
+    sq = ag.square(h)
+    return losses.kl_loss(ag.div(sq, ag.sum_(sq, axis=1, keepdims=True)), target)
+
+
+_UP = np.random.default_rng(40).normal(size=(4, 3)).astype(np.float32)
+# op -> (forward, the input adjoint's closed form on the forward's output and
+# the output adjoint, in that formula's op order; None where the bits may move)
+_OUTPUT_OPS = {
+    "exp": (ag.exp, lambda out, g: g * out),
+    "sigmoid": (ag.sigmoid, lambda out, g: g * (out * (1 - out))),
+    # sum_ accumulates in 64-bit and casts back
+    "softmax": (ag.softmax, lambda out, g: out * (g - (g * out).sum(
+        axis=-1, keepdims=True, dtype=np.float64).astype(out.dtype))),
+    "log_softmax": (ag.log_softmax, None),
+}
+# name -> scalar of a [4, 3] tensor h; an op's scalar gives its output adjoint _UP
+_SCALARS = {
+    **{name: (lambda h, op=op: ag.sum_(ag.mul(op(h), ag.Tensor(_UP))))
+       for name, (op, _) in _OUTPUT_OPS.items()},
+    "kl_loss": _kl_of_normalized,
+    "weighted_ce_loss": lambda h: losses.weighted_ce_loss(h, np.arange(4) % 3,
+                                                          class_weights=[1.0, 2.0, 0.5]),
+}
+
 
 def cyclic_garbage(run):
     """Objects only the cyclic collector can free after ``run()``, with the
@@ -154,3 +183,27 @@ class TestTapeFreedOnStepEnd:
         labels = np.arange(8) % 3
         assert cyclic_garbage(lambda: train_classifier(
             clf, images, labels, epochs=1, batch_size=8, rng=rng)) == 0
+
+    @pytest.mark.parametrize("name", list(_SCALARS))
+    def test_op_leaves_no_cycles(self, name):
+        """Each op whose derivative is written in terms of its output, and
+        each fused loss, at first order and through the grad-norm replay."""
+        rng = np.random.default_rng(41)
+        x = ag.Tensor(rng.normal(scale=3, size=(4, 3)).astype(np.float32), requires_grad=True)
+        w = ag.Tensor(rng.uniform(0.5, 1.5, size=(4, 3)).astype(np.float32), requires_grad=True)
+        first = []
+
+        def first_order():
+            h = ag.mul(x, w)
+            first[:] = [h.data, ag.grad(_SCALARS[name](h), [x, w, h])[2].data]
+
+        def second_order():
+            ag.grad(ag.grad_norm_sq(_SCALARS[name](ag.mul(x, w)), [w]), [x])
+
+        assert cyclic_garbage(first_order) == 0
+        assert cyclic_garbage(second_order) == 0
+        op, closed_form = _OUTPUT_OPS.get(name, (None, None))
+        if closed_form is not None:
+            h, gh = first
+            want = closed_form(op(ag.Tensor(h)).data, _UP)
+            assert gh.dtype == want.dtype and gh.tobytes() == want.tobytes()

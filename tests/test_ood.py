@@ -10,9 +10,9 @@ from netinv.data import SynthSpec, synth_dataset
 from netinv.errors import ConfigError, ContractError, DivergenceError, DomainError
 from netinv.inversion import InversionConfig
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
-from netinv.ood import (GarbageSet, OodCycleConfig, class_weights, evaluate_grid,
-                        init_garbage, ood_predict, ood_training_cycle,
-                        threshold_report, uncertainty)
+from netinv.ood import (OodCycleConfig, class_weights, evaluate_grid, init_garbage,
+                        ood_predict, ood_training_cycle, threshold_report,
+                        uncertainty)
 from netinv.training import predict_probs, train_classifier
 
 

@@ -6,7 +6,7 @@ from netinv.errors import DomainError
 from netinv.inversion import (TERM_WEIGHTS, InversionConfig, _sample_batch,
                               generator_loss, linf_perturb)
 from netinv.losses import (cosine_diversity_loss, feature_gram, kl_loss, ortho_loss,
-                           pixel_loss, soften_onehot, tv_loss, weighted_ce_loss)
+                           soften_onehot, weighted_ce_loss)
 from netinv.models import Generator, GeneratorSpec
 from netinv.reconstruction import ReconConfig
 
