@@ -29,8 +29,30 @@ class ClassifierSpec:
             raise DomainError(f"unknown classifier kind {self.kind!r}")
         if self.classes < 2:
             raise DomainError("classifier needs at least 2 output classes")
-        if self.kind == "cnn" and any(d % 4 for d in self.in_shape[1:]):
-            raise DomainError("cnn spec needs H, W divisible by 4 (two 2x2 pools)")
+        if self.kind == "cnn":
+            if not self.conv_channels:
+                raise DomainError("cnn spec needs at least one conv layer")
+            if any(d % self.downsample for d in self.in_shape[1:]):
+                raise DomainError(f"cnn spec needs H, W divisible by {self.downsample} "
+                                  f"(one 2x2 pool per conv layer)")
+
+    @property
+    def downsample(self):
+        """CNN spatial reduction: each conv layer is followed by a 2x2 pool."""
+        return 2 ** len(self.conv_channels)
+
+    def layout(self):
+        """[(name, shape, fan-in or None for zeros)] of the parameters, in order."""
+        C, H, W = self.in_shape
+        if self.kind == "mlp":
+            return _affine_stack([C * H * W, *self.hidden, self.classes])
+        convs, cin = [], C
+        for i, cout in enumerate(self.conv_channels):
+            convs += [(f"k{i}", (cout, cin, 3, 3), cin * 9), (f"kb{i}", (1, cout, 1, 1), None)]
+            cin = cout
+        flat = cin * (H // self.downsample) * (W // self.downsample)
+        return (convs + _affine("wh", "bh", flat, self.conv_hidden)
+                + _affine("wo", "bo", self.conv_hidden, self.classes))
 
 
 @dataclass
@@ -56,6 +78,32 @@ class GeneratorSpec:
     def cond_width(self):
         return self.classes if self.cond_mode == "hot" else self.cond_dim
 
+    def layout(self):
+        """[(name, shape, fan-in or None for zeros)] of the parameters, in order."""
+        C, H, W = self.out_shape
+        return _affine_stack([self.z_dim + self.cond_width, *self.hidden, C * H * W])
+
+
+def _affine(w_name, b_name, fan_in, fan_out):
+    return [(w_name, (fan_in, fan_out), fan_in), (b_name, (1, fan_out), None)]
+
+
+def _affine_stack(dims):
+    """Layers w0/b0, w1/b1, ... mapping dims[0] -> dims[1] -> ... -> dims[-1]."""
+    return [entry for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:]))
+            for entry in _affine(f"w{i}", f"b{i}", din, dout)]
+
+
+def _init_params(layout, rng):
+    """{name: parameter}: a He-normal draw from ``rng`` per weight, in layout
+    order, and zeros where the layout gives no fan-in."""
+    params = {}
+    for name, shape, fan_in in layout:
+        data = (np.zeros(shape, dtype=np.float32) if fan_in is None else
+                rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32))
+        params[name] = ag.parameter(data)
+    return params
+
 
 @lru_cache(maxsize=32)
 def _condition_matrix(classes, cond_mode, cond_dim, cond_seed):
@@ -76,13 +124,6 @@ def condition_matrix(spec):
                              spec.cond_seed)
 
 
-def _affine_init(rng, fan_in, fan_out):
-    scale = np.sqrt(2.0 / fan_in)
-    w = rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(np.float32)
-    b = np.zeros((1, fan_out), dtype=np.float32)
-    return ag.parameter(w), ag.parameter(b)
-
-
 class Classifier:
     """MLP or small CNN; forward yields logits and penultimate features."""
 
@@ -90,27 +131,7 @@ class Classifier:
         rng = rng or np.random.default_rng(0)
         self.spec = spec
         self.frozen = False
-        self.params = {}
-        C, H, W = spec.in_shape
-        if spec.kind == "mlp":
-            dims = [C * H * W, *spec.hidden, spec.classes]
-            for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-                w, b = _affine_init(rng, din, dout)
-                self.params[f"w{i}"] = w
-                self.params[f"b{i}"] = b
-        else:
-            cin = C
-            for i, cout in enumerate(spec.conv_channels):
-                k = rng.normal(0.0, np.sqrt(2.0 / (cin * 9)),
-                               size=(cout, cin, 3, 3)).astype(np.float32)
-                self.params[f"k{i}"] = ag.parameter(k)
-                self.params[f"kb{i}"] = ag.parameter(np.zeros((1, cout, 1, 1), dtype=np.float32))
-                cin = cout
-            flat = spec.conv_channels[-1] * (H // 4) * (W // 4)
-            w, b = _affine_init(rng, flat, spec.conv_hidden)
-            self.params["wh"], self.params["bh"] = w, b
-            w, b = _affine_init(rng, spec.conv_hidden, spec.classes)
-            self.params["wo"], self.params["bo"] = w, b
+        self.params = _init_params(spec.layout(), rng)
 
     def parameters(self):
         return list(self.params.values())
@@ -139,9 +160,9 @@ class Classifier:
             # the image ops run batch-innermost, [C, H, W, B]; the head
             # flattens [B, C, H, W] as before, so checkpoints keep their logits
             h = ag.transpose(x, (1, 2, 3, 0))
-            for i, F in enumerate(self.spec.conv_channels):
+            for i in range(len(self.spec.conv_channels)):
                 h = ag.conv2d(h, self.params[f"k{i}"], stride=1, pad=1)
-                bias = ag.reshape(self.params[f"kb{i}"], (F, 1, 1, 1))
+                bias = ag.reshape(self.params[f"kb{i}"], (-1, 1, 1, 1))
                 h = ag.leaky_relu(ag.add(h, bias), 0.1)
                 h = ag.maxpool2d(h, 2)
             h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (B, -1))
@@ -150,35 +171,13 @@ class Classifier:
         return logits, feats
 
 
-def classifier_param_count(spec):
-    """Closed-form parameter count; guards against wiring bugs."""
-    C, H, W = spec.in_shape
-    if spec.kind == "mlp":
-        dims = [C * H * W, *spec.hidden, spec.classes]
-        return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-    total, cin = 0, C
-    for cout in spec.conv_channels:
-        total += cout * cin * 9 + cout
-        cin = cout
-    flat = spec.conv_channels[-1] * (H // 4) * (W // 4)
-    total += flat * spec.conv_hidden + spec.conv_hidden
-    total += spec.conv_hidden * spec.classes + spec.classes
-    return total
-
-
 class Generator:
     """Affine upsampling stack: concat(z, condition) -> image in [0, 1]."""
 
     def __init__(self, spec, rng=None):
         rng = rng or np.random.default_rng(0)
         self.spec = spec
-        self.params = {}
-        C, H, W = spec.out_shape
-        dims = [spec.z_dim + spec.cond_width, *spec.hidden, C * H * W]
-        for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            w, b = _affine_init(rng, din, dout)
-            self.params[f"w{i}"] = w
-            self.params[f"b{i}"] = b
+        self.params = _init_params(spec.layout(), rng)
 
     def parameters(self):
         return list(self.params.values())
@@ -209,9 +208,3 @@ class Generator:
                                    self.params[f"b{n_hidden}"]))
         C, H, W = self.spec.out_shape
         return ag.reshape(out, (z.shape[0], C, H, W))
-
-
-def generator_param_count(spec):
-    C, H, W = spec.out_shape
-    dims = [spec.z_dim + spec.cond_width, *spec.hidden, C * H * W]
-    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigError, ContractError, DivergenceError, DomainError
+from .errors import ContractError, DivergenceError, DomainError
 from .inversion import InversionConfig, generate_samples, train_generator
 from .training import (accuracy, check_finite, logits_accuracy, predict_logits,
                        predict_probs, train_classifier)
@@ -176,7 +176,7 @@ class OodCycleConfig:
     garbage_init: int = 100
     budget: int = 0                 # 0 -> one ID class's training count
     capacity_factor: int = 4
-    inversion: InversionConfig = field(default_factory=InversionConfig)
+    inversion: InversionConfig = field(default_factory=lambda: InversionConfig(steps=800))
     seed: int = 0
 
 
@@ -257,7 +257,7 @@ def evaluate_grid(models, datasets, garbage):
     names = list(models.keys())
     for name in names:
         if name not in datasets:
-            raise ConfigError(f"no dataset named {name!r} for the model trained on it")
+            raise ContractError(f"no dataset named {name!r} for the model trained on it")
     matrix = np.zeros((len(names), len(datasets)))
     col_names = list(datasets.keys())
     reports = {}

@@ -4,26 +4,26 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .errors import ContractError, FormatError, NetinvError
-from .models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
-                     classifier_param_count, generator_param_count)
+from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 
 MAGIC = b"NINV"
 FORMAT_VERSION = 1
 
 
-# model kind -> (spec class, model class, closed-form parameter count)
-_MODELS = {"classifier": (ClassifierSpec, Classifier, classifier_param_count),
-           "generator": (GeneratorSpec, Generator, generator_param_count)}
+# model kind -> (spec class, model class)
+_MODELS = {"classifier": (ClassifierSpec, Classifier),
+           "generator": (GeneratorSpec, Generator)}
 
 
 def _descriptor(model, seed=0, meta=None):
-    kind = next((k for k, (_, cls, _) in _MODELS.items() if isinstance(model, cls)), None)
+    kind = next((k for k, (_, cls) in _MODELS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise ContractError(f"cannot serialize object of type {type(model).__name__}")
     return json.dumps({"model": kind, "spec": dataclasses.asdict(model.spec), "seed": seed,
@@ -41,11 +41,12 @@ def _field_ok(default, value):
     return type(value) is type(default) and not (type(value) is int and value < 0)
 
 
-def _model_from_descriptor(raw, max_values):
-    """-> (model, info); the architecture may hold at most ``max_values`` floats."""
+def _spec_from_descriptor(raw, max_values):
+    """-> (model class, spec, its layout, info); the layout may hold at most
+    ``max_values`` floats, checked before anything is allocated."""
     try:
         info = json.loads(raw.decode("utf-8"))
-        spec_cls, model_cls, param_count = _MODELS[info["model"]]
+        spec_cls, model_cls = _MODELS[info["model"]]
         fields = info["spec"]
         defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
         bad = sorted(set(defaults) ^ set(fields))
@@ -54,11 +55,12 @@ def _model_from_descriptor(raw, max_values):
             raise FormatError(f"bad spec field(s) {bad}")
         spec = spec_cls(**{k: tuple(v) if isinstance(v, list) else v
                            for k, v in fields.items()})
-        n_values = param_count(spec)
+        layout = spec.layout()
+        n_values = sum(math.prod(shape) for _, shape, _ in layout)
         if n_values > max_values:
             raise FormatError(f"architecture needs {n_values} values, "
                               f"payload holds at most {max_values}")
-        return model_cls(spec), info
+        return model_cls, spec, layout, info
     except (ArithmeticError, ValueError, KeyError, TypeError, NetinvError) as exc:
         raise FormatError(f"bad checkpoint descriptor: {exc}") from exc
 
@@ -119,8 +121,9 @@ def load_checkpoint(path):
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     desc = _read(buf, _u32(buf))
-    model, info = _model_from_descriptor(desc, (len(payload) - buf.tell()) // 4)
-    by_name = {name.encode("utf-8"): name for name in model.params}
+    model_cls, spec, layout, info = _spec_from_descriptor(desc, (len(payload) - buf.tell()) // 4)
+    shapes = {name: shape for name, shape, _ in layout}
+    by_name = {name.encode("utf-8"): name for name in shapes}
     count = _u32(buf)
     if count != len(by_name):
         raise FormatError(f"checkpoint holds {count} tensors, architecture has {len(by_name)}")
@@ -129,15 +132,16 @@ def load_checkpoint(path):
         name = by_name.get(_read(buf, _u32(buf)))
         if name is None or name in loaded:
             raise FormatError(f"checkpoint tensors do not match architecture "
-                              f"parameters {sorted(model.params)}")
-        want = model.params[name].data.shape
+                              f"parameters {sorted(shapes)}")
+        want = shapes[name]
         rank = _u32(buf)
         if rank != len(want) or struct.unpack(f"<{rank}I", _read(buf, 4 * rank)) != want:
             raise FormatError(f"checkpoint tensor {name!r} does not have shape {want}")
-        data = np.frombuffer(_read(buf, 4 * model.params[name].size), dtype="<f4")
+        data = np.frombuffer(_read(buf, 4 * math.prod(want)), dtype="<f4")
         loaded[name] = data.reshape(want).copy()
     if buf.read(1):
         raise FormatError("checkpoint has trailing bytes after its tensors")
+    model = model_cls(spec)
     for name, data in loaded.items():
         model.params[name].data = data
     return model, info

@@ -16,7 +16,7 @@ def iterate_minibatches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def train_classifier(model, images, labels, *, class_weights=None, epochs=20,
+def train_classifier(model, images, labels, *, epochs, class_weights=None,
                      batch_size=64, lr=1e-3, optimizer="adam", rng=None):
     """Train in place; returns per-epoch (loss, accuracy) history."""
     rng = rng or np.random.default_rng(0)

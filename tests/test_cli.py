@@ -3,6 +3,7 @@ import re
 import struct
 import warnings
 import zlib
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -33,9 +34,12 @@ RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
               "alpha_pert": "recon.alpha_pert", "beta_pert": "recon.beta_pert",
               "eta_var": "recon.eta_var", "eta_pix": "recon.eta_pix",
               "eta_grad": "recon.eta_grad", "eps_pert": "recon.eps_pert"}
+# cmd_ood: the nested inversion config takes the inv.* keys but ood.inv_steps
 OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
             "batch_size": "train.batch", "lr": "train.lr", "garbage_init": "ood.garbage_init",
-            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor", "seed": "seed"}
+            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor", "seed": "seed",
+            **{f"inversion.{f}": k for f, k in INV_KEYS.items()},
+            "inversion.steps": "ood.inv_steps"}
 
 
 class TestConfig:
@@ -111,7 +115,7 @@ class TestConfig:
     ], ids=["InversionConfig", "ReconConfig", "OodCycleConfig"])
     def test_library_defaults_are_the_cli_key_defaults(self, config, keys):
         lib = config()
-        assert {f: getattr(lib, f) for f in keys} == {f: DEFAULTS[k] for f, k in keys.items()}
+        assert {f: attrgetter(f)(lib) for f in keys} == {f: DEFAULTS[k] for f, k in keys.items()}
 
     def test_phase_seeds_differ(self):
         assert derive_seed(0, "a") != derive_seed(0, "b")

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, DomainError, ShapeError
 from netinv.models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
-                           _condition_matrix, classifier_param_count, condition_matrix,
-                           generator_param_count)
+                           _condition_matrix, condition_matrix)
+from netinv.serialize import load_checkpoint, save_checkpoint
 from netinv.training import accuracy
 from test_autograd import im2col_oracle, maxpool_oracle
 
@@ -47,11 +51,10 @@ class TestClassifierForward:
         _, test = bars_data
         assert accuracy(trained_mlp, test.images, test.labels) >= 0.95
 
-    def test_param_count_matches_closed_form(self):
-        for kind in ("mlp", "cnn"):
-            spec = ClassifierSpec(kind=kind, classes=5)
-            clf = Classifier(spec)
-            assert sum(p.size for p in clf.parameters()) == classifier_param_count(spec)
+    @pytest.mark.parametrize("kind, count", [("mlp", 70403), ("cnn", 10723)])
+    def test_default_param_count(self, kind, count):
+        clf = Classifier(ClassifierSpec(kind=kind))
+        assert sum(p.size for p in clf.parameters()) == count
 
 
 class TestCondition:
@@ -116,11 +119,10 @@ class TestGenerator:
         with pytest.raises(ContractError):
             gen.forward(ag.Tensor(z), [0])
 
-    def test_param_count_matches_closed_form(self):
-        for mode in ("hot", "hidden"):
-            spec = GeneratorSpec(cond_mode=mode, classes=5)
-            gen = Generator(spec)
-            assert sum(p.size for p in gen.parameters()) == generator_param_count(spec)
+    @pytest.mark.parametrize("mode, count", [("hidden", 82448), ("hot", 78736)])
+    def test_default_param_count(self, mode, count):
+        gen = Generator(GeneratorSpec(cond_mode=mode))
+        assert sum(p.size for p in gen.parameters()) == count
 
 
 def cnn_forward_oracle(clf, x):
@@ -164,3 +166,61 @@ class TestCnnLayout:
             logits, _ = clf.forward(x)
         want = cnn_forward_oracle(clf, x)
         assert logits.dtype == want.dtype and np.array_equal(logits.data, want)
+
+
+DIMS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
+
+
+@st.composite
+def accepted_specs(draw, family):
+    """A small spec of ``family``: "mlp", "cnn<depth>", "gen-hot" or "gen-hidden"."""
+    classes = draw(st.integers(2, 4))
+    if family.startswith("gen-"):
+        return GeneratorSpec(z_dim=draw(st.integers(1, 5)), cond_mode=family[4:],
+                             cond_dim=draw(st.integers(classes, 6)), classes=classes,
+                             dropout=draw(st.sampled_from([0.0, 0.5])), hidden=draw(DIMS),
+                             out_shape=draw(SHAPES), cond_seed=draw(st.integers(0, 99)))
+    if family == "mlp":
+        return ClassifierSpec(in_shape=draw(SHAPES), hidden=draw(DIMS), classes=classes)
+    depth = int(family[3:])
+    side = st.integers(1, 2).map(lambda k: k * 2 ** depth)
+    return ClassifierSpec(kind="cnn", in_shape=(draw(st.integers(1, 2)), draw(side), draw(side)),
+                          conv_channels=tuple(draw(st.integers(1, 3)) for _ in range(depth)),
+                          conv_hidden=draw(st.integers(1, 5)), classes=classes)
+
+
+class TestAcceptedSpecs:
+    @pytest.mark.parametrize("family", ["mlp", "cnn1", "cnn2", "cnn3", "gen-hot", "gen-hidden"])
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_builds_runs_and_round_trips(self, tmp_path, family, data):
+        spec = data.draw(accepted_specs(family))
+        rng = np.random.default_rng(0)
+        if isinstance(spec, GeneratorSpec):
+            model = Generator(spec, rng=rng)
+            z = rng.standard_normal((2, spec.z_dim)).astype(np.float32)
+            out = model.forward(ag.Tensor(z), [0, 1], training=False)
+            assert out.shape == (2, *spec.out_shape)
+        else:
+            model = Classifier(spec, rng=rng)
+            logits, _ = model.forward(rng.uniform(size=(2, *spec.in_shape)).astype(np.float32))
+            assert logits.shape == (2, spec.classes)
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.spec == spec
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+        layout = spec.layout()
+        assert [(name, p.shape) for name, p in model.params.items()] == \
+            [(name, shape) for name, shape, _ in layout]
+        assert sum(p.size for p in model.parameters()) == \
+            sum(math.prod(shape) for _, shape, _ in layout)
+
+    @pytest.mark.parametrize("in_shape, channels", [((1, 6, 8), (4,) * 2),
+                                                    ((1, 8, 12), (4,) * 3), ((1, 4, 4), ())])
+    def test_cnn_rejects_specs_its_pools_cannot_run(self, in_shape, channels):
+        with pytest.raises(DomainError):
+            ClassifierSpec(kind="cnn", in_shape=in_shape, conv_channels=channels)

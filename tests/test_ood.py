@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from netinv import ood
 from netinv.data import SynthSpec, synth_dataset
-from netinv.errors import ConfigError, ContractError, DivergenceError, DomainError
+from netinv.errors import ContractError, DivergenceError, DomainError
 from netinv.inversion import InversionConfig
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.ood import (OodCycleConfig, class_weights, evaluate_grid, init_garbage,
@@ -382,5 +382,5 @@ class TestEvaluateGrid:
     def test_missing_pairing(self, small_id_data):
         _, test = small_id_data
         clf = Classifier(ClassifierSpec(classes=4))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             evaluate_grid({"bars": clf}, {"crosses": test}, {"bars": 3})

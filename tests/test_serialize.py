@@ -1,5 +1,7 @@
 import csv
+import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -73,6 +75,31 @@ class TestCheckpoint:
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, fields, match", [
+        ("mlp", {"hidden": [1 << 20, 1 << 20]}, "architecture needs"),
+        ("cnn", {"in_shape": [1, 4, 6]}, "divisible by 4"),
+        ("cnn", {"conv_channels": [2, 3, 4]}, "divisible by 8"),
+    ])
+    def test_descriptor_spec_rejected_before_allocation(self, tmp_path, kind, fields, match):
+        model = FUZZ_MODELS[kind]
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        payload = path.read_bytes()[:-4]
+        size, = struct.unpack("<I", payload[8:12])
+        desc = json.loads(payload[12:12 + size])
+        desc["spec"].update(fields)
+        raw = json.dumps(desc).encode("utf-8")
+        payload = payload[:8] + struct.pack("<I", len(raw)) + raw + payload[12 + size:]
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=match):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_save_is_deterministic(self, tmp_path):
         clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(3))
