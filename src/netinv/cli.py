@@ -223,6 +223,7 @@ def cmd_ood(args):
 
     ocfg = OodCycleConfig(cycles=cfg["ood.cycles"], epochs_per_cycle=cfg["ood.epochs"],
                           batch_size=cfg["train.batch"], lr=cfg["train.lr"],
+                          optimizer=cfg["train.optimizer"],
                           garbage_init=cfg["ood.garbage_init"],
                           budget=cfg["ood.budget"],
                           capacity_factor=cfg["ood.capacity_factor"],

@@ -90,67 +90,148 @@ def weighted_ce_loss(logits, labels, class_weights=None):
     return ag._from_op(value, (logits,), vjp)
 
 
+def _sum64(x, dtype):
+    """Sum of all entries of ``x``, accumulated in 64-bit and cast to ``dtype``."""
+    return np.asarray(x.sum(dtype=np.float64), dtype=dtype)
+
+
 def feature_gram(features):
-    """Gram matrix [B, B] of the row-normalized features: pairwise cosines."""
+    """Gram matrix [B, B] of the row-normalized features: pairwise cosines.
+
+    One node over ``features``. With ``r`` the row norms and ``u`` the unit
+    rows, both recomputed from the input, the VJP is
+    ``(gu - u * rowsum(gu * u)) / r`` for ``gu = (g + g^T) @ u``.
+    """
     features = ag.as_tensor(features)
-    norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
-    n = ag.div(features, norms)
-    return ag.matmul(n, ag.transpose(n))
+    x = features.data
+    sq = np.asarray((x * x).sum(axis=1, keepdims=True, dtype=np.float64), dtype=x.dtype)
+    n = x / (sq + x.dtype.type(EPS ** 2)) ** 0.5
+    value = n @ n.T
+
+    def vjp(g, need):
+        norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
+        unit = ag.div(features, norms)
+        gu = ag.matmul(ag.add(g, ag.transpose(g)), unit)
+        radial = ag.mul(unit, ag.sum_(ag.mul(gu, unit), axis=1, keepdims=True))
+        return (ag.div(ag.sub(gu, radial), norms),)
+
+    return ag._from_op(value, (features,), vjp)
 
 
 def cosine_diversity_loss(gram):
     """Mean pairwise cosine similarity over unordered feature pairs, from
-    ``feature_gram(features)``."""
+    ``feature_gram(features)``.
+
+    One node over ``gram``; the VJP is ``g / (B * (B - 1))`` off the diagonal.
+    """
+    gram = ag.as_tensor(gram)
     B = gram.shape[0]
     if B < 2:
         raise ContractError("cosine diversity needs a batch of at least 2")
     offdiag = (1.0 - np.eye(B)).astype(gram.dtype)
-    return ag.div(ag.sum_(ag.mul(gram, ag.Tensor(offdiag))),
-                  ag.Tensor(np.asarray(B * (B - 1), dtype=gram.dtype)))
+    pairs = np.asarray(B * (B - 1), dtype=gram.dtype)
+    value = _sum64(gram.data * offdiag, gram.dtype) / pairs
+    offdiag = ag.Tensor(offdiag)
+
+    def vjp(g, need):
+        return (ag.mul(ag.div(g, pairs), offdiag),)
+
+    return ag._from_op(value, (gram,), vjp)
 
 
 def ortho_loss(gram):
-    """Squared Frobenius distance from identity of ``feature_gram(features)``."""
+    """Squared Frobenius distance from identity of ``feature_gram(features)``.
+
+    One node over ``gram``; the VJP is ``2 * g * (gram - I)``.
+    """
+    gram = ag.as_tensor(gram)
     B = gram.shape[0]
     if B < 1:
         raise ContractError("ortho loss needs a non-empty batch")
-    eye = ag.Tensor(np.eye(B, dtype=gram.dtype))
-    return ag.sum_(ag.square(ag.sub(gram, eye)))
+    eye = np.eye(B, dtype=gram.dtype)
+    d = gram.data - eye
+    eye = ag.Tensor(eye)
+
+    def vjp(g, need):
+        return (ag.mul(ag.mul(g, ag.sub(gram, eye)), 2.0),)
+
+    return ag._from_op(_sum64(d * d, gram.dtype), (gram,), vjp)
 
 
 def tv_loss(images):
-    """Mean squared adjacent-pixel difference, normalized per image pixel."""
+    """Mean squared adjacent-pixel difference, normalized per image pixel.
+
+    One node over ``images``. The VJP takes each adjacent difference along H
+    and W, recomputed from the input, times ``2 * g / (B*C*H*W)``, and adds
+    it onto the later pixel of its pair and subtracts it from the earlier.
+    """
     images = ag.as_tensor(images)
     B, C, H, W = images.shape
     if H < 2 or W < 2:
         raise ContractError(f"tv loss needs H, W >= 2, got {images.shape}")
-    dh = ag.sub(ag.take_slice(images, 2, 1, H), ag.take_slice(images, 2, 0, H - 1))
-    dw = ag.sub(ag.take_slice(images, 3, 1, W), ag.take_slice(images, 3, 0, W - 1))
-    total = ag.add(ag.sum_(ag.square(dh)), ag.sum_(ag.square(dw)))
-    return ag.div(total, ag.Tensor(np.asarray(B * C * H * W, dtype=images.dtype)))
+    x = images.data
+    dh = x[:, :, 1:] - x[:, :, :-1]
+    dw = x[:, :, :, 1:] - x[:, :, :, :-1]
+    count = np.asarray(B * C * H * W, dtype=images.dtype)
+    value = (_sum64(dh * dh, x.dtype) + _sum64(dw * dw, x.dtype)) / count
+
+    def vjp(g, need):
+        scale = ag.mul(ag.div(g, count), 2.0)
+        parts = []
+        for axis, n in ((2, H), (3, W)):
+            diff = ag.sub(ag.take_slice(images, axis, 1, n), ag.take_slice(images, axis, 0, n - 1))
+            gd = ag.mul(diff, scale)
+            parts.append(ag.sub(ag.pad_slice(gd, images.shape, axis, 1),
+                                ag.pad_slice(gd, images.shape, axis, 0)))
+        return (ag.add(*parts),)
+
+    return ag._from_op(value, (images,), vjp)
 
 
 def pixel_loss(images):
     """Mean squared hinge outside [0, 1]: (x - clamp01(x))^2, which is
-    (max(0, x-1))^2 + (max(0, -x))^2."""
+    (max(0, x-1))^2 + (max(0, -x))^2.
+
+    One node over ``images``; the VJP is ``G - G * inside`` for
+    ``G = 2 * g / x.size * (x - clamp01(x))``, the chain rule through ``x``
+    and through the clamp's pass-through mask (so it is NaN at +-inf).
+    """
     images = ag.as_tensor(images)
-    return ag.mean(ag.square(ag.sub(images, ag.clamp01(images))))
+    x = images.data
+    d = x - np.clip(x, 0.0, 1.0)
+    count = np.asarray(float(x.size), dtype=x.dtype)
+    value = _sum64(d * d, x.dtype) / count
+
+    def vjp(g, need):
+        grad = ag.mul(ag.sub(images, ag.clamp01(images)), ag.mul(ag.div(g, count), 2.0))
+        inside = ag.Tensor(((x >= 0.0) & (x <= 1.0)).astype(x.dtype))
+        return (ag.sub(grad, ag.mul(grad, inside)),)
+
+    return ag._from_op(value, (images,), vjp)
 
 
 def compose_total(terms, weights, order):
     """Weighted sum of loss tensors in a fixed key order, skipping zero weights.
 
+    One node over the weighted terms (None when there are none), summed left
+    to right in the terms' dtype; the VJP hands each term ``g * weight``.
     Using one composition routine everywhere keeps the inversion and
     reconstruction totals bit-consistent when the extra weights are zero.
     """
+    picked = [name for name in order if weights.get(name, 0.0) != 0.0 and name in terms]
+    if not picked:
+        return None
+    inputs = tuple(terms[name] for name in picked)
+    coefs = [np.asarray(weights[name], dtype=t.dtype) for name, t in zip(picked, inputs)]
     total = None
-    for name in order:
-        w = weights.get(name, 0.0)
-        if w == 0.0 or name not in terms:
-            continue
-        piece = ag.mul(terms[name], ag.Tensor(np.asarray(w, dtype=terms[name].dtype)))
-        total = piece if total is None else ag.add(total, piece)
-    return total
+    for t, w in zip(inputs, coefs):
+        piece = t.data * w
+        total = piece if total is None else total + piece
+
+    def vjp(g, need):
+        return tuple(ag.mul(g, ag.Tensor(w)) if n else None for n, w in zip(need, coefs))
+
+    return ag._from_op(total, inputs, vjp)
 
 
 def soften_onehot(labels, m, s=0.1, dtype=np.float32):

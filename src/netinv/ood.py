@@ -173,6 +173,7 @@ class OodCycleConfig:
     epochs_per_cycle: int = 12
     batch_size: int = 64
     lr: float = 1e-3
+    optimizer: str = "adam"
     garbage_init: int = 100
     budget: int = 0                 # 0 -> one ID class's training count
     capacity_factor: int = 4
@@ -201,7 +202,7 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
         counts = np.bincount(labels, minlength=n1)
         train_classifier(clf, images, labels, class_weights=class_weights(counts),
                          epochs=cfg.epochs_per_cycle, batch_size=cfg.batch_size,
-                         lr=cfg.lr, rng=rng)
+                         lr=cfg.lr, optimizer=cfg.optimizer, rng=rng)
 
     reports = []
     for cycle in range(1, cfg.cycles + 1):

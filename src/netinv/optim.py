@@ -25,6 +25,8 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two scratch arrays per parameter, so a step allocates only the new p
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def step(self, grads):
         grads = _checked(self.params, grads)
@@ -34,16 +36,16 @@ class Adam:
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
         # so the result is bit-equal to that out-of-place formula
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v, (step, denom) in zip(self.params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(1 - self.beta1, g, out=step)
             v *= self.beta2
-            g2 = (1 - self.beta2) * g
-            g2 *= g
-            v += g2
-            step = m / (1 - self.beta1 ** t)
+            np.multiply(1 - self.beta2, g, out=denom)
+            denom *= g
+            v += denom
+            np.divide(m, 1 - self.beta1 ** t, out=step)
             step *= self.lr
-            denom = np.divide(v, 1 - self.beta2 ** t, out=g2)
+            np.divide(v, 1 - self.beta2 ** t, out=denom)
             np.sqrt(denom, out=denom)
             denom += self.eps
             step /= denom

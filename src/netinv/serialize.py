@@ -32,10 +32,10 @@ def _descriptor(model, seed=0, meta=None):
 
 def _field_ok(default, value):
     """A descriptor spec value has its field's type; ints are nonnegative and
-    dimension lists nonempty with positive entries."""
+    dimension lists have positive entries (the spec's own checks decide the
+    rest, an empty list included)."""
     if isinstance(default, tuple):
-        return (isinstance(value, list) and len(value) > 0
-                and all(type(v) is int and v > 0 for v in value))
+        return isinstance(value, list) and all(type(v) is int and v > 0 for v in value)
     if isinstance(default, float):
         return type(value) in (int, float)
     return type(value) is type(default) and not (type(value) is int and value < 0)

@@ -36,7 +36,8 @@ RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
               "eta_grad": "recon.eta_grad", "eps_pert": "recon.eps_pert"}
 # cmd_ood: the nested inversion config takes the inv.* keys but ood.inv_steps
 OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
-            "batch_size": "train.batch", "lr": "train.lr", "garbage_init": "ood.garbage_init",
+            "batch_size": "train.batch", "lr": "train.lr", "optimizer": "train.optimizer",
+            "garbage_init": "ood.garbage_init",
             "budget": "ood.budget", "capacity_factor": "ood.capacity_factor", "seed": "seed",
             **{f"inversion.{f}": k for f, k in INV_KEYS.items()},
             "inversion.steps": "ood.inv_steps"}
@@ -443,6 +444,20 @@ class TestOod:
         assert main(["ood", "--config", conf, "--out", str(out)]) == 0
         assert (out / "ood_classifier.ninv").exists()
         assert (out / "cycles.csv").read_text().count("\n") == 1  # header only
+
+    def test_train_optimizer_reaches_the_cycle(self, tmp_path, monkeypatch):
+        from netinv import training
+        kinds = []
+        real = training.make_optimizer
+
+        def recording(params, kind="adam", **kw):
+            kinds.append(kind)
+            return real(params, kind, **kw)
+
+        monkeypatch.setattr(training, "make_optimizer", recording)
+        conf = write_conf(tmp_path, TINY_RUN + "train.optimizer = sgd\n")
+        assert main(["ood", "--config", conf, "--out", str(tmp_path / "ood")]) == 0
+        assert kinds == ["sgd", "sgd"]      # cycle 1, then the final retraining
 
     def test_budget_arithmetic_in_csv(self, tmp_path):
         conf = write_conf(tmp_path, FAST_TRAIN + """

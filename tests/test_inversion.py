@@ -144,6 +144,15 @@ _SCALARS = {
     "kl_loss": _kl_of_normalized,
     "weighted_ce_loss": lambda h: losses.weighted_ce_loss(h, np.arange(4) % 3,
                                                           class_weights=[1.0, 2.0, 0.5]),
+    "feature_gram": lambda h: ag.sum_(ag.mul(losses.feature_gram(h), ag.Tensor(_UP @ _UP.T))),
+    "cosine_diversity_loss": lambda h: losses.cosine_diversity_loss(
+        ag.matmul(h, ag.transpose(h))),
+    "ortho_loss": lambda h: losses.ortho_loss(ag.matmul(h, ag.transpose(h))),
+    "tv_loss": lambda h: losses.tv_loss(ag.reshape(h, (1, 1, 4, 3))),
+    "pixel_loss": losses.pixel_loss,
+    "compose_total": lambda h: losses.compose_total(
+        {"sq": ag.sum_(ag.square(h)), "lin": ag.sum_(h)}, {"sq": 0.5, "lin": 2.0},
+        ("sq", "lin")),
 }
 
 

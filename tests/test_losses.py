@@ -4,10 +4,11 @@ import pytest
 from netinv import autograd as ag
 from netinv.errors import ContractError, DivergenceError, DomainError
 from netinv.inversion import InversionConfig, _sample_batch, generator_loss
-from netinv.losses import (LossBreakdown, cosine_diversity_loss, feature_gram,
-                           kl_loss, ortho_loss, pixel_loss, soften_onehot, tv_loss,
-                           weighted_ce_loss)
+from netinv.losses import (EPS, LossBreakdown, compose_total, cosine_diversity_loss,
+                           feature_gram, kl_loss, ortho_loss, pixel_loss, soften_onehot,
+                           tv_loss, weighted_ce_loss)
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
+from netinv.reconstruction import ReconConfig
 from test_autograd import check_grads, fd_grad
 
 
@@ -265,16 +266,163 @@ class TestFusedNodeGradients:
         np.testing.assert_allclose(gx.data, want, rtol=1e-4, atol=1e-8)
 
 
-def test_mlp_generator_loss_tape_is_small():
-    clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0)).freeze()
-    gen = Generator(GeneratorSpec(), rng=np.random.default_rng(1))
-    rng = np.random.default_rng(2)
-    labels, images = _sample_batch(gen, [0, 1, 2], 32, rng, training=True)
-    total, _ = generator_loss(images, clf, labels, InversionConfig(), rng)
+# each one-node term written out as the chain of public ops it replaces
+def composed_feature_gram(f):
+    norms = ag.sqrt(ag.add(ag.sum_(ag.square(f), axis=1, keepdims=True), EPS ** 2))
+    n = ag.div(f, norms)
+    return ag.matmul(n, ag.transpose(n))
+
+
+def composed_cosine(gram):
+    B = gram.shape[0]
+    offdiag = (1.0 - np.eye(B)).astype(gram.dtype)
+    return ag.div(ag.sum_(ag.mul(gram, ag.Tensor(offdiag))),
+                  ag.Tensor(np.asarray(B * (B - 1), dtype=gram.dtype)))
+
+
+def composed_ortho(gram):
+    eye = ag.Tensor(np.eye(gram.shape[0], dtype=gram.dtype))
+    return ag.sum_(ag.square(ag.sub(gram, eye)))
+
+
+def composed_tv(images):
+    B, C, H, W = images.shape
+    dh = ag.sub(ag.take_slice(images, 2, 1, H), ag.take_slice(images, 2, 0, H - 1))
+    dw = ag.sub(ag.take_slice(images, 3, 1, W), ag.take_slice(images, 3, 0, W - 1))
+    total = ag.add(ag.sum_(ag.square(dh)), ag.sum_(ag.square(dw)))
+    return ag.div(total, ag.Tensor(np.asarray(B * C * H * W, dtype=images.dtype)))
+
+
+def composed_pixel(images):
+    return ag.mean(ag.square(ag.sub(images, ag.clamp01(images))))
+
+
+def composed_total(terms, weights, order):
+    total = None
+    for name in order:
+        w = weights.get(name, 0.0)
+        if w == 0.0 or name not in terms:
+            continue
+        piece = ag.mul(terms[name], ag.Tensor(np.asarray(w, dtype=terms[name].dtype)))
+        total = piece if total is None else ag.add(total, piece)
+    return total
+
+
+TOTAL_WEIGHTS = {"a": 0.5, "skip": 0.0, "b": 0.3, "c": 1.7}
+TOTAL_ORDER = ("c", "skip", "a", "b")
+
+
+def three_terms(x):
+    """Scalar terms of ``x`` for ``compose_total``, one of them weighted zero."""
+    return {"a": ag.sum_(ag.square(x)), "b": ag.sum_(ag.exp(x)),
+            "c": ag.sum_(ag.mul(x, ag.take_slice(x, 0, 1, 2))), "skip": ag.sum_(x)}
+
+
+class TestOneNodeTerms:
+    """The diversity terms, the priors and the weighted total are one tape
+    node each: forwards bit-equal to the chains of public ops they replace,
+    first- and second-order gates in float64."""
+
+    @staticmethod
+    def cases(rng):
+        """name -> (one-node function, composed function, input array)."""
+        gram = rng.normal(size=(5, 5))
+        images = rng.uniform(-0.4, 1.4, size=(2, 3, 4, 5))
+        return {
+            "feature_gram": (feature_gram, composed_feature_gram, rng.normal(size=(5, 7))),
+            "cosine": (cosine_diversity_loss, composed_cosine, gram),
+            "ortho": (ortho_loss, composed_ortho, gram + 0.5),
+            "tv": (tv_loss, composed_tv, images),
+            "pixel": (pixel_loss, composed_pixel, images),
+            "total": (lambda x: compose_total(three_terms(x), TOTAL_WEIGHTS, TOTAL_ORDER),
+                      lambda x: composed_total(three_terms(x), TOTAL_WEIGHTS, TOTAL_ORDER),
+                      rng.normal(size=(3, 4))),
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["feature_gram", "cosine", "ortho", "tv", "pixel",
+                                      "total"])
+    def test_forward_bit_equal_to_composed(self, name, dtype):
+        one_node, composed, x = self.cases(np.random.default_rng(33))[name]
+        x = ag.Tensor(x.astype(dtype), requires_grad=True)
+        got, want = one_node(x), composed(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+        if name != "total":         # the total's inputs are its terms (test below)
+            assert len(got._op[0]) == 1 and got._op[0][0] is x
+
+    @pytest.mark.parametrize("name", ["feature_gram", "cosine", "ortho", "tv", "pixel",
+                                      "total"])
+    def test_finite_differences(self, name):
+        rng = np.random.default_rng(34)
+        one_node, _, x = self.cases(rng)[name]
+        up = rng.normal(size=one_node(ag.Tensor(x)).shape)   # a non-symmetric adjoint
+        check_grads(lambda t: ag.sum_(ag.mul(one_node(t), ag.Tensor(up))), [x])
+
+    def test_total_is_one_node_over_its_weighted_terms(self):
+        x = ag.Tensor(np.ones((3, 4)), requires_grad=True)
+        terms = three_terms(x)
+        total = compose_total(terms, TOTAL_WEIGHTS, TOTAL_ORDER)
+        assert [id(t) for t in total._op[0]] == [id(terms[k]) for k in ("c", "a", "b")]
+        assert compose_total(terms, {"skip": 1.0, "a": 0.0}, ("a",)) is None
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+    @pytest.mark.parametrize("kind", ["gram", "image"])
+    def test_second_order_through_the_term_nodes(self, kind, squared):
+        """d/dx grad_norm_sq(compose_total(...), [w]); squaring the total
+        makes every adjoint entering the term nodes depend on x as well."""
+        rng = np.random.default_rng(35)
+        if kind == "gram":
+            w = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            x0 = rng.normal(size=(4, 5))
+            weights = {"cosine": 0.5, "ortho": 0.3}
+
+            def terms_of(x):
+                gram = feature_gram(ag.matmul(x, w))
+                return {"cosine": cosine_diversity_loss(gram), "ortho": ortho_loss(gram)}
+        else:
+            w = ag.Tensor(rng.uniform(0.5, 1.5, size=(2, 1, 4, 5)), requires_grad=True)
+            x0 = rng.uniform(-0.4, 1.4, size=(2, 1, 4, 5))
+            weights = {"var": 0.7, "pix": 1.1}
+
+            def terms_of(x):
+                h = ag.mul(x, w)
+                return {"var": tv_loss(h), "pix": pixel_loss(h)}
+
+        def gns_of(x):
+            total = compose_total(terms_of(x), weights, tuple(weights))
+            return ag.grad_norm_sq(ag.square(total) if squared else total, [w])
+
+        x = ag.Tensor(x0.copy(), requires_grad=True)
+        (gx,) = ag.grad(gns_of(x), [x])
+        want = fd_grad(lambda a: gns_of(ag.Tensor(a)).item(), x0.copy(), h=1e-5)
+        np.testing.assert_allclose(gx.data, want, rtol=1e-4, atol=1e-8)
+
+
+def tape_size(total):
+    """Tape nodes reachable from ``total``, itself included."""
     seen, stack = {total}, [total]
     while stack:
         for inp in stack.pop()._op[0]:
             if inp._op is not None and inp not in seen:
                 seen.add(inp)
                 stack.append(inp)
-    assert len(seen) <= 40
+    return len(seen)
+
+
+def mlp_generator_loss(cfg):
+    clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0)).freeze()
+    gen = Generator(GeneratorSpec(), rng=np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    labels, images = _sample_batch(gen, [0, 1, 2], 32, rng, training=True)
+    total, _ = generator_loss(images, clf, labels, cfg, rng)
+    return total
+
+
+def test_mlp_generator_loss_tape_is_small():
+    assert tape_size(mlp_generator_loss(InversionConfig())) <= 22
+
+
+def test_mlp_reconstruction_loss_tape_is_small():
+    """The reconstruction terms on, the grad-norm replay's nodes included."""
+    assert tape_size(mlp_generator_loss(ReconConfig())) <= 65

@@ -80,6 +80,10 @@ class TestCheckpoint:
         ("mlp", {"hidden": [1 << 20, 1 << 20]}, "architecture needs"),
         ("cnn", {"in_shape": [1, 4, 6]}, "divisible by 4"),
         ("cnn", {"conv_channels": [2, 3, 4]}, "divisible by 8"),
+        # an empty list reaches the spec's own checks, or its layout's
+        ("cnn", {"conv_channels": []}, "at least one conv layer"),
+        ("mlp", {"in_shape": []}, "bad checkpoint descriptor"),
+        ("generator", {"out_shape": []}, "bad checkpoint descriptor"),
     ])
     def test_descriptor_spec_rejected_before_allocation(self, tmp_path, kind, fields, match):
         model = FUZZ_MODELS[kind]
@@ -100,6 +104,20 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("model", [
+        Classifier(ClassifierSpec(hidden=()), rng=np.random.default_rng(4)),
+        Generator(GeneratorSpec(hidden=()), rng=np.random.default_rng(5)),
+    ], ids=["classifier", "generator"])
+    def test_no_hidden_layers_round_trip_bitwise(self, tmp_path, model):
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        assert type(loaded) is type(model) and loaded.spec == model.spec
+        assert loaded.params.keys() == model.params.keys()
+        for name, p in model.params.items():
+            got = loaded.params[name].data
+            assert got.dtype == p.data.dtype and got.tobytes() == p.data.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(3))
