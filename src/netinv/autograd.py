@@ -11,16 +11,20 @@ upstream inputs (a second-order replay).
 
 A forward computes its output and nothing else, so a ``no_grad`` pass or an
 op whose inputs need no gradient pays only for the output. One rule holds for
-every VJP: it reads its node's inputs and its adjoint, never its own output,
-so the inputs must not change before the reverse pass. An op whose derivative
-is written in terms of its output (``exp``, ``sigmoid``, ``softmax``,
-``log_softmax``) recomputes that output from its input inside the VJP. No
-closure then holds its own node, no node sits on a reference cycle, and
-reference counting frees each step's tape, every intermediate array included,
-when the step ends. State that only a VJP reads (a pooling mask, an
-activation's slope scale) is built inside the VJP on its first call and kept
-in the closure, because the second-order replay calls the same VJP twice
-(inner and outer pass).
+every VJP: it reads its node's inputs, its adjoint and the forward's
+intermediate arrays, never its own output, so the inputs must not change
+before the reverse pass. An op whose derivative is written in terms of its
+output (``exp``, ``sigmoid``, ``softmax``, ``log_softmax``) recomputes that
+output from its input inside the VJP. No closure then holds its own node, no
+node sits on a reference cycle, and reference counting frees each step's
+tape, every intermediate array included, when the step ends. State that only
+a VJP reads (a pooling mask, an activation's slope scale) is built inside the
+VJP on its first call and kept in the closure, because the second-order
+replay calls the same VJP twice (inner and outer pass).
+
+A model layer is one node: ``linear`` takes the hidden layers' leaky-ReLU
+slope, and ``conv2d`` takes its bias and slope. Their VJPs keep the
+pre-activation (and ``conv2d`` its im2col columns) as forward intermediates.
 
 The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
 return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
@@ -218,27 +222,37 @@ def _leaky_slope(dtype, slope):
     return s
 
 
-def leaky_relu(a, slope):
-    """``x * (1 if x > 0 else slope)`` for a slope in (0, 1] in the input's dtype."""
-    a = as_tensor(a)
-    x = a.data
-    s = _leaky_slope(x.dtype, slope)
+def _leaky(pre, slope):
+    """Leaky ReLU of the array ``pre`` -> (output, adjoint scaler).
+
+    The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
+    builds that select on its first call and keeps it, because the
+    second-order replay calls the same VJP twice. ``leaky_relu``, ``linear``
+    and ``conv2d`` all run this arithmetic."""
+    s = _leaky_slope(pre.dtype, slope)
     scale = None
 
-    def vjp(g, need):
+    def scaled(g):
         nonlocal scale
         if scale is None:
             # (1 - up) * s + up: the 1-or-slope select without a data-dependent
             # branch, in place
-            up = (x > 0).astype(x.dtype)
+            up = (pre > 0).astype(pre.dtype)
             sel = 1 - up
             sel *= s
             sel += up
             scale = Tensor(sel)
-        return (mul(g, scale),)
+        return mul(g, scale)
 
     # with a slope in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
-    return _from_op(np.maximum(x, x * s), (a,), vjp)
+    return np.maximum(pre, pre * s), scaled
+
+
+def leaky_relu(a, slope):
+    """``x * (1 if x > 0 else slope)`` for a slope in (0, 1] in the input's dtype."""
+    a = as_tensor(a)
+    out, scaled = _leaky(a.data, slope)
+    return _from_op(out, (a,), lambda g, need: (scaled(g),))
 
 
 def sigmoid(a):
@@ -410,18 +424,57 @@ def matmul(a, b):
     return _from_op(a.data @ b.data, (a, b), vjp)
 
 
-def linear(x, w, b):
-    """Affine layer ``x @ w + b`` as one node; same arithmetic as matmul then add."""
+def linear(x, w, b, slope=None):
+    """Affine layer ``x @ w + b`` as one node, followed in the same node by a
+    leaky ReLU when ``slope`` is given; same arithmetic as matmul, add, then
+    leaky_relu. The pre-activation is a forward intermediate the VJP keeps."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_matmul(x, w)
+    out = x.data @ w.data + b.data
+    scaled = None
+    if slope is not None:
+        out, scaled = _leaky(out, slope)
 
     def vjp(g, need):
+        if scaled is not None:
+            g = scaled(g)
         gx = matmul(g, transpose(w)) if need[0] else None
         gw = matmul(transpose(x), g) if need[1] else None
         gb = _unbroadcast(g, b.data.shape) if need[2] else None
         return gx, gw, gb
 
-    return _from_op(x.data @ w.data + b.data, (x, w, b), vjp)
+    return _from_op(out, (x, w, b), vjp)
+
+
+def _conv_out(n, k, stride, pad):
+    return (n + 2 * pad - k) // stride + 1
+
+
+def _im2col_data(x, kh, kw, stride, pad):
+    """im2col's arithmetic on a [C, H, W, B] array; ``im2col`` and
+    ``conv2d`` share it."""
+    if x.ndim != 4:
+        raise ShapeError(f"im2col expects a 4-D [C, H, W, B] image, got {x.shape}")
+    C, H, W, B = x.shape
+    if kh > H + 2 * pad or kw > W + 2 * pad:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
+    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=x.dtype)
+    padded[:, pad:pad + H, pad:pad + W] = x
+    out_h, out_w = _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad)
+    sC, sH, sW, sB = padded.strides
+    windows = np.ndarray((C, kh, kw, out_h, out_w, B), padded.dtype, buffer=padded,
+                         strides=(sC, sH, sW, sH * stride, sW * stride, sB))
+    return windows.reshape(C * kh * kw, out_h * out_w * B)
+
+
+def _cols_node(x, cols, kh, kw, stride, pad):
+    """The im2col node of ``x`` whose columns ``cols`` are already computed."""
+    img_shape = x.data.shape
+
+    def vjp(g, need):
+        return (col2im(g, img_shape, kh, kw, stride, pad),)
+
+    return _from_op(cols, (x,), vjp)
 
 
 def im2col(x, kh, kw, stride=1, pad=0):
@@ -433,48 +486,42 @@ def im2col(x, kh, kw, stride=1, pad=0):
     moves contiguous runs of ow*B values.
     """
     x = as_tensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"im2col expects a 4-D [C, H, W, B] image, got {x.data.shape}")
-    C, H, W, B = x.data.shape
-    if kh > H + 2 * pad or kw > W + 2 * pad:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=x.dtype)
-    padded[:, pad:pad + H, pad:pad + W] = x.data
-    out_h = (H + 2 * pad - kh) // stride + 1
-    out_w = (W + 2 * pad - kw) // stride + 1
-    sC, sH, sW, sB = padded.strides
-    windows = np.ndarray((C, kh, kw, out_h, out_w, B), padded.dtype, buffer=padded,
-                         strides=(sC, sH, sW, sH * stride, sW * stride, sB))
-    cols = windows.reshape(C * kh * kw, out_h * out_w * B)
+    return _cols_node(x, _im2col_data(x.data, kh, kw, stride, pad), kh, kw, stride, pad)
 
-    def vjp(g, need):
-        return (col2im(g, (C, H, W, B), kh, kw, stride, pad),)
 
-    return _from_op(cols, (x,), vjp)
+def _tap_range(d, n, n_out, stride, pad):
+    """(first output index, output count, first image index) of the outputs
+    whose kernel tap ``d`` lands inside an image axis of length ``n``."""
+    lo = max(0, -((d - pad) // stride))
+    hi = min(n_out, (n - 1 + pad - d) // stride + 1)
+    return lo, max(hi - lo, 0), d + stride * lo - pad
 
 
 def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
     """Adjoint of im2col: add [C*kh*kw, oh*ow*B] patch columns back into a
     [C, H, W, B] image.
 
-    One strided slice add per kernel offset (di, dj), in row-major order, so
-    every pixel sums its contributions in that order.
+    One strided slice add per kernel offset (di, dj), in row-major order,
+    straight into a zeroed image: each tap adds only the patch values that
+    land inside the image, so every pixel sums its contributions in that
+    order and the result is contiguous.
     """
     cols = as_tensor(cols)
     C, H, W, B = img_shape
-    out_h = (H + 2 * pad - kh) // stride + 1
-    out_w = (W + 2 * pad - kw) // stride + 1
+    out_h, out_w = _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad)
     if cols.data.shape != (C * kh * kw, out_h * out_w * B):
         raise ShapeError(f"col2im expects [C*kh*kw, oh*ow*B] = "
                          f"{(C * kh * kw, out_h * out_w * B)} columns for a [C, H, W, B] "
                          f"image {tuple(img_shape)}, got {cols.data.shape}")
     patches = cols.data.reshape(C, kh, kw, out_h, out_w, B)
-    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=cols.dtype)
+    out = np.zeros((C, H, W, B), dtype=cols.dtype)
     for di in range(kh):
+        oy, ny, y0 = _tap_range(di, H, out_h, stride, pad)
         for dj in range(kw):
-            padded[:, di:di + stride * out_h:stride,
-                   dj:dj + stride * out_w:stride] += patches[:, di, dj]
-    out = padded[:, pad:pad + H, pad:pad + W]
+            ox, nx, x0 = _tap_range(dj, W, out_w, stride, pad)
+            if ny and nx:
+                out[:, y0:y0 + stride * ny:stride, x0:x0 + stride * nx:stride] += \
+                    patches[:, di, dj, oy:oy + ny, ox:ox + nx]
 
     def vjp(g, need):
         return (im2col(g, kh, kw, stride, pad),)
@@ -482,9 +529,17 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
     return _from_op(out, (cols,), vjp)
 
 
-def conv2d(x, kernel, stride=1, pad=0):
+def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     """Cross-correlation of a [C, H, W, B] image with [F, C, kh, kw] kernels
-    -> [F, oh, ow, B]: the kernel matmul's output, reshaped without a copy."""
+    -> [F, oh, ow, B], plus a per-filter ``bias`` (F values, any shape) and a
+    leaky ReLU of ``slope`` when given, as one node over x, kernel and bias.
+
+    The forward is im2col's columns, the kernel matmul, its reshape without a
+    copy, the bias add and the activation, in that order. The VJP keeps the
+    columns and the pre-activation; for the kernel's adjoint it wraps the
+    columns in an im2col node of ``x``, so a second-order replay still
+    differentiates through ``x`` without recomputing them.
+    """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, kh, kw] kernel, "
@@ -494,11 +549,43 @@ def conv2d(x, kernel, stride=1, pad=0):
     if Ck != C:
         raise ShapeError(f"conv2d channel mismatch: [C, H, W, B] input {x.data.shape}, "
                          f"[F, C, kh, kw] kernel {kernel.data.shape}")
-    out_h = (H + 2 * pad - kh) // stride + 1
-    out_w = (W + 2 * pad - kw) // stride + 1
-    cols = im2col(x, kh, kw, stride, pad)                   # [C*kh*kw, oh*ow*B]
-    out = matmul(reshape(kernel, (F, C * kh * kw)), cols)   # [F, oh*ow*B]
-    return reshape(out, (F, out_h, out_w, B))
+    cols = _im2col_data(x.data, kh, kw, stride, pad)                # [C*kh*kw, oh*ow*B]
+    out_shape = (F, _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad), B)
+    k2_shape = (F, C * kh * kw)
+    out = (kernel.data.reshape(k2_shape) @ cols).reshape(out_shape)
+    inputs = (x, kernel)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.data.size != F:
+            raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
+                             f"got shape {bias.data.shape}")
+        b = bias.data.reshape(F, 1, 1, 1)
+        # in place into the matmul's fresh result, widened first as add would
+        out = out.astype(np.result_type(out, b), copy=False)
+        out += b
+        inputs += (bias,)
+    scaled = None
+    if slope is not None:
+        out, scaled = _leaky(out, slope)
+
+    def vjp(g, need):
+        if scaled is not None:
+            g = scaled(g)
+        g2 = reshape(g, (F, cols.shape[1]))
+        gx = gk = gb = None
+        if need[0]:
+            gx = col2im(matmul(transpose(reshape(kernel, k2_shape)), g2),
+                        (C, H, W, B), kh, kw, stride, pad)
+        if need[1]:
+            cols_t = transpose(_cols_node(x, cols, kh, kw, stride, pad))
+            gk = reshape(matmul(g2, cols_t), kernel.data.shape)
+        if bias is None:
+            return gx, gk
+        if need[2]:
+            gb = reshape(sum_(g, axis=(1, 2, 3), keepdims=True), bias.data.shape)
+        return gx, gk, gb
+
+    return _from_op(out, inputs, vjp)
 
 
 def maxpool2d(x, k=2):
@@ -532,11 +619,10 @@ def maxpool2d(x, k=2):
                 hit &= free
                 first[:, i::k, j::k] = hit
                 free ^= hit
-            mask = Tensor(first)
-        up = broadcast_to(reshape(g, (C, H // k, 1, W // k, 1, B)),
-                          (C, H // k, k, W // k, k, B))
-        up = reshape(up, (C, H, W, B))
-        return (mul(up, mask),)
+            mask = Tensor(first.reshape(C, H // k, k, W // k, k, B))
+        # the adjoint broadcast over the k x k taps of each window
+        up = mul(mask, reshape(g, (C, H // k, 1, W // k, 1, B)))
+        return (reshape(up, (C, H, W, B)),)
 
     return _from_op(out_data, (x,), vjp)
 

@@ -27,8 +27,11 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in ("mlp", "cnn"):
             raise DomainError(f"unknown classifier kind {self.kind!r}")
-        if self.classes < 2:
-            raise DomainError("classifier needs at least 2 output classes")
+        _check_int("classes", self.classes, 2)
+        _check_dims("in_shape", self.in_shape, rank=3)
+        _check_dims("hidden", self.hidden)
+        _check_dims("conv_channels", self.conv_channels)
+        _check_int("conv_hidden", self.conv_hidden)
         if self.kind == "cnn":
             if not self.conv_channels:
                 raise DomainError("cnn spec needs at least one conv layer")
@@ -69,6 +72,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.cond_mode not in ("hot", "hidden"):
             raise DomainError(f"unknown condition mode {self.cond_mode!r}")
+        _check_int("classes", self.classes, 2)
+        _check_int("z_dim", self.z_dim)
+        _check_int("cond_dim", self.cond_dim)
+        _check_dims("hidden", self.hidden)
+        _check_dims("out_shape", self.out_shape, rank=3)
+        _check_int("cond_seed", self.cond_seed, 0)
         if not 0.0 <= self.dropout < 1.0:
             raise DomainError("dropout rate must be in [0, 1)")
         if self.cond_mode == "hidden" and self.cond_dim < self.classes:
@@ -82,6 +91,24 @@ class GeneratorSpec:
         """[(name, shape, fan-in or None for zeros)] of the parameters, in order."""
         C, H, W = self.out_shape
         return _affine_stack([self.z_dim + self.cond_width, *self.hidden, C * H * W])
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_int(name, value, low=1):
+    if not _is_int(value) or value < low:
+        raise DomainError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _check_dims(name, dims, rank=None):
+    """``dims`` must be a tuple of positive ints, of length ``rank`` when given
+    (an empty ``hidden`` is a valid spec: no hidden layer)."""
+    if (not isinstance(dims, tuple) or (rank is not None and len(dims) != rank)
+            or not all(_is_int(d) and d > 0 for d in dims)):
+        want = f"{rank} positive ints" if rank else "positive ints"
+        raise DomainError(f"{name} must be {want}, got {dims!r}")
 
 
 def _affine(w_name, b_name, fan_in, fan_out):
@@ -151,8 +178,7 @@ class Classifier:
             h = ag.reshape(x, (B, -1))
             n_hidden = len(self.spec.hidden)
             for i in range(n_hidden):
-                h = ag.leaky_relu(ag.linear(h, self.params[f"w{i}"],
-                                            self.params[f"b{i}"]), 0.1)
+                h = ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"], 0.1)
             feats = h
             logits = ag.linear(h, self.params[f"w{n_hidden}"],
                                self.params[f"b{n_hidden}"])
@@ -161,12 +187,11 @@ class Classifier:
             # flattens [B, C, H, W] as before, so checkpoints keep their logits
             h = ag.transpose(x, (1, 2, 3, 0))
             for i in range(len(self.spec.conv_channels)):
-                h = ag.conv2d(h, self.params[f"k{i}"], stride=1, pad=1)
-                bias = ag.reshape(self.params[f"kb{i}"], (-1, 1, 1, 1))
-                h = ag.leaky_relu(ag.add(h, bias), 0.1)
+                h = ag.conv2d(h, self.params[f"k{i}"], stride=1, pad=1,
+                              bias=self.params[f"kb{i}"], slope=0.1)
                 h = ag.maxpool2d(h, 2)
             h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (B, -1))
-            feats = ag.leaky_relu(ag.linear(h, self.params["wh"], self.params["bh"]), 0.1)
+            feats = ag.linear(h, self.params["wh"], self.params["bh"], 0.1)
             logits = ag.linear(feats, self.params["wo"], self.params["bo"])
         return logits, feats
 
@@ -202,7 +227,7 @@ class Generator:
         h = ag.concat([z, ag.Tensor(condition_matrix(self.spec)[labels])], axis=1)
         n_hidden = len(self.spec.hidden)
         for i in range(n_hidden):
-            h = ag.leaky_relu(ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"]), 0.1)
+            h = ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"], 0.1)
             h = ag.dropout(h, self.spec.dropout, rng, training=training)
         out = ag.sigmoid(ag.linear(h, self.params[f"w{n_hidden}"],
                                    self.params[f"b{n_hidden}"]))

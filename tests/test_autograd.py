@@ -35,6 +35,9 @@ def check_grads(make_loss, arrays, rtol=1e-5, atol=1e-7):
         np.testing.assert_allclose(g.data, want, rtol=rtol, atol=atol)
 
 
+BOTH = (np.float32, np.float64)
+
+
 class TestMatmul:
     def test_identity(self):
         a = ag.Tensor(np.eye(2))
@@ -154,6 +157,135 @@ class TestConv2d:
                     [x, k], rtol=1e-4, atol=1e-6)
 
 
+def composed_conv(x, k, stride, pad, bias=None, slope=None):
+    """The former op chain of a conv layer: im2col, the kernel reshape, the
+    matmul and the output reshape, then the bias reshape and add, then
+    leaky_relu."""
+    F, C, kh, kw = k.shape
+    _, H, W, B = x.shape
+    out_h = (H + 2 * pad - kh) // stride + 1
+    out_w = (W + 2 * pad - kw) // stride + 1
+    cols = ag.im2col(x, kh, kw, stride, pad)
+    h = ag.reshape(ag.matmul(ag.reshape(k, (F, C * kh * kw)), cols), (F, out_h, out_w, B))
+    if bias is not None:
+        h = ag.add(h, ag.reshape(bias, (-1, 1, 1, 1)))
+    return h if slope is None else ag.leaky_relu(h, slope)
+
+
+def composed_linear(x, w, b, slope=None):
+    h = ag.add(ag.matmul(x, w), b)
+    return h if slope is None else ag.leaky_relu(h, slope)
+
+
+def check_second_order(make_out, arrays, penalized, rtol=1e-3, atol=1e-6):
+    """d/d(every other leaf) of ``grad_norm_sq(make_out(*leaves), [the
+    penalized leaves])`` against central differences, in float64."""
+    def gns(values):
+        leaves = [ag.Tensor(a.copy(), requires_grad=True) for a in values]
+        return leaves, ag.grad_norm_sq(make_out(*leaves), [leaves[i] for i in penalized])
+
+    leaves, value = gns(arrays)
+    others = [i for i in range(len(arrays)) if i not in penalized]
+    for i, got in zip(others, ag.grad(value, [leaves[i] for i in others])):
+        def f(a, i=i):
+            return gns(arrays[:i] + [a] + arrays[i + 1:])[1].item()
+        want = fd_grad(f, arrays[i].copy(), h=1e-5)
+        np.testing.assert_allclose(got.data, want, rtol=rtol, atol=atol)
+
+
+class TestLayerNodes:
+    """``linear`` with a slope and ``conv2d`` with a bias and a slope are one
+    tape node each, with the arithmetic of the op chains they replace."""
+
+    @staticmethod
+    def run(layer, arrays, up):
+        """-> [output, adjoints of every input] of ``sum(layer(...) * up)``."""
+        leaves = [ag.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = layer(*leaves)
+        return out, [out] + ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), leaves)
+
+    @pytest.mark.parametrize("dtype", BOTH)
+    @pytest.mark.parametrize("slope", [None, 0.1])
+    def test_linear_bit_equal_to_composed(self, slope, dtype):
+        rng = np.random.default_rng(50)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((5, 4), (4, 3), (1, 3))]
+        up = rng.normal(size=(5, 3)).astype(dtype)
+        out, one = self.run(lambda x, w, b: ag.linear(x, w, b, slope), arrays, up)
+        _, chain = self.run(lambda x, w, b: composed_linear(x, w, b, slope), arrays, up)
+        assert len(out._op[0]) == 3
+        assert [t.data.dtype for t in one] == [dtype] * 4
+        assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
+
+    CONV_CASES = [(stride, pad, with_bias, slope) for stride in (1, 2) for pad in (0, 1, 2)
+                  for with_bias in (False, True) for slope in (None, 0.1)]
+
+    @pytest.mark.parametrize("dtype", BOTH)
+    @pytest.mark.parametrize("stride, pad, with_bias, slope", CONV_CASES)
+    def test_conv2d_bit_equal_to_composed(self, stride, pad, with_bias, slope, dtype):
+        rng = np.random.default_rng(51 + 10 * stride + pad)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((2, 5, 6, 3), (4, 2, 3, 3))]
+        if with_bias:
+            arrays.append(rng.normal(size=(1, 4, 1, 1)).astype(dtype))
+        oh, ow = (5 + 2 * pad - 3) // stride + 1, (6 + 2 * pad - 3) // stride + 1
+        up = rng.normal(size=(4, oh, ow, 3)).astype(dtype)
+
+        def layer(conv):
+            return lambda x, k, *b: conv(x, k, stride, pad, *b, slope=slope)
+
+        out, one = self.run(layer(ag.conv2d), arrays, up)
+        _, chain = self.run(layer(composed_conv), arrays, up)
+        assert len(out._op[0]) == len(arrays)
+        assert [t.data.dtype for t in one] == [dtype] * len(one)
+        assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
+
+    def test_linear_finite_differences(self):
+        rng = np.random.default_rng(52)
+        arrays = [rng.normal(size=s) for s in ((3, 4), (4, 2), (1, 2))]
+        up = rng.normal(size=(3, 2))
+        check_grads(lambda x, w, b: ag.sum_(ag.mul(ag.linear(x, w, b, 0.1), ag.Tensor(up))),
+                    arrays)
+
+    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 2)])
+    def test_conv2d_finite_differences(self, stride, pad):
+        rng = np.random.default_rng(53 + stride + pad)
+        arrays = [rng.normal(size=s) for s in ((2, 5, 5, 2), (3, 2, 3, 3), (1, 3, 1, 1))]
+        oh = (5 + 2 * pad - 3) // stride + 1
+        up = rng.normal(size=(3, oh, oh, 2))
+        check_grads(lambda x, k, b: ag.sum_(ag.mul(
+            ag.conv2d(x, k, stride, pad, bias=b, slope=0.1), ag.Tensor(up))),
+            arrays, rtol=1e-4, atol=1e-6)
+
+    # the squared head makes the adjoint entering the layer depend on every leaf
+    @pytest.mark.parametrize("penalized", [(1, 2), (0,)], ids=["over-params", "over-input"])
+    def test_linear_second_order(self, penalized):
+        rng = np.random.default_rng(54)
+        w2 = ag.Tensor(rng.normal(size=(5, 2)))
+        arrays = [rng.normal(size=s) for s in ((3, 4), (4, 5), (1, 5))]
+        check_second_order(lambda x, w, b: ag.sum_(ag.square(ag.matmul(
+            ag.linear(x, w, b, 0.1), w2))), arrays, penalized)
+
+    @pytest.mark.parametrize("penalized", [(1, 2), (0,)], ids=["over-params", "over-input"])
+    def test_conv2d_second_order_through_maxpool(self, penalized):
+        """d/dx of the penalty over kernel and bias, and d/d(kernel, bias) of
+        the penalty over the input, through
+        maxpool2d(conv2d(x, k, bias=b, slope=0.1))."""
+        rng = np.random.default_rng(55)
+        w = ag.Tensor(rng.normal(size=(8, 1)))
+        arrays = [rng.normal(size=s) for s in ((1, 4, 4, 2), (2, 1, 3, 3), (1, 2, 1, 1))]
+
+        def out_of(x, k, b):
+            h = ag.maxpool2d(ag.conv2d(x, k, pad=1, bias=b, slope=0.1), 2)
+            h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (2, 8))
+            return ag.sum_(ag.square(ag.matmul(h, w)))
+
+        check_second_order(out_of, arrays, penalized)
+
+    def test_conv2d_bias_needs_one_value_per_filter(self):
+        x = ag.Tensor(np.zeros((1, 4, 4, 1)))
+        with pytest.raises(ShapeError, match="bias"):
+            ag.conv2d(x, ag.Tensor(np.zeros((2, 1, 3, 3))), bias=ag.Tensor(np.zeros(3)))
+
+
 def _im2col_indices(C, H, W, kh, kw, stride, pad):
     """Index arrays of the former fancy-index im2col, kept as the oracle."""
     out_h = (H + 2 * pad - kh) // stride + 1
@@ -227,6 +359,43 @@ class TestIm2col:
         assert np.vdot(cols, y) == pytest.approx(np.vdot(x, img), rel=1e-12)
 
 
+def padded_col2im(cols, img_shape, kh, kw, stride, pad):
+    """The former col2im: scatter every tap into a zeroed padded image, then
+    return the interior as a strided view."""
+    C, H, W, B = img_shape
+    out_h = (H + 2 * pad - kh) // stride + 1
+    out_w = (W + 2 * pad - kw) // stride + 1
+    patches = cols.reshape(C, kh, kw, out_h, out_w, B)
+    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=cols.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            padded[:, di:di + stride * out_h:stride,
+                   dj:dj + stride * out_w:stride] += patches[:, di, dj]
+    return padded[:, pad:pad + H, pad:pad + W]
+
+
+class TestCol2imScatter:
+    # (kh, kw, H, W): square, rectangular, and kernels that overhang the
+    # image (kh > H or kw > W, reachable through the padding)
+    CASES = [(kh, kw, H, W, pad, stride)
+             for kh, kw, H, W in [(3, 3, 6, 6), (3, 2, 7, 5), (4, 5, 3, 4), (5, 1, 2, 6)]
+             for pad in (0, 1, 2) for stride in (1, 2)
+             if kh <= H + 2 * pad and kw <= W + 2 * pad]
+
+    @pytest.mark.parametrize("dtype", BOTH)
+    @pytest.mark.parametrize("kh, kw, H, W, pad, stride", CASES)
+    def test_bit_equal_to_padded_scatter(self, kh, kw, H, W, pad, stride, dtype):
+        rng = np.random.default_rng(kh * 1000 + kw * 100 + H * 10 + W)
+        shape = (2, H, W, 3)
+        n_cols = ((H + 2 * pad - kh) // stride + 1) * ((W + 2 * pad - kw) // stride + 1) * 3
+        cols = rng.normal(size=(2 * kh * kw, n_cols)).astype(dtype)
+        got = ag.col2im(ag.Tensor(cols), shape, kh, kw, stride, pad).data
+        want = padded_col2im(cols, shape, kh, kw, stride, pad)
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def maxpool_oracle(x, k):
     """The former argmax / np.eye one-hot max pooling: -> (output, gradient mask)."""
     B, C, H, W = x.shape
@@ -256,6 +425,30 @@ class TestMaxpool:
         want_out = chwn(want_out)
         assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
+
+
+    @pytest.mark.parametrize("dtype", BOTH)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_adjoint_bit_equal_to_upsample_then_multiply(self, k, dtype):
+        """Both orders of the VJP: the input adjoint, and (second order) the
+        adjoint it sends back to the output adjoint."""
+        rng = np.random.default_rng(30 + k)
+        x = np.round(rng.normal(size=(2, 2 * k, 3 * k, 3)) * 0.7).astype(dtype)   # ties
+        C, H, W, B = x.shape
+        up = rng.normal(size=(C, H // k, W // k, B)).astype(dtype)
+        r = rng.normal(size=x.shape).astype(dtype)
+        xt, gt = ag.Tensor(x, requires_grad=True), ag.Tensor(up, requires_grad=True)
+        (gx,) = ag.grad(ag.sum_(ag.mul(ag.maxpool2d(xt, k), gt)), [xt], create_graph=True)
+        (gg,) = ag.grad(ag.sum_(ag.mul(gx, ag.Tensor(r))), [gt])
+        _, mask = maxpool_oracle(x.transpose(3, 0, 1, 2), k)
+        mask = mask.transpose(1, 2, 3, 0)
+        six = (C, H // k, k, W // k, k, B)
+        upsampled = np.broadcast_to(up.reshape(C, H // k, 1, W // k, 1, B), six)
+        want_gx = upsampled.reshape(x.shape) * mask
+        want_gg = (r * mask).reshape(six).sum(axis=(2, 4), dtype=np.float64).astype(dtype)
+        assert gx.data.flags.c_contiguous
+        assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
+        assert gg.data.dtype == dtype and gg.data.tobytes() == want_gg.reshape(up.shape).tobytes()
 
 
 class TestSoftmax:
@@ -476,7 +669,6 @@ def _leaky(slope):
     return (lambda t: ag.leaky_relu(t, slope)), (lambda x: where_leaky_relu(x, slope))
 
 
-BOTH = (np.float32, np.float64)
 
 
 class TestActivations:
@@ -505,6 +697,12 @@ class TestActivations:
             want_gx = up * want_scale
         assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
+
+    def test_leaky_relu_of_a_scalar(self):
+        x = ag.Tensor(np.array(-2.0), requires_grad=True)
+        out = ag.leaky_relu(x, 0.1)
+        assert out.shape == () and out.item() == -2.0 * 0.1
+        assert ag.grad(out, [x])[0].item() == 0.1
 
     # 1e-50 is 0 in float32 but a valid slope in float64; float64 runs first,
     # so a slope checked for one dtype is never taken as checked for another

@@ -410,8 +410,8 @@ def tape_size(total):
     return len(seen)
 
 
-def mlp_generator_loss(cfg):
-    clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0)).freeze()
+def generator_loss_of(cfg, kind="mlp"):
+    clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0)).freeze()
     gen = Generator(GeneratorSpec(), rng=np.random.default_rng(1))
     rng = np.random.default_rng(2)
     labels, images = _sample_batch(gen, [0, 1, 2], 32, rng, training=True)
@@ -419,10 +419,23 @@ def mlp_generator_loss(cfg):
     return total
 
 
+# tape nodes reachable from one step's total; each hidden layer is one node
 def test_mlp_generator_loss_tape_is_small():
-    assert tape_size(mlp_generator_loss(InversionConfig())) <= 22
+    assert tape_size(generator_loss_of(InversionConfig())) <= 18
 
 
 def test_mlp_reconstruction_loss_tape_is_small():
     """The reconstruction terms on, the grad-norm replay's nodes included."""
-    assert tape_size(mlp_generator_loss(ReconConfig())) <= 65
+    assert tape_size(generator_loss_of(ReconConfig())) <= 59
+
+
+def test_cnn_reconstruction_loss_tape_is_small():
+    assert tape_size(generator_loss_of(ReconConfig(), kind="cnn")) <= 99
+
+
+def test_one_row_cnn_forward_tape_is_small():
+    """The forward ``ood_predict`` runs: layout transposes, two conv+pool
+    layers, the flatten and two affine layers."""
+    clf = Classifier(ClassifierSpec(kind="cnn"), rng=np.random.default_rng(0))
+    logits, _ = clf.forward(np.zeros((1, 1, 12, 12), dtype=np.float32))
+    assert tape_size(logits) <= 8

@@ -190,13 +190,42 @@ def accepted_specs(draw, family):
                           conv_hidden=draw(st.integers(1, 5)), classes=classes)
 
 
+# a field redrawn past its valid range: 0 and negative sizes, empty tuples
+# and tuples of the wrong rank
+ANY_DIMS = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+ANY_SHAPES = st.lists(st.sampled_from([0, 1, 2, 4, 8]), max_size=4).map(tuple)
+ANY_INTS = st.integers(-1, 4)
+ANY_FIELDS = {"in_shape": ANY_SHAPES, "out_shape": ANY_SHAPES, "hidden": ANY_DIMS,
+              "conv_channels": ANY_DIMS, "conv_hidden": ANY_INTS, "classes": ANY_INTS,
+              "z_dim": ANY_INTS, "cond_dim": ANY_INTS, "cond_seed": st.integers(-1, 9)}
+
+
+@st.composite
+def spec_fields(draw, family):
+    """(spec class, fields, redrawn field or None): an accepted spec of
+    ``family``, then none or one of its fields redrawn from ANY_FIELDS."""
+    spec = draw(accepted_specs(family))
+    fields = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
+    name = draw(st.sampled_from([None, *(k for k in fields if k in ANY_FIELDS)]))
+    if name is not None:
+        fields[name] = draw(ANY_FIELDS[name])
+    return type(spec), fields, name
+
+
 class TestAcceptedSpecs:
     @pytest.mark.parametrize("family", ["mlp", "cnn1", "cnn2", "cnn3", "gen-hot", "gen-hidden"])
-    @settings(max_examples=20, deadline=None,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_builds_runs_and_round_trips(self, tmp_path, family, data):
-        spec = data.draw(accepted_specs(family))
+        """A spec rejects a bad field with DomainError, or it builds, runs
+        and round-trips its checkpoint bitwise; nothing else is raised."""
+        spec_cls, fields, redrawn = data.draw(spec_fields(family))
+        try:
+            spec = spec_cls(**fields)
+        except DomainError:
+            assert redrawn is not None, "an accepted spec was rejected"
+            return
         rng = np.random.default_rng(0)
         if isinstance(spec, GeneratorSpec):
             model = Generator(spec, rng=rng)
