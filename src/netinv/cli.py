@@ -86,7 +86,7 @@ def _inversion_config(cfg, **fields):
         "delta": cfg["inv.delta"], "batch_size": cfg["inv.batch"], "steps": cfg["inv.steps"],
         "lr": cfg["inv.lr"], "soften": cfg["inv.soften"],
         "target_accuracy": cfg["inv.target_accuracy"], "eval_every": cfg["inv.eval_every"],
-        "eval_samples": cfg["inv.eval_samples"], "seed": cfg["seed"], **fields})
+        "eval_samples": cfg["inv.eval_samples"], **fields})
 
 
 def _image_path(out, stem, channels):
@@ -227,8 +227,7 @@ def cmd_ood(args):
                           garbage_init=cfg["ood.garbage_init"],
                           budget=cfg["ood.budget"],
                           capacity_factor=cfg["ood.capacity_factor"],
-                          inversion=_inversion_config(cfg, steps=cfg["ood.inv_steps"]),
-                          seed=cfg["seed"])
+                          inversion=_inversion_config(cfg, steps=cfg["ood.inv_steps"]))
     rng = np.random.default_rng(derive_seed(cfg["seed"], "ood-cycle"))
 
     def on_cycle(report, images):

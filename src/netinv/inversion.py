@@ -52,7 +52,7 @@ class InversionConfig:
     target_accuracy: float = 0.95  # None -> no evaluation, run every step
     eval_every: int = 200
     eval_samples: int = 256
-    seed: int = 0
+    seed: int = 0               # unread; perfbench passes it, goes with ReconConfig (ROADMAP 2)
 
     def __post_init__(self):
         for name in TERM_WEIGHTS.values():
@@ -164,14 +164,13 @@ def inversion_accuracy(gen, clf, n_samples, rng):
     return logits_accuracy(predict_logits(clf, images), labels)
 
 
-def train_generator(gen, clf, cfg, rng=None):
+def train_generator(gen, clf, cfg, rng):
     """Run generator steps until the accuracy target or the step budget.
 
     With ``cfg.target_accuracy`` None the loop never evaluates and runs
     every step.  Returns (history of (step, breakdown, accuracy or None)
     triples, final accuracy or None).
     """
-    rng = rng or np.random.default_rng(cfg.seed)
     opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
     evaluate = cfg.target_accuracy is not None
     history = []

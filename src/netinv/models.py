@@ -78,8 +78,9 @@ class GeneratorSpec:
         _check_dims("hidden", self.hidden)
         _check_dims("out_shape", self.out_shape, rank=3)
         _check_int("cond_seed", self.cond_seed, 0)
-        if not 0.0 <= self.dropout < 1.0:
-            raise DomainError("dropout rate must be in [0, 1)")
+        if not ((_is_int(self.dropout) or isinstance(self.dropout, (float, np.floating)))
+                and 0.0 <= self.dropout < 1.0):
+            raise DomainError(f"dropout rate must be a number in [0, 1), got {self.dropout!r}")
         if self.cond_mode == "hidden" and self.cond_dim < self.classes:
             raise DomainError("hidden condition width must be >= class count")
 
@@ -151,17 +152,30 @@ def condition_matrix(spec):
                              spec.cond_seed)
 
 
-class Classifier:
-    """MLP or small CNN; forward yields logits and penultimate features."""
+class Model:
+    """A spec and its parameters, ``params`` in ``spec.layout()`` order."""
 
-    def __init__(self, spec, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, spec, rng):
         self.spec = spec
-        self.frozen = False
         self.params = _init_params(spec.layout(), rng)
+
+    @classmethod
+    def from_arrays(cls, spec, arrays):
+        """The model of ``spec`` holding ``arrays`` ({name: ndarray}, any
+        order), its parameters in layout order; draws no random numbers."""
+        model = cls.__new__(cls)
+        model.spec = spec
+        model.params = {name: ag.parameter(arrays[name]) for name, _, _ in spec.layout()}
+        return model
 
     def parameters(self):
         return list(self.params.values())
+
+
+class Classifier(Model):
+    """MLP or small CNN; forward yields logits and penultimate features."""
+
+    frozen = False
 
     def freeze(self):
         self.frozen = True
@@ -196,16 +210,8 @@ class Classifier:
         return logits, feats
 
 
-class Generator:
+class Generator(Model):
     """Affine upsampling stack: concat(z, condition) -> image in [0, 1]."""
-
-    def __init__(self, spec, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.spec = spec
-        self.params = _init_params(spec.layout(), rng)
-
-    def parameters(self):
-        return list(self.params.values())
 
     def forward(self, z, labels, rng=None, training=None):
         """Generate a batch of images for latent codes ``z`` and class labels.

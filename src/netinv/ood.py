@@ -40,14 +40,14 @@ class GarbageSet:
             del self.provenance[oldest]
 
 
-def init_garbage(count, image_shape, rng, capacity=None):
+def init_garbage(count, image_shape, rng, capacity):
     """Gaussian-noise seed images: N(0.5, 0.25^2) per pixel, clamped to [0, 1]."""
     if count < 1:
         raise DomainError("garbage set needs at least one seed image")
     images = np.clip(rng.normal(0.5, 0.25, size=(count, *image_shape)), 0.0, 1.0)
     return GarbageSet(images=images.astype(np.float32),
                       provenance=["noise"] * count,
-                      capacity=capacity if capacity is not None else 10 * count,
+                      capacity=capacity,
                       noise_count=count)
 
 
@@ -178,22 +178,19 @@ class OodCycleConfig:
     budget: int = 0                 # 0 -> one ID class's training count
     capacity_factor: int = 4
     inversion: InversionConfig = field(default_factory=lambda: InversionConfig(steps=800))
-    seed: int = 0
 
 
-def ood_training_cycle(clf, gen_factory, id_train, cfg, rng=None, id_test=None,
+def ood_training_cycle(clf, gen_factory, id_train, cfg, rng, id_test=None,
                        on_cycle=None):
     """Train / invert / exclude loop; returns (classifier, [CycleReport])."""
     n1 = clf.spec.classes
     n = n1 - 1
     if id_train.labels.max() >= n:
         raise ContractError(f"ID labels must lie in [0, {n}) for an {n1}-class model")
-    rng = rng or np.random.default_rng(cfg.seed)
     garbage_idx = n
     budget = cfg.budget or max(1, len(id_train) // n)
-    capacity = cfg.capacity_factor * len(id_train)
     garbage = init_garbage(cfg.garbage_init, id_train.image_shape, rng,
-                           capacity=capacity)
+                           capacity=cfg.capacity_factor * len(id_train))
 
     def train_once():
         images = np.concatenate([id_train.images, garbage.images])

@@ -30,29 +30,17 @@ def _descriptor(model, seed=0, meta=None):
                        "meta": meta or {}}, sort_keys=True)
 
 
-def _field_ok(default, value):
-    """A descriptor spec value has its field's type; ints are nonnegative and
-    dimension lists have positive entries (the spec's own checks decide the
-    rest, an empty list included)."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(type(v) is int and v > 0 for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
-    return type(value) is type(default) and not (type(value) is int and value < 0)
-
-
 def _spec_from_descriptor(raw, max_values):
     """-> (model class, spec, its layout, info); the layout may hold at most
-    ``max_values`` floats, checked before anything is allocated."""
+    ``max_values`` floats, checked before anything is allocated. The spec's
+    own checks decide whether each field's value is valid."""
     try:
         info = json.loads(raw.decode("utf-8"))
         spec_cls, model_cls = _MODELS[info["model"]]
         fields = info["spec"]
-        defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
-        bad = sorted(set(defaults) ^ set(fields))
-        bad += [k for k in defaults if k in fields and not _field_ok(defaults[k], fields[k])]
-        if bad:
-            raise FormatError(f"bad spec field(s) {bad}")
+        names = {f.name for f in dataclasses.fields(spec_cls)}
+        if not isinstance(fields, dict) or fields.keys() != names:
+            raise FormatError(f"spec fields must be {sorted(names)}")
         spec = spec_cls(**{k: tuple(v) if isinstance(v, list) else v
                            for k, v in fields.items()})
         layout = spec.layout()
@@ -61,7 +49,8 @@ def _spec_from_descriptor(raw, max_values):
             raise FormatError(f"architecture needs {n_values} values, "
                               f"payload holds at most {max_values}")
         return model_cls, spec, layout, info
-    except (ArithmeticError, ValueError, KeyError, TypeError, NetinvError) as exc:
+    except (ArithmeticError, ValueError, KeyError, TypeError, RecursionError,
+            NetinvError) as exc:
         raise FormatError(f"bad checkpoint descriptor: {exc}") from exc
 
 
@@ -141,10 +130,7 @@ def load_checkpoint(path):
         loaded[name] = data.reshape(want).copy()
     if buf.read(1):
         raise FormatError("checkpoint has trailing bytes after its tensors")
-    model = model_cls(spec)
-    for name, data in loaded.items():
-        model.params[name].data = data
-    return model, info
+    return model_cls.from_arrays(spec, loaded), info
 
 
 # ---------------------------------------------------------------------------

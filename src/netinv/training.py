@@ -17,9 +17,8 @@ def iterate_minibatches(n, batch_size, rng):
 
 
 def train_classifier(model, images, labels, *, epochs, class_weights=None,
-                     batch_size=64, lr=1e-3, optimizer="adam", rng=None):
+                     batch_size=64, lr=1e-3, optimizer="adam", rng):
     """Train in place; returns per-epoch (loss, accuracy) history."""
-    rng = rng or np.random.default_rng(0)
     opt = make_optimizer(model.parameters(), optimizer, lr=lr)
     history = []
     n = len(images)

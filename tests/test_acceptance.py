@@ -283,7 +283,7 @@ def test_c5_desk_scale_ood_cycle():
         inv = InversionConfig(steps=800, eval_every=200, eval_samples=128,
                               target_accuracy=0.95, seed=seed)
         cfg = OodCycleConfig(cycles=5, epochs_per_cycle=15, garbage_init=100,
-                             inversion=inv, seed=seed)
+                             inversion=inv)
         rates = []
         clf, reports = ood_training_cycle(
             clf,

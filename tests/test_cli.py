@@ -29,7 +29,7 @@ def write_conf(tmp_path, text, name="run.conf"):
 INV_KEYS = {"alpha": "inv.alpha", "beta": "inv.beta", "gamma": "inv.gamma",
             "delta": "inv.delta", "batch_size": "inv.batch", "steps": "inv.steps",
             "lr": "inv.lr", "soften": "inv.soften", "target_accuracy": "inv.target_accuracy",
-            "eval_every": "inv.eval_every", "eval_samples": "inv.eval_samples", "seed": "seed"}
+            "eval_every": "inv.eval_every", "eval_samples": "inv.eval_samples"}
 RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
               "alpha_pert": "recon.alpha_pert", "beta_pert": "recon.beta_pert",
               "eta_var": "recon.eta_var", "eta_pix": "recon.eta_pix",
@@ -38,7 +38,7 @@ RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
 OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
             "batch_size": "train.batch", "lr": "train.lr", "optimizer": "train.optimizer",
             "garbage_init": "ood.garbage_init",
-            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor", "seed": "seed",
+            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor",
             **{f"inversion.{f}": k for f, k in INV_KEYS.items()},
             "inversion.steps": "ood.inv_steps"}
 
@@ -560,7 +560,7 @@ class TestEvaluate:
 
     def test_generator_checkpoint_exits_two(self, tmp_path, capsys):
         gen = tmp_path / "gen.ninv"
-        save_checkpoint(Generator(GeneratorSpec()), gen)
+        save_checkpoint(Generator(GeneratorSpec(), rng=np.random.default_rng(0)), gen)
         conf = write_conf(tmp_path, FAST_TRAIN + f"eval.pairs = bars={gen}\n")
         assert main(["evaluate", "--config", conf, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err

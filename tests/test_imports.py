@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is read somewhere."""
+"""Static checks: every imported name in the package and its tests is read
+somewhere, and every function of the package takes its RNG from its caller."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "netinv").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "netinv").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# functions that may default ``rng``: an eval-mode generator forward draws nothing
+RNG_DEFAULT_OK = {"Generator.forward"}
 
 
 def unread_imports(source):
@@ -39,3 +43,48 @@ def test_no_unread_import(path):
 ], ids=["unread", "dotted-read", "aliased", "store-only", "base-class"])
 def test_checker_finds_unread_names(source, want):
     assert unread_imports(source) == want
+
+
+def rng_fallbacks(source):
+    """(line, qualified function name) of each ``rng`` parameter with a
+    default and each ``rng or ...`` expression: a hidden RNG the caller
+    neither sees nor seeds."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if any(a.arg == "rng" for a in defaulted):
+                    found.append((child.lineno, name))
+            elif (isinstance(child, ast.BoolOp) and isinstance(child.op, ast.Or)
+                  and isinstance(child.values[0], ast.Name) and child.values[0].id == "rng"):
+                found.append((child.lineno, name))
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_rng_fallback(path):
+    found = rng_fallbacks(path.read_text())
+    assert [(line, name) for line, name in found if name not in RNG_DEFAULT_OK] == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(rng=None):\n    pass\n", [(1, "f")]),
+    ("def f(x, *, rng=None, seed=0):\n    pass\n", [(1, "f")]),
+    ("def f(rng, seed=0):\n    rng = rng or make(seed)\n", [(2, "f")]),
+    ("class K:\n    def m(self, rng=None):\n        pass\n", [(2, "K.m")]),
+    ("g = lambda rng=None: rng\n", [(1, "")]),
+    ("def f(rng, seed=0, *, n=1):\n    return other or rng and rng\n", []),
+], ids=["default", "keyword-only", "or-fallback", "method", "lambda", "required"])
+def test_checker_finds_rng_fallbacks(source, want):
+    assert rng_fallbacks(source) == want

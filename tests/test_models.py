@@ -33,7 +33,7 @@ class TestClassifierForward:
             np.testing.assert_allclose(row, logits.data[0], rtol=1e-6, atol=1e-6)
 
     def test_shape_mismatch(self):
-        clf = Classifier(ClassifierSpec())
+        clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             clf.forward(np.zeros((2, 1, 8, 8), dtype=np.float32))
 
@@ -53,7 +53,7 @@ class TestClassifierForward:
 
     @pytest.mark.parametrize("kind, count", [("mlp", 70403), ("cnn", 10723)])
     def test_default_param_count(self, kind, count):
-        clf = Classifier(ClassifierSpec(kind=kind))
+        clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0))
         assert sum(p.size for p in clf.parameters()) == count
 
 
@@ -77,7 +77,7 @@ class TestCondition:
                 assert abs(cos) < 0.5
 
     def test_label_out_of_range(self):
-        gen = Generator(GeneratorSpec(classes=4))
+        gen = Generator(GeneratorSpec(classes=4), rng=np.random.default_rng(0))
         z = np.zeros((1, 64), dtype=np.float32)
         with pytest.raises(DomainError):
             gen.forward(ag.Tensor(z), [4], training=False)
@@ -114,14 +114,14 @@ class TestGenerator:
         assert differing / total > 0.01
 
     def test_missing_mode_flag(self):
-        gen = Generator(GeneratorSpec(classes=3))
+        gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(0))
         z = np.zeros((1, 64), dtype=np.float32)
         with pytest.raises(ContractError):
             gen.forward(ag.Tensor(z), [0])
 
     @pytest.mark.parametrize("mode, count", [("hidden", 82448), ("hot", 78736)])
     def test_default_param_count(self, mode, count):
-        gen = Generator(GeneratorSpec(cond_mode=mode))
+        gen = Generator(GeneratorSpec(cond_mode=mode), rng=np.random.default_rng(0))
         assert sum(p.size for p in gen.parameters()) == count
 
 
@@ -197,7 +197,9 @@ ANY_SHAPES = st.lists(st.sampled_from([0, 1, 2, 4, 8]), max_size=4).map(tuple)
 ANY_INTS = st.integers(-1, 4)
 ANY_FIELDS = {"in_shape": ANY_SHAPES, "out_shape": ANY_SHAPES, "hidden": ANY_DIMS,
               "conv_channels": ANY_DIMS, "conv_hidden": ANY_INTS, "classes": ANY_INTS,
-              "z_dim": ANY_INTS, "cond_dim": ANY_INTS, "cond_seed": st.integers(-1, 9)}
+              "z_dim": ANY_INTS, "cond_dim": ANY_INTS, "cond_seed": st.integers(-1, 9),
+              "dropout": st.sampled_from([None, False, True, "x", math.nan, math.inf,
+                                          -0.1, 1.0, 0.5])}
 
 
 @st.composite

@@ -102,15 +102,15 @@ class TestClassWeights:
 class TestGarbage:
     def test_count_zero_rejected(self):
         with pytest.raises(DomainError):
-            init_garbage(0, (1, 4, 4), np.random.default_rng(0))
+            init_garbage(0, (1, 4, 4), np.random.default_rng(0), capacity=10)
 
     def test_sampling_mean(self):
-        g = init_garbage(100, (1, 100, 100), np.random.default_rng(1))
+        g = init_garbage(100, (1, 100, 100), np.random.default_rng(1), capacity=1000)
         assert 0.45 <= g.images.mean() <= 0.55
 
     def test_deterministic(self):
-        a = init_garbage(10, (1, 4, 4), np.random.default_rng(2))
-        b = init_garbage(10, (1, 4, 4), np.random.default_rng(2))
+        a = init_garbage(10, (1, 4, 4), np.random.default_rng(2), capacity=100)
+        b = init_garbage(10, (1, 4, 4), np.random.default_rng(2), capacity=100)
         np.testing.assert_array_equal(a.images, b.images)
 
     def test_capacity_never_evicts_noise(self):
@@ -354,9 +354,11 @@ class TestCycle:
 
     def test_label_range_contract(self, small_id_data):
         train, _ = small_id_data
-        clf = Classifier(ClassifierSpec(classes=3))   # no room for garbage
+        # no room for garbage
+        clf = Classifier(ClassifierSpec(classes=3), rng=np.random.default_rng(0))
         with pytest.raises(ContractError):
-            ood_training_cycle(clf, lambda c: None, train, tiny_cycle_config(1))
+            ood_training_cycle(clf, lambda c: None, train, tiny_cycle_config(1),
+                               rng=np.random.default_rng(0))
 
 
 class TestEvaluateGrid:
@@ -381,6 +383,6 @@ class TestEvaluateGrid:
 
     def test_missing_pairing(self, small_id_data):
         _, test = small_id_data
-        clf = Classifier(ClassifierSpec(classes=4))
+        clf = Classifier(ClassifierSpec(classes=4), rng=np.random.default_rng(0))
         with pytest.raises(ContractError):
             evaluate_grid({"bars": clf}, {"crosses": test}, {"bars": 3})

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import struct
 import tracemalloc
 import zlib
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netinv import models
 from netinv.errors import ContractError, FormatError
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.serialize import load_checkpoint, save_checkpoint, write_csv, write_pgm_grid
@@ -24,6 +27,45 @@ def read_pgm(path):
         channels = 1 if magic == b"P5" else 3
         data = np.frombuffer(f.read(w * h * channels), dtype=np.uint8)
     return (data.astype(np.float64).reshape(h, w, channels) / maxval).transpose(2, 0, 1)
+
+
+def write_signed(path, payload):
+    """Write ``payload`` with a fresh CRC, so an edit gets past the CRC check."""
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
+def rewrite_spec(path, fields):
+    """Replace spec fields of the checkpoint at ``path``'s descriptor and re-sign it."""
+    payload = path.read_bytes()[:-4]
+    size, = struct.unpack("<I", payload[8:12])
+    desc = json.loads(payload[12:12 + size])
+    desc["spec"].update(fields)
+    raw = json.dumps(desc).encode("utf-8")
+    write_signed(path, payload[:8] + struct.pack("<I", len(raw)) + raw + payload[12 + size:])
+
+
+def tensor_records(payload):
+    """-> (the bytes up to and including the tensor count, [each tensor's
+    record bytes]) of a checkpoint payload without its CRC."""
+    size, = struct.unpack("<I", payload[8:12])
+    pos = 16 + size
+    count, = struct.unpack("<I", payload[pos - 4:pos])
+    records = []
+    for _ in range(count):
+        start = pos
+        pos += 4 + struct.unpack_from("<I", payload, pos)[0]
+        rank, = struct.unpack_from("<I", payload, pos)
+        dims = struct.unpack_from(f"<{rank}I", payload, pos + 4)
+        pos += 4 + 4 * rank + 4 * math.prod(dims)
+        records.append(payload[start:pos])
+    assert pos == len(payload)
+    return payload[:16 + size], records
+
+
+def matches_layout(model):
+    """The model's parameters have its spec's layout: names, order and shapes."""
+    return ([(name, p.shape) for name, p in model.params.items()]
+            == [(name, shape) for name, shape, _ in model.spec.layout()])
 
 
 class TestCheckpoint:
@@ -63,16 +105,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
-        clf = Classifier(ClassifierSpec())
+        clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(0))
         path = tmp_path / "clf.ninv"
         save_checkpoint(clf, path)
         blob = bytearray(path.read_bytes())
         blob[0:4] = b"XXXX"
-        # refresh the CRC so only the magic is wrong
-        import struct
-        import zlib
-        payload = bytes(blob[:-4])
-        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        write_signed(path, blob[:-4])     # only the magic is wrong
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
@@ -89,13 +127,7 @@ class TestCheckpoint:
         model = FUZZ_MODELS[kind]
         path = tmp_path / "m.ninv"
         save_checkpoint(model, path)
-        payload = path.read_bytes()[:-4]
-        size, = struct.unpack("<I", payload[8:12])
-        desc = json.loads(payload[12:12 + size])
-        desc["spec"].update(fields)
-        raw = json.dumps(desc).encode("utf-8")
-        payload = payload[:8] + struct.pack("<I", len(raw)) + raw + payload[12 + size:]
-        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        rewrite_spec(path, fields)
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match=match):
@@ -104,6 +136,16 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_deeply_nested_descriptor_raises_format_error(self, tmp_path):
+        path = tmp_path / "m.ninv"
+        save_checkpoint(FUZZ_MODELS["mlp"], path)
+        payload = path.read_bytes()[:-4]
+        size, = struct.unpack("<I", payload[8:12])
+        raw = b'{"spec": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        write_signed(path, payload[:8] + struct.pack("<I", len(raw)) + raw + payload[12 + size:])
+        with pytest.raises(FormatError, match="bad checkpoint descriptor"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("model", [
         Classifier(ClassifierSpec(hidden=()), rng=np.random.default_rng(4)),
@@ -155,16 +197,76 @@ class TestCorruptCheckpoint:
         for pos, new, cut in edits:
             pos %= len(payload) + 1
             payload[pos:pos + cut] = new
-        # re-sign so the corruption gets past the CRC check
-        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        write_signed(path, payload)
         try:
             loaded, _ = load_checkpoint(path)
         except FormatError:
             return
-        fresh = type(loaded)(loaded.spec)
-        for name, p in loaded.params.items():
-            assert p.data.shape == fresh.params[name].data.shape
-            assert p.data.dtype == np.float32
+        assert matches_layout(loaded)
+        assert all(p.dtype == np.float32 for p in loaded.parameters())
+
+
+# any JSON value: small ints (valid sizes among them), huge ints, floats with
+# NaN and infinities, strings, and lists and dicts of them, nested
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["mlp", "cnn", "hot", "hidden"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+
+
+class TestDescriptorFields:
+    @pytest.mark.parametrize("kind", sorted(FUZZ_MODELS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_field_value_loads_or_raises_format_error(self, tmp_path, kind, data):
+        """One spec field of the descriptor set to any JSON value: the load
+        raises FormatError, or its model has the spec of those values."""
+        model = FUZZ_MODELS[kind]
+        fields = dataclasses.asdict(model.spec)
+        name = data.draw(st.sampled_from(sorted(fields)))
+        fields[name] = data.draw(JSON_VALUES)
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        rewrite_spec(path, {name: fields[name]})
+        try:
+            loaded, _ = load_checkpoint(path)
+        except FormatError:
+            return
+        assert loaded.spec == type(model.spec)(**{k: tuple(v) if isinstance(v, list) else v
+                                                  for k, v in fields.items()})
+        assert matches_layout(loaded)
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_MODELS))
+    def test_tensors_in_any_order_load_in_layout_order(self, tmp_path, kind):
+        model = FUZZ_MODELS[kind]
+        path = tmp_path / "m.ninv"
+        save_checkpoint(model, path)
+        original = path.read_bytes()
+        head, records = tensor_records(original[:-4])
+        write_signed(path, head + b"".join(reversed(records)))
+        loaded, _ = load_checkpoint(path)
+        assert list(loaded.params) == [name for name, _, _ in model.spec.layout()]
+        save_checkpoint(loaded, path)
+        assert path.read_bytes() == original
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        for kind, model in FUZZ_MODELS.items():
+            save_checkpoint(model, tmp_path / f"{kind}.ninv")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(models, "_init_params", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for kind, model in FUZZ_MODELS.items():
+            loaded, _ = load_checkpoint(tmp_path / f"{kind}.ninv")
+            assert type(loaded) is type(model) and loaded.spec == model.spec
+            assert matches_layout(loaded)
+            for name, p in model.params.items():
+                assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
 
 class TestPgm:
