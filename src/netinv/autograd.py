@@ -31,10 +31,19 @@ return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
 then touches contiguous runs of ``ow * B`` or ``B`` values instead of rows a
 few pixels long, and the kernel matmul's [F, oh*ow*B] output is already the
 next layer's image. Kernels stay [F, C, kh, kw].
+
+A pass that records nothing has no use for Tensors: ``arrays`` holds
+plain-array twins of the ops a model's layers use (``linear``, ``conv2d``,
+``maxpool2d``, ``sigmoid``, ``dropout``, ``reshape``, ``transpose``,
+``concat``). Each op and its twin call one helper for the op's input checks
+and forward arithmetic (``_affine_data``, ``_conv2d_data``, ``_leaky_data``,
+``_maxpool_data``, ``_sigmoid_data``, ``_dropout_keep``), so the two give
+the same bits and raise the same errors.
 """
 
 import contextlib
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,6 +67,11 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+def recording():
+    """Whether ops record tape nodes now: False inside ``no_grad``."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -222,14 +236,21 @@ def _leaky_slope(dtype, slope):
     return s
 
 
+def _leaky_data(pre, slope):
+    """-> (leaky ReLU of the array ``pre``, the slope in its dtype)."""
+    s = _leaky_slope(pre.dtype, slope)
+    # with a slope in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
+    return np.maximum(pre, pre * s), s
+
+
 def _leaky(pre, slope):
     """Leaky ReLU of the array ``pre`` -> (output, adjoint scaler).
 
     The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
     builds that select on its first call and keeps it, because the
     second-order replay calls the same VJP twice. ``leaky_relu``, ``linear``
-    and ``conv2d`` all run this arithmetic."""
-    s = _leaky_slope(pre.dtype, slope)
+    and ``conv2d`` all run this arithmetic, and so do their array twins."""
+    out, s = _leaky_data(pre, slope)
     scale = None
 
     def scaled(g):
@@ -244,8 +265,7 @@ def _leaky(pre, slope):
             scale = Tensor(sel)
         return mul(g, scale)
 
-    # with a slope in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
-    return np.maximum(pre, pre * s), scaled
+    return out, scaled
 
 
 def leaky_relu(a, slope):
@@ -255,21 +275,23 @@ def leaky_relu(a, slope):
     return _from_op(out, (a,), lambda g, need: (scaled(g),))
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    # stable logistic: exp of the non-positive branch only
-    x = a.data
+def _sigmoid_data(x):
+    """Stable logistic of the array ``x``: exp of the non-positive branch only."""
     e = np.exp(-np.abs(x))
     d = 1 + e
     # branch-free select of 1/d where x >= 0 and e/d elsewhere
     m = (x >= 0).astype(x.dtype)
-    out_data = m * (1 / d) + (1 - m) * (e / d)
+    return m * (1 / d) + (1 - m) * (e / d)
+
+
+def sigmoid(a):
+    a = as_tensor(a)
 
     def vjp(g, need):
         s = sigmoid(a)
         return (mul(g, mul(s, sub(as_tensor(1.0, s), s))),)
 
-    return _from_op(out_data, (a,), vjp)
+    return _from_op(_sigmoid_data(a.data), (a,), vjp)
 
 
 def clamp01(a):
@@ -283,15 +305,21 @@ def clamp01(a):
     return _from_op(np.clip(a.data, 0.0, 1.0), (a,), vjp)
 
 
+def _dropout_keep(x, rate, rng, training):
+    """Inverted dropout's scaled keep mask for the array ``x``, drawn from
+    ``rng``; None where dropout is the identity (eval mode or rate 0)."""
+    if not training or rate == 0.0:
+        return None
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
+
+
 def dropout(a, rate, rng, training=True):
     """Inverted dropout with an explicit RNG stream for reproducibility."""
     a = as_tensor(a)
-    if not training or rate == 0.0:
-        return a
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(a.data.shape) >= rate).astype(a.dtype) / a.dtype.type(1.0 - rate)
-    return mul(a, Tensor(keep))
+    keep = _dropout_keep(a.data, rate, rng, training)
+    return a if keep is None else mul(a, Tensor(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +434,16 @@ def mean(a, axis=None, keepdims=False):
 # linear algebra / convolution
 
 def _check_matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+    """Raise ``ShapeError`` unless the arrays ``a`` and ``b`` are 2-D and chain."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    _check_matmul(a, b)
+    _check_matmul(a.data, b.data)
 
     def vjp(g, need):
         ga = matmul(g, transpose(b)) if need[0] else None
@@ -424,13 +453,18 @@ def matmul(a, b):
     return _from_op(a.data @ b.data, (a, b), vjp)
 
 
+def _affine_data(x, w, b):
+    """``x @ w + b`` on arrays, after matmul's shape checks."""
+    _check_matmul(x, w)
+    return x @ w + b
+
+
 def linear(x, w, b, slope=None):
     """Affine layer ``x @ w + b`` as one node, followed in the same node by a
     leaky ReLU when ``slope`` is given; same arithmetic as matmul, add, then
     leaky_relu. The pre-activation is a forward intermediate the VJP keeps."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _check_matmul(x, w)
-    out = x.data @ w.data + b.data
+    out = _affine_data(x.data, w.data, b.data)
     scaled = None
     if slope is not None:
         out, scaled = _leaky(out, slope)
@@ -529,6 +563,31 @@ def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
     return _from_op(out, (cols,), vjp)
 
 
+def _conv2d_data(x, kernel, stride, pad, bias):
+    """conv2d's checks and arithmetic up to its activation, on arrays ->
+    (output [F, oh, ow, B], im2col columns [C*kh*kw, oh*ow*B])."""
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, kh, kw] kernel, "
+                         f"got {x.shape} and {kernel.shape}")
+    C, H, W, B = x.shape
+    F, Ck, kh, kw = kernel.shape
+    if Ck != C:
+        raise ShapeError(f"conv2d channel mismatch: [C, H, W, B] input {x.shape}, "
+                         f"[F, C, kh, kw] kernel {kernel.shape}")
+    cols = _im2col_data(x, kh, kw, stride, pad)
+    out_shape = (F, _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad), B)
+    out = (kernel.reshape(F, C * kh * kw) @ cols).reshape(out_shape)
+    if bias is not None:
+        if bias.size != F:
+            raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
+                             f"got shape {bias.shape}")
+        b = bias.reshape(F, 1, 1, 1)
+        # in place into the matmul's fresh result, widened first as add would
+        out = out.astype(np.result_type(out, b), copy=False)
+        out += b
+    return out, cols
+
+
 def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     """Cross-correlation of a [C, H, W, B] image with [F, C, kh, kw] kernels
     -> [F, oh, ow, B], plus a per-filter ``bias`` (F values, any shape) and a
@@ -541,29 +600,15 @@ def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     differentiates through ``x`` without recomputing them.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, kh, kw] kernel, "
-                         f"got {x.data.shape} and {kernel.data.shape}")
-    C, H, W, B = x.data.shape
-    F, Ck, kh, kw = kernel.data.shape
-    if Ck != C:
-        raise ShapeError(f"conv2d channel mismatch: [C, H, W, B] input {x.data.shape}, "
-                         f"[F, C, kh, kw] kernel {kernel.data.shape}")
-    cols = _im2col_data(x.data, kh, kw, stride, pad)                # [C*kh*kw, oh*ow*B]
-    out_shape = (F, _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad), B)
-    k2_shape = (F, C * kh * kw)
-    out = (kernel.data.reshape(k2_shape) @ cols).reshape(out_shape)
     inputs = (x, kernel)
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.data.size != F:
-            raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
-                             f"got shape {bias.data.shape}")
-        b = bias.data.reshape(F, 1, 1, 1)
-        # in place into the matmul's fresh result, widened first as add would
-        out = out.astype(np.result_type(out, b), copy=False)
-        out += b
         inputs += (bias,)
+    out, cols = _conv2d_data(x.data, kernel.data, stride, pad,
+                             None if bias is None else bias.data)
+    C, H, W, B = x.data.shape
+    F, _, kh, kw = kernel.data.shape
+    k2_shape = (F, C * kh * kw)
     scaled = None
     if slope is not None:
         out, scaled = _leaky(out, slope)
@@ -588,6 +633,23 @@ def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     return _from_op(out, inputs, vjp)
 
 
+def _maxpool_data(x, k):
+    """maxpool2d's checks and output on an array: the running maximum over
+    the k*k strided taps x[:, i::k, j::k], in (i, j) row-major order."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] image, got {x.shape}")
+    _, H, W, _ = x.shape
+    if H % k or W % k:
+        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by {k}, "
+                         f"got {x.shape}")
+    out = x[:, 0::k, 0::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(out, x[:, i::k, j::k], out=out)
+    return out
+
+
 def maxpool2d(x, k=2):
     """Non-overlapping k x k max pooling of a [C, H, W, B] image; H and W must
     be divisible by k.
@@ -597,16 +659,8 @@ def maxpool2d(x, k=2):
     the window's maximum; the VJP builds that first-hit mask once per node.
     """
     x = as_tensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] image, got {x.data.shape}")
+    out_data = _maxpool_data(x.data, k)
     C, H, W, B = x.data.shape
-    if H % k or W % k:
-        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by {k}, "
-                         f"got {x.data.shape}")
-    offsets = [(i, j) for i in range(k) for j in range(k)]
-    out_data = x.data[:, 0::k, 0::k].copy()
-    for i, j in offsets[1:]:
-        np.maximum(out_data, x.data[:, i::k, j::k], out=out_data)
     mask = None
 
     def vjp(g, need):
@@ -614,11 +668,12 @@ def maxpool2d(x, k=2):
         if mask is None:
             first = np.zeros_like(x.data)
             free = np.ones(out_data.shape, dtype=bool)
-            for i, j in offsets:
-                hit = x.data[:, i::k, j::k] == out_data
-                hit &= free
-                first[:, i::k, j::k] = hit
-                free ^= hit
+            for i in range(k):
+                for j in range(k):
+                    hit = x.data[:, i::k, j::k] == out_data
+                    hit &= free
+                    first[:, i::k, j::k] = hit
+                    free ^= hit
             mask = Tensor(first.reshape(C, H // k, k, W // k, k, B))
         # the adjoint broadcast over the k x k taps of each window
         up = mul(mask, reshape(g, (C, H // k, 1, W // k, 1, B)))
@@ -658,6 +713,34 @@ def log_softmax(logits, axis=-1):
         return (sub(g, mul(softmax(logits, axis), sum_(g, axis=axis, keepdims=True))),)
 
     return _from_op(z - np.log(s), (logits,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# plain-array twins of the model layer ops
+
+def _linear_array(x, w, b, slope=None):
+    out = _affine_data(x, w, b)
+    return out if slope is None else _leaky_data(out, slope)[0]
+
+
+def _conv2d_array(x, kernel, stride=1, pad=0, bias=None, slope=None):
+    out, _ = _conv2d_data(x, kernel, stride, pad, bias)
+    return out if slope is None else _leaky_data(out, slope)[0]
+
+
+def _dropout_array(a, rate, rng, training=True):
+    keep = _dropout_keep(a, rate, rng, training)
+    return a if keep is None else a * keep
+
+
+# Each twin takes and returns arrays where its op takes and returns Tensors,
+# with the op's signature, checks and arithmetic, and records nothing.
+arrays = SimpleNamespace(
+    linear=_linear_array, conv2d=_conv2d_array, maxpool2d=_maxpool_data,
+    sigmoid=_sigmoid_data, dropout=_dropout_array,
+    reshape=lambda a, shape: a.reshape(shape),
+    transpose=lambda a, axes=None: a.transpose(axes),
+    concat=lambda parts, axis=0: np.concatenate(parts, axis=axis))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def inversion_step(gen, clf, cfg, rng, opt):
 
 def generate_samples(gen, count, rng, classes=None):
     """Eval-mode generation in 256-row batches; returns (labels, images ndarray)."""
+    if count < 1:
+        raise DomainError("need at least one sample")
     classes = list(classes) if classes else list(range(gen.spec.classes))
     labels_all, images_all = [], []
     with ag.no_grad():
@@ -158,8 +160,6 @@ def generate_samples(gen, count, rng, classes=None):
 
 def inversion_accuracy(gen, clf, n_samples, rng):
     """Fraction of eval-mode samples whose classifier argmax equals the condition."""
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
     labels, images = generate_samples(gen, n_samples, rng, range(clf.spec.classes))
     return logits_accuracy(predict_logits(clf, images), labels)
 

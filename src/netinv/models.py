@@ -153,7 +153,14 @@ def condition_matrix(spec):
 
 
 class Model:
-    """A spec and its parameters, ``params`` in ``spec.layout()`` order."""
+    """A spec and its parameters, ``params`` in ``spec.layout()`` order.
+
+    Each model writes its layer sequence once, as a function of an ops
+    namespace. ``forward`` runs it with the tape ops (``autograd`` itself)
+    while the tape records, and with their plain-array twins
+    (``autograd.arrays``) inside ``no_grad``: the same arithmetic, and only
+    the outputs are wrapped as Tensors.
+    """
 
     def __init__(self, spec, rng):
         self.spec = spec
@@ -171,6 +178,44 @@ class Model:
     def parameters(self):
         return list(self.params.values())
 
+    def param_arrays(self):
+        """{name: the parameter's array}, for a pass by the array twins."""
+        return {name: t.data for name, t in self.params.items()}
+
+
+def _classifier_layers(ops, spec, p, x):
+    """The classifier's layers on the [B, C, H, W] batch ``x`` -> (logits [B,
+    m], penultimate features [B, d]), run by ``ops`` on ``x`` and ``p`` of
+    the kind it takes."""
+    B = x.shape[0]
+    if spec.kind == "mlp":
+        h = ops.reshape(x, (B, -1))
+        n_hidden = len(spec.hidden)
+        for i in range(n_hidden):
+            h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], 0.1)
+        return ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]), h
+    # the image ops run batch-innermost, [C, H, W, B]; the head flattens
+    # [B, C, H, W] as before, so checkpoints keep their logits
+    h = ops.transpose(x, (1, 2, 3, 0))
+    for i in range(len(spec.conv_channels)):
+        h = ops.conv2d(h, p[f"k{i}"], stride=1, pad=1, bias=p[f"kb{i}"], slope=0.1)
+        h = ops.maxpool2d(h, 2)
+    h = ops.reshape(ops.transpose(h, (3, 0, 1, 2)), (B, -1))
+    feats = ops.linear(h, p["wh"], p["bh"], 0.1)
+    return ops.linear(feats, p["wo"], p["bo"]), feats
+
+
+def _generator_layers(ops, spec, p, z, cond, rng, training):
+    """The generator's layers on latents ``z`` [B, z_dim] and their
+    condition rows ``cond`` -> images [B, C, H, W], run by ``ops``."""
+    h = ops.concat([z, cond], axis=1)
+    n_hidden = len(spec.hidden)
+    for i in range(n_hidden):
+        h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], 0.1)
+        h = ops.dropout(h, spec.dropout, rng, training=training)
+    out = ops.sigmoid(ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]))
+    return ops.reshape(out, (z.shape[0], *spec.out_shape))
+
 
 class Classifier(Model):
     """MLP or small CNN; forward yields logits and penultimate features."""
@@ -184,30 +229,13 @@ class Classifier(Model):
     def forward(self, batch):
         """-> (logits [B, m], penultimate features [B, d]) from one pass."""
         x = ag.as_tensor(batch)
-        B = x.shape[0]
         if tuple(x.shape[1:]) != tuple(self.spec.in_shape):
             raise ShapeError(f"input shape {tuple(x.shape[1:])} does not match "
                              f"classifier spec {tuple(self.spec.in_shape)}")
-        if self.spec.kind == "mlp":
-            h = ag.reshape(x, (B, -1))
-            n_hidden = len(self.spec.hidden)
-            for i in range(n_hidden):
-                h = ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"], 0.1)
-            feats = h
-            logits = ag.linear(h, self.params[f"w{n_hidden}"],
-                               self.params[f"b{n_hidden}"])
-        else:
-            # the image ops run batch-innermost, [C, H, W, B]; the head
-            # flattens [B, C, H, W] as before, so checkpoints keep their logits
-            h = ag.transpose(x, (1, 2, 3, 0))
-            for i in range(len(self.spec.conv_channels)):
-                h = ag.conv2d(h, self.params[f"k{i}"], stride=1, pad=1,
-                              bias=self.params[f"kb{i}"], slope=0.1)
-                h = ag.maxpool2d(h, 2)
-            h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (B, -1))
-            feats = ag.linear(h, self.params["wh"], self.params["bh"], 0.1)
-            logits = ag.linear(feats, self.params["wo"], self.params["bo"])
-        return logits, feats
+        if ag.recording():
+            return _classifier_layers(ag, self.spec, self.params, x)
+        logits, feats = _classifier_layers(ag.arrays, self.spec, self.param_arrays(), x.data)
+        return ag.Tensor(logits), ag.Tensor(feats)
 
 
 class Generator(Model):
@@ -230,12 +258,9 @@ class Generator(Model):
         if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
             raise DomainError(f"labels outside [0, {self.spec.classes}): "
                               f"{labels.min()}..{labels.max()}")
-        h = ag.concat([z, ag.Tensor(condition_matrix(self.spec)[labels])], axis=1)
-        n_hidden = len(self.spec.hidden)
-        for i in range(n_hidden):
-            h = ag.linear(h, self.params[f"w{i}"], self.params[f"b{i}"], 0.1)
-            h = ag.dropout(h, self.spec.dropout, rng, training=training)
-        out = ag.sigmoid(ag.linear(h, self.params[f"w{n_hidden}"],
-                                   self.params[f"b{n_hidden}"]))
-        C, H, W = self.spec.out_shape
-        return ag.reshape(out, (z.shape[0], C, H, W))
+        cond = condition_matrix(self.spec)[labels]
+        if ag.recording():
+            return _generator_layers(ag, self.spec, self.params, z, ag.Tensor(cond),
+                                     rng, training)
+        return ag.Tensor(_generator_layers(ag.arrays, self.spec, self.param_arrays(),
+                                           z.data, cond, rng, training))

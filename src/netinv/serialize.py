@@ -79,56 +79,80 @@ def save_checkpoint(model, path, seed=0, meta=None):
         f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def _read(buf, n):
-    data = buf.read(n)
-    if len(data) != n:
-        raise FormatError(f"checkpoint truncated: wanted {n} bytes, {len(data)} left")
-    return data
+_U32 = struct.Struct("<I")
 
 
-def _u32(buf):
-    return struct.unpack("<I", _read(buf, 4))[0]
+class _Cursor:
+    """Reads the payload ``blob[:end]`` front to back by offset, copying
+    nothing the caller does not slice out."""
+
+    def __init__(self, blob, end):
+        self.blob, self.pos, self.end = blob, 0, end
+
+    def skip(self, n):
+        """-> the offset of the next ``n`` bytes, which are then passed."""
+        pos = self.pos
+        if n > self.end - pos:
+            raise FormatError(f"checkpoint truncated: wanted {n} bytes, "
+                              f"{self.end - pos} left")
+        self.pos = pos + n
+        return pos
+
+    def read(self, n):
+        pos = self.skip(n)
+        return self.blob[pos:pos + n]
+
+    def u32s(self, count):
+        return struct.unpack_from(f"<{count}I", self.blob, self.skip(4 * count))
+
+    def u32(self):
+        return _U32.unpack_from(self.blob, self.skip(4))[0]
 
 
 def load_checkpoint(path):
-    """-> (model, info dict). Any malformed content raises ``FormatError``."""
+    """-> (model, info dict). Any malformed content raises ``FormatError``.
+
+    The file's bytes are read once; the header fields are unpacked and each
+    tensor is viewed at its offset in them, so the one copy made is the
+    parameter arrays'."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 12:
         raise FormatError(f"checkpoint {path} truncated ({len(blob)} bytes)")
-    payload, crc_bytes = blob[:-4], blob[-4:]
-    want_crc, = struct.unpack("<I", crc_bytes)
-    got_crc = zlib.crc32(payload) & 0xFFFFFFFF
+    end = len(blob) - 4                        # the payload, then its CRC
+    want_crc, = struct.unpack_from("<I", blob, end)
+    got_crc = zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF
     if got_crc != want_crc:
         raise FormatError(f"checkpoint CRC mismatch: stored 0x{want_crc:08x}, "
                           f"computed 0x{got_crc:08x}")
-    buf = io.BytesIO(payload)
+    buf = _Cursor(blob, end)
     magic = buf.read(4)
     if magic != MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r} (expected {MAGIC!r})")
-    version = _u32(buf)
+    version = buf.u32()
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    desc = _read(buf, _u32(buf))
-    model_cls, spec, layout, info = _spec_from_descriptor(desc, (len(payload) - buf.tell()) // 4)
+    desc = buf.read(buf.u32())
+    model_cls, spec, layout, info = _spec_from_descriptor(desc, (end - buf.pos) // 4)
     shapes = {name: shape for name, shape, _ in layout}
     by_name = {name.encode("utf-8"): name for name in shapes}
-    count = _u32(buf)
+    count = buf.u32()
     if count != len(by_name):
         raise FormatError(f"checkpoint holds {count} tensors, architecture has {len(by_name)}")
     loaded = {}
     for _ in range(count):
-        name = by_name.get(_read(buf, _u32(buf)))
+        name = by_name.get(buf.read(buf.u32()))
         if name is None or name in loaded:
             raise FormatError(f"checkpoint tensors do not match architecture "
                               f"parameters {sorted(shapes)}")
         want = shapes[name]
-        rank = _u32(buf)
-        if rank != len(want) or struct.unpack(f"<{rank}I", _read(buf, 4 * rank)) != want:
+        rank = buf.u32()
+        if rank != len(want) or buf.u32s(rank) != want:
             raise FormatError(f"checkpoint tensor {name!r} does not have shape {want}")
-        data = np.frombuffer(_read(buf, 4 * math.prod(want)), dtype="<f4")
+        n = math.prod(want)
+        data = np.frombuffer(blob, dtype="<f4", count=n, offset=buf.skip(4 * n))
         loaded[name] = data.reshape(want).copy()
-    if buf.read(1):
+    if buf.pos != end:
         raise FormatError("checkpoint has trailing bytes after its tensors")
     return model_cls.from_arrays(spec, loaded), info
 
@@ -144,6 +168,10 @@ def write_pgm_grid(images, cols, path):
     N, C, H, W = images.shape
     if C not in (1, 3):
         raise ContractError("grids support 1 (PGM) or 3 (PPM) channels")
+    if N < 1:
+        raise ContractError("a grid needs at least one image")
+    if cols < 1:
+        raise ContractError(f"a grid needs at least one column, got {cols}")
     cols = min(cols, N)
     rows = -(-N // cols)
     gh = rows * H + (rows - 1)

@@ -809,3 +809,86 @@ def test_random_graph_gradients(seed):
         return ag.mean(ag.mul(ag.softmax(h), ag.log_softmax(h)))
 
     check_grads(loss, [x, w], rtol=1e-4, atol=1e-6)
+
+
+def _twin_cases(rng):
+    """(op name, positional args as arrays, keyword args) that each op and its
+    array twin in ``ag.arrays`` must run alike."""
+    def a(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    return [
+        ("linear", (a(5, 7), a(7, 3), a(1, 3)), {}),
+        ("linear", (a(1, 7), a(7, 3), a(1, 3), 0.1), {}),
+        ("conv2d", (a(2, 6, 6, 3), a(4, 2, 3, 3)), {"stride": 1, "pad": 1}),
+        ("conv2d", (a(2, 7, 5, 2), a(4, 2, 3, 2)),
+         {"stride": 2, "pad": 0, "bias": a(1, 4, 1, 1), "slope": 0.1}),
+        ("maxpool2d", (a(2, 4, 6, 3), 2), {}),
+        ("maxpool2d", (a(1, 6, 6, 1), 3), {}),
+        ("sigmoid", (a(4, 5) * 20,), {}),
+        ("dropout", (a(4, 50), 0.5, np.random.default_rng(1)), {}),
+        ("dropout", (a(4, 50), 0.5, np.random.default_rng(1)), {"training": False}),
+        ("reshape", (a(2, 3, 4), (6, -1)), {}),
+        ("transpose", (a(2, 3, 4), (2, 0, 1)), {}),
+        ("transpose", (a(2, 3, 4),), {}),
+        ("concat", ([a(2, 3), a(2, 5)],), {"axis": 1}),
+    ]
+
+
+def tensors(value):
+    """A twin's argument as its tape op takes it: arrays become Tensors."""
+    if isinstance(value, np.ndarray):
+        return ag.Tensor(value)
+    if isinstance(value, list):
+        return [tensors(v) for v in value]
+    return value
+
+
+class TestArrayTwins:
+    """Each array twin runs its tape op's forward helper: the same bits and
+    the same errors, on arrays and without a tape node."""
+
+    @pytest.mark.parametrize("case", range(len(_twin_cases(np.random.default_rng(0)))))
+    def test_bit_equal_to_op(self, case):
+        # each side gets its own copy of the case, dropout's RNG included
+        name, args, kwargs = _twin_cases(np.random.default_rng(60))[case]
+        want = getattr(ag, name)(*map(tensors, args),
+                                 **{k: tensors(v) for k, v in kwargs.items()})
+        _, args, kwargs = _twin_cases(np.random.default_rng(60))[case]
+        got = getattr(ag.arrays, name)(*args, **kwargs)
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("name, args, kwargs, error", [
+        ("linear", ((5, 7), (6, 3), (1, 3)), {}, ShapeError),
+        ("linear", ((2, 5, 7), (7, 3), (1, 3)), {}, ShapeError),
+        ("linear", ((5, 7), (7, 3), (1, 3), 1.5), {}, ContractError),
+        ("conv2d", ((3, 6, 6, 1), (4, 2, 3, 3)), {}, ShapeError),
+        ("conv2d", ((6, 6, 1), (4, 6, 3, 3)), {}, ShapeError),
+        ("conv2d", ((2, 2, 2, 1), (4, 2, 3, 3)), {}, ShapeError),
+        ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"bias": (1, 3, 1, 1)}, ShapeError),
+        ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"slope": 0.0}, ContractError),
+        ("maxpool2d", ((2, 5, 6, 1), 2), {}, ShapeError),
+        ("maxpool2d", ((6, 6, 1), 2), {}, ShapeError),
+    ])
+    def test_raises_the_ops_error(self, name, args, kwargs, error):
+        rng = np.random.default_rng(61)
+
+        def build(v):
+            return rng.normal(size=v).astype(np.float32) if isinstance(v, tuple) else v
+
+        args = [build(v) for v in args]
+        kwargs = {k: build(v) for k, v in kwargs.items()}
+        messages = []
+        for fn, wrap in ((getattr(ag, name), tensors),
+                         (getattr(ag.arrays, name), lambda v: v)):
+            with pytest.raises(error) as err:
+                fn(*[wrap(v) for v in args], **{k: wrap(v) for k, v in kwargs.items()})
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_dropout_rate_checked_alike(self):
+        x = np.ones((2, 3), dtype=np.float32)
+        for fn, arg in ((ag.dropout, ag.Tensor(x)), (ag.arrays.dropout, x)):
+            with pytest.raises(ContractError, match=r"\[0, 1\)"):
+                fn(arg, 1.0, np.random.default_rng(0))

@@ -6,7 +6,7 @@ import pytest
 from netinv import autograd as ag
 from netinv import losses
 from netinv.errors import ContractError, DomainError
-from netinv.inversion import (InversionConfig, inversion_accuracy,
+from netinv.inversion import (InversionConfig, generate_samples, inversion_accuracy,
                               inversion_step, train_generator)
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.optim import make_optimizer
@@ -102,6 +102,18 @@ class TestInversionAccuracy:
 
         acc = inversion_accuracy(Constant(), trained_mlp, 1000, np.random.default_rng(9))
         assert abs(acc - 1 / 3) <= 0.1
+
+
+class TestGenerateSamples:
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_sample_rejected_before_any_draw(self, count, trained_mlp):
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="at least one sample"):
+            generate_samples(small_gen(), count, rng)
+        with pytest.raises(DomainError, match="at least one sample"):
+            inversion_accuracy(small_gen(), trained_mlp, count, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestEndToEnd:

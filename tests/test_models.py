@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, DomainError, ShapeError
+from netinv.inversion import generate_samples, inversion_accuracy
 from netinv.models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
                            _condition_matrix, condition_matrix)
+from netinv.ood import ood_predict
 from netinv.serialize import load_checkpoint, save_checkpoint
-from netinv.training import accuracy
+from netinv.training import accuracy, predict_logits
 from test_autograd import im2col_oracle, maxpool_oracle
 
 
@@ -255,3 +258,85 @@ class TestAcceptedSpecs:
     def test_cnn_rejects_specs_its_pools_cannot_run(self, in_shape, channels):
         with pytest.raises(DomainError):
             ClassifierSpec(kind="cnn", in_shape=in_shape, conv_channels=channels)
+
+
+FAMILIES = ["mlp", "cnn1", "cnn2", "cnn3", "gen-hot", "gen-hidden"]
+
+
+def both_passes(forward):
+    """(recording pass, no-grad pass) of ``forward()``."""
+    recorded = forward()
+    with ag.no_grad():
+        return recorded, forward()
+
+
+def assert_same_bits(got, want):
+    assert got.data.dtype == want.data.dtype and got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestArrayPass:
+    """Inside ``no_grad`` a model runs its layers on plain arrays; that pass
+    must give the recording pass's bits and raise its errors."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_recording_pass(self, family, data):
+        spec = data.draw(accepted_specs(family))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        rng = np.random.default_rng(seed)
+        model = (Generator if isinstance(spec, GeneratorSpec) else Classifier)(spec, rng=rng)
+        for name, t in model.params.items():      # random biases, not zeros
+            if name.startswith(("kb", "b")):
+                t.data[:] = rng.normal(size=t.shape)
+        for rows in (1, 256):
+            if isinstance(spec, GeneratorSpec):
+                z = ag.Tensor(rng.standard_normal((rows, spec.z_dim)).astype(np.float32))
+                labels = rng.integers(spec.classes, size=rows)
+                for training in (False, True):
+                    rec, arr = both_passes(lambda: model.forward(
+                        z, labels, rng=np.random.default_rng(seed), training=training))
+                    assert rec._op is not None and arr._op is None
+                    assert_same_bits(arr, rec)
+            else:
+                x = rng.uniform(size=(rows, *spec.in_shape)).astype(np.float32)
+                rec, arr = both_passes(lambda: model.forward(x))
+                for got, want in zip(arr, rec):
+                    assert want._op is not None and got._op is None
+                    assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_wrong_input_shape_raises_the_same_error(self, kind):
+        clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0))
+        gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(0))
+        z = np.zeros((2, 64), dtype=np.float32)
+        for forward in (lambda: clf.forward(np.zeros((2, 1, 8, 8), dtype=np.float32)),
+                        lambda: clf.forward(np.zeros((2, 144), dtype=np.float32)),
+                        lambda: gen.forward(z, [0, 1, 2], training=False)):
+            messages = []
+            for context in (contextlib.nullcontext, ag.no_grad):
+                with context(), pytest.raises(ShapeError) as err:
+                    forward()
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_predictions_build_no_tape_node(self, kind, monkeypatch):
+        rng = np.random.default_rng(50)
+        clf = Classifier(ClassifierSpec(kind=kind, classes=4), rng=rng)
+        gen = Generator(GeneratorSpec(classes=4), rng=rng)
+        images = rng.uniform(size=(300, 1, 12, 12)).astype(np.float32)
+        labels = rng.integers(4, size=300)
+
+        def no_node(*args):
+            raise AssertionError("a prediction built a tape node")
+
+        monkeypatch.setattr(ag, "_from_op", no_node)
+        ood_predict(clf, images[0])
+        assert predict_logits(clf, images).shape == (300, 4)
+        assert accuracy(clf, images, labels) >= 0.0
+        assert generate_samples(gen, 300, rng)[1].shape == (300, 1, 12, 12)
+        assert inversion_accuracy(gen, clf, 10, rng) >= 0.0
+        with pytest.raises(AssertionError, match="tape node"):
+            clf.forward(images[:1])

@@ -161,6 +161,36 @@ class TestCheckpoint:
             got = loaded.params[name].data
             assert got.dtype == p.data.dtype and got.tobytes() == p.data.tobytes()
 
+    @pytest.mark.parametrize("kind", ["mlp", "generator"])
+    def test_every_truncation_raises_format_error(self, tmp_path, kind):
+        """Each proper prefix of the payload, re-signed, is refused, and a cut
+        inside the tensors is reported as a truncation."""
+        path = tmp_path / "m.ninv"
+        save_checkpoint(FUZZ_MODELS[kind], path)
+        payload = path.read_bytes()[:-4]
+        for end in range(len(payload)):
+            write_signed(path, payload[:end])
+            with pytest.raises(FormatError) as err:
+                load_checkpoint(path)
+            if end > len(payload) - 16:
+                assert "truncated" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_load_holds_about_one_copy_of_the_file(self, tmp_path, kind):
+        """A load keeps the file's bytes and the parameter arrays, nothing
+        more of the payload's size."""
+        path = tmp_path / "m.ninv"
+        save_checkpoint(Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0)),
+                        path)
+        load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
+
     def test_save_is_deterministic(self, tmp_path):
         clf = Classifier(ClassifierSpec(), rng=np.random.default_rng(3))
         a, b = tmp_path / "a.ninv", tmp_path / "b.ninv"
@@ -292,6 +322,13 @@ class TestPgm:
         write_pgm_grid(imgs, 1, path)
         back = read_pgm(path)
         np.testing.assert_allclose(back[0], imgs[0, 0], atol=1 / 255)
+
+    @pytest.mark.parametrize("count, cols", [(0, 2), (2, 0), (2, -1)])
+    def test_no_image_or_no_column_rejected(self, tmp_path, count, cols):
+        path = tmp_path / "none.pgm"
+        with pytest.raises(ContractError, match="at least one"):
+            write_pgm_grid(np.zeros((count, 1, 3, 3)), cols, path)
+        assert not path.exists()
 
     def test_ppm_for_three_channels(self, tmp_path):
         imgs = np.random.default_rng(5).uniform(size=(2, 3, 4, 4))
