@@ -9,18 +9,18 @@ Running it with ``create_graph=True`` records the adjoint computation itself,
 which is what makes the gradient-norm penalty differentiable with respect to
 upstream inputs (a second-order replay).
 
-A forward computes its output and nothing else, so a ``no_grad`` pass or an
-op whose inputs need no gradient pays only for the output. One rule holds for
-every VJP: it reads its node's inputs, its adjoint and the forward's
-intermediate arrays, never its own output, so the inputs must not change
-before the reverse pass. An op whose derivative is written in terms of its
-output (``exp``, ``sigmoid``, ``softmax``, ``log_softmax``) recomputes that
-output from its input inside the VJP. No closure then holds its own node, no
-node sits on a reference cycle, and reference counting frees each step's
-tape, every intermediate array included, when the step ends. State that only
-a VJP reads (a pooling mask, an activation's slope scale) is built inside the
-VJP on its first call and kept in the closure, because the second-order
-replay calls the same VJP twice (inner and outer pass).
+A forward computes its output and nothing else, so an op whose inputs need
+no gradient pays only for the output. One rule holds for every VJP: it reads
+its node's inputs, its adjoint and the forward's intermediate arrays, never
+its own output, so the inputs must not change before the reverse pass. An op
+whose derivative is written in terms of its output (``exp``, ``sigmoid``,
+``softmax``, ``log_softmax``) recomputes that output from its input inside
+the VJP. No closure then holds its own node, no node sits on a reference
+cycle, and reference counting frees each step's tape, every intermediate
+array included, when the step ends. State that only a VJP reads (a pooling
+mask, an activation's slope scale) is built inside the VJP on its first call
+and kept in the closure, because the second-order replay calls the same VJP
+twice (inner and outer pass).
 
 A model layer is one node: ``linear`` takes the hidden layers' leaky-ReLU
 slope, and ``conv2d`` takes its bias and slope. Their VJPs keep the
@@ -32,13 +32,14 @@ then touches contiguous runs of ``ow * B`` or ``B`` values instead of rows a
 few pixels long, and the kernel matmul's [F, oh*ow*B] output is already the
 next layer's image. Kernels stay [F, C, kh, kw].
 
-A pass that records nothing has no use for Tensors: ``arrays`` holds
-plain-array twins of the ops a model's layers use (``linear``, ``conv2d``,
-``maxpool2d``, ``sigmoid``, ``dropout``, ``reshape``, ``transpose``,
-``concat``). Each op and its twin call one helper for the op's input checks
-and forward arithmetic (``_affine_data``, ``_conv2d_data``, ``_leaky_data``,
-``_maxpool_data``, ``_sigmoid_data``, ``_dropout_keep``), so the two give
-the same bits and raise the same errors.
+A pass that records nothing (a model's ``predict`` or ``sample``) has no use
+for Tensors: ``arrays`` holds plain-array twins of the ops a model's layers
+use (``linear``, ``conv2d``, ``maxpool2d``, ``sigmoid``, ``dropout``,
+``reshape``, ``transpose``, ``concat``). Each op and its twin call one helper
+for the op's input checks and forward arithmetic (``_affine_data``,
+``_conv2d_data``, ``_leaky_data``, ``_maxpool_data``, ``_sigmoid_data``,
+``_dropout_keep``), so the two give the same bits and raise the same errors;
+``softmax_array`` is ``softmax``'s forward on an array.
 """
 
 import contextlib
@@ -55,7 +56,7 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Context manager that suspends tape recording."""
+    """Context manager that suspends tape recording (``grad``'s outer pass)."""
 
     def __enter__(self):
         global _grad_enabled
@@ -67,11 +68,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def recording():
-    """Whether ops record tape nodes now: False inside ``no_grad``."""
-    return _grad_enabled
 
 
 class Tensor:
@@ -692,16 +688,21 @@ def _shifted(x, axis):
     return z, e, e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(z.dtype)
 
 
+def softmax_array(x, axis=-1):
+    """Row-stable softmax of the array ``x`` along ``axis``, as an array."""
+    _, e, s = _shifted(x, axis)
+    return e / s
+
+
 def softmax(logits, axis=-1):
     """Row-stable softmax as one node; its VJP is ``out * (g - sum(g * out))``."""
     logits = as_tensor(logits)
-    _, e, s = _shifted(logits.data, axis)
 
     def vjp(g, need):
         out = softmax(logits, axis)
         return (mul(out, sub(g, sum_(mul(g, out), axis=axis, keepdims=True))),)
 
-    return _from_op(e / s, (logits,), vjp)
+    return _from_op(softmax_array(logits.data, axis), (logits,), vjp)
 
 
 def log_softmax(logits, axis=-1):

@@ -125,18 +125,18 @@ def generator_loss(images, clf, labels, cfg, rng):
     return total, breakdown
 
 
-def _sample_batch(gen, classes, batch_size, rng, training):
+def _draw_inputs(gen, classes, batch_size, rng):
+    """-> (labels drawn from ``classes``, latents [batch_size, z_dim]) for ``gen``."""
     labels = rng.choice(classes, size=batch_size)
     z = rng.standard_normal((batch_size, gen.spec.z_dim)).astype(np.float32)
-    images = gen.forward(ag.Tensor(z), labels, rng=rng, training=training)
-    return labels, images
+    return labels, z
 
 
 def inversion_step(gen, clf, cfg, rng, opt):
     """One update of ``gen`` by ``opt``, an optimizer over its parameters; the
     classifier must be frozen and stays bit-unchanged."""
-    labels, images = _sample_batch(gen, list(range(clf.spec.classes)), cfg.batch_size, rng,
-                                   training=True)
+    labels, z = _draw_inputs(gen, list(range(clf.spec.classes)), cfg.batch_size, rng)
+    images = gen.forward(z, labels, rng)
     total, breakdown = generator_loss(images, clf, labels, cfg, rng)
     if total is not None:
         opt.step(ag.grad(total, opt.params))
@@ -149,12 +149,10 @@ def generate_samples(gen, count, rng, classes=None):
         raise DomainError("need at least one sample")
     classes = list(classes) if classes else list(range(gen.spec.classes))
     labels_all, images_all = [], []
-    with ag.no_grad():
-        for done in range(0, count, 256):
-            labels, images = _sample_batch(gen, classes, min(256, count - done), rng,
-                                           training=False)
-            labels_all.append(labels)
-            images_all.append(images.data)
+    for done in range(0, count, 256):
+        labels, z = _draw_inputs(gen, classes, min(256, count - done), rng)
+        labels_all.append(labels)
+        images_all.append(gen.sample(z, labels))
     return np.concatenate(labels_all), np.concatenate(images_all, axis=0)
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autograd as ag
-from .errors import ContractError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 
 @dataclass
@@ -157,9 +157,9 @@ class Model:
 
     Each model writes its layer sequence once, as a function of an ops
     namespace. ``forward`` runs it with the tape ops (``autograd`` itself)
-    while the tape records, and with their plain-array twins
-    (``autograd.arrays``) inside ``no_grad``: the same arithmetic, and only
-    the outputs are wrapped as Tensors.
+    and always records; ``Classifier.predict`` and ``Generator.sample`` run
+    it with their plain-array twins (``autograd.arrays``), arrays in and
+    arrays out: the same arithmetic, and no tape node.
     """
 
     def __init__(self, spec, rng):
@@ -226,41 +226,45 @@ class Classifier(Model):
         self.frozen = True
         return self
 
-    def forward(self, batch):
-        """-> (logits [B, m], penultimate features [B, d]) from one pass."""
-        x = ag.as_tensor(batch)
+    def _checked(self, x):
+        """``x`` itself, once its rows have the spec's input shape."""
         if tuple(x.shape[1:]) != tuple(self.spec.in_shape):
             raise ShapeError(f"input shape {tuple(x.shape[1:])} does not match "
                              f"classifier spec {tuple(self.spec.in_shape)}")
-        if ag.recording():
-            return _classifier_layers(ag, self.spec, self.params, x)
-        logits, feats = _classifier_layers(ag.arrays, self.spec, self.param_arrays(), x.data)
-        return ag.Tensor(logits), ag.Tensor(feats)
+        return x
+
+    def forward(self, batch):
+        """-> (logits [B, m], penultimate features [B, d]) Tensors, recorded."""
+        x = self._checked(ag.as_tensor(batch))
+        return _classifier_layers(ag, self.spec, self.params, x)
+
+    def predict(self, batch):
+        """``forward``'s (logits, features) as arrays; records nothing."""
+        x = self._checked(np.asarray(batch, dtype=ag.DEFAULT_DTYPE))
+        return _classifier_layers(ag.arrays, self.spec, self.param_arrays(), x)
 
 
 class Generator(Model):
     """Affine upsampling stack: concat(z, condition) -> image in [0, 1]."""
 
-    def forward(self, z, labels, rng=None, training=None):
-        """Generate a batch of images for latent codes ``z`` and class labels.
-
-        ``training`` must be passed explicitly: dropout fires only in
-        training mode and then requires an RNG stream.
-        """
-        if training is None:
-            raise ContractError("generator forward requires an explicit training flag")
-        if training and rng is None:
-            raise ContractError("training-mode generation requires an RNG stream for dropout")
-        z = ag.as_tensor(z)
+    def _condition(self, n, labels):
+        """The condition rows [n, cond_width] of ``labels``, one per latent."""
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (z.shape[0],):
-            raise ShapeError(f"batch mismatch: {z.shape[0]} latents vs labels of shape {labels.shape}")
+        if labels.shape != (n,):
+            raise ShapeError(f"batch mismatch: {n} latents vs labels of shape {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
             raise DomainError(f"labels outside [0, {self.spec.classes}): "
                               f"{labels.min()}..{labels.max()}")
-        cond = condition_matrix(self.spec)[labels]
-        if ag.recording():
-            return _generator_layers(ag, self.spec, self.params, z, ag.Tensor(cond),
-                                     rng, training)
-        return ag.Tensor(_generator_layers(ag.arrays, self.spec, self.param_arrays(),
-                                           z.data, cond, rng, training))
+        return condition_matrix(self.spec)[labels]
+
+    def forward(self, z, labels, rng):
+        """Recorded training-mode images [B, C, H, W]; dropout draws from ``rng``."""
+        z = ag.as_tensor(z)
+        cond = ag.Tensor(self._condition(z.shape[0], labels))
+        return _generator_layers(ag, self.spec, self.params, z, cond, rng, training=True)
+
+    def sample(self, z, labels):
+        """Eval-mode images as an array: no dropout, no draw, no tape node."""
+        z = np.asarray(z, dtype=ag.DEFAULT_DTYPE)
+        return _generator_layers(ag.arrays, self.spec, self.param_arrays(), z,
+                                 self._condition(z.shape[0], labels), None, training=False)

@@ -108,14 +108,11 @@ class Prediction:
 def ood_predict(clf, image):
     """Single-image prediction with garbage routing and uncertainty score.
 
-    One no-grad forward of the one row, and the softmax arithmetic on its
-    array: the same probabilities ``predict_probs`` gives for that row.
+    One ``predict`` of the one row, and the softmax of its logits: the same
+    probabilities ``predict_probs`` gives for that row.
     """
-    image = np.asarray(image, dtype=np.float32)
-    with ag.no_grad():
-        logits, _ = clf.forward(ag.Tensor(image[None]))
-    _, e, s = ag._shifted(check_finite(logits.data)[0], -1)
-    probs = (e / s).astype(np.float64)
+    logits, _ = clf.predict(np.asarray(image)[None])
+    probs = ag.softmax_array(check_finite(logits)[0]).astype(np.float64)
     probs /= probs.sum()
     k = int(probs.argmax())
     return Prediction(probs=probs, index=k,
@@ -225,7 +222,7 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng, id_test=None,
 
         id_test_acc = (accuracy(clf, id_test.images, id_test.labels)
                        if id_test is not None else math.nan)
-        thr = threshold_report(ag.softmax(id_logits).data, id_train.labels, probs)
+        thr = threshold_report(ag.softmax_array(id_logits), id_train.labels, probs)
         report = CycleReport(cycle=cycle,
                              id_train_accuracy=id_train_acc,
                              id_test_accuracy=id_test_acc,

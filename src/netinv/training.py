@@ -40,14 +40,13 @@ def train_classifier(model, images, labels, *, epochs, class_weights=None,
 
 
 def predict_logits(model, images):
-    """No-grad classifier pass in 256-row chunks -> logits ndarray [N, m].
+    """Classifier predictions in 256-row chunks -> logits ndarray [N, m].
 
     Raises ``DivergenceError`` when any logit is non-finite: the weights
     left by the last optimizer step are only ever checked here.
     """
-    with ag.no_grad():
-        logits = np.concatenate([model.forward(ag.Tensor(images[start:start + 256]))[0].data
-                                 for start in range(0, len(images), 256)], axis=0)
+    logits = np.concatenate([model.predict(images[start:start + 256])[0]
+                             for start in range(0, len(images), 256)], axis=0)
     return check_finite(logits)
 
 
@@ -67,4 +66,4 @@ def logits_accuracy(logits, labels):
 
 
 def predict_probs(model, images):
-    return ag.softmax(predict_logits(model, images)).data
+    return ag.softmax_array(predict_logits(model, images))

@@ -9,8 +9,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "netinv").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
-# functions that may default ``rng``: an eval-mode generator forward draws nothing
-RNG_DEFAULT_OK = {"Generator.forward"}
 
 
 def unread_imports(source):
@@ -74,8 +72,7 @@ def rng_fallbacks(source):
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_rng_fallback(path):
-    found = rng_fallbacks(path.read_text())
-    assert [(line, name) for line, name in found if name not in RNG_DEFAULT_OK] == []
+    assert rng_fallbacks(path.read_text()) == []
 
 
 @pytest.mark.parametrize("source, want", [
@@ -88,3 +85,38 @@ def test_no_rng_fallback(path):
 ], ids=["default", "keyword-only", "or-fallback", "method", "lambda", "required"])
 def test_checker_finds_rng_fallbacks(source, want):
     assert rng_fallbacks(source) == want
+
+
+TAPE_SWITCHES = {"no_grad", "recording"}
+
+
+def tape_switch_reads(source):
+    """(line, name) of each read of ``no_grad`` or ``recording``, as a name,
+    an attribute or an imported name: a pass whose recording hangs on
+    global tape state."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in TAPE_SWITCHES]
+        elif isinstance(node, ast.Attribute) and node.attr in TAPE_SWITCHES:
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Name) and node.id in TAPE_SWITCHES
+              and not isinstance(node.ctx, ast.Store)):
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "autograd.py"],
+                         ids=lambda p: p.name)
+def test_no_tape_switch_outside_autograd(path):
+    assert tape_switch_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("with ag.no_grad():\n    pass\n", [(1, "no_grad")]),
+    ("from .autograd import no_grad as ng\n", [(1, "no_grad")]),
+    ("if recording():\n    pass\n", [(1, "recording")]),
+    ("recording = 1\nx.no_grad_count\n", []),
+], ids=["attribute", "import", "name", "store-only"])
+def test_checker_finds_tape_switches(source, want):
+    assert tape_switch_reads(source) == want

@@ -79,9 +79,8 @@ class TestInversionAccuracy:
         class Memorized:
             spec = gen.spec
 
-            def forward(self, z, labels, rng=None, training=None):
-                from netinv import autograd as ag
-                return ag.Tensor(imgs[labels])
+            def sample(self, z, labels):
+                return imgs[labels]
 
         acc = inversion_accuracy(Memorized(), trained_mlp, 100, np.random.default_rng(7))
         assert acc == 1.0
@@ -96,9 +95,8 @@ class TestInversionAccuracy:
         class Constant:
             spec = gen.spec
 
-            def forward(self, z, labels, rng=None, training=None):
-                from netinv import autograd as ag
-                return ag.Tensor(np.repeat(img[None], z.shape[0], axis=0))
+            def sample(self, z, labels):
+                return np.repeat(img[None], z.shape[0], axis=0)
 
         acc = inversion_accuracy(Constant(), trained_mlp, 1000, np.random.default_rng(9))
         assert abs(acc - 1 / 3) <= 0.1

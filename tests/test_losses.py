@@ -3,7 +3,7 @@ import pytest
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, DivergenceError, DomainError
-from netinv.inversion import InversionConfig, _sample_batch, generator_loss
+from netinv.inversion import InversionConfig, _draw_inputs, generator_loss
 from netinv.losses import (EPS, LossBreakdown, compose_total, cosine_diversity_loss,
                            feature_gram, kl_loss, ortho_loss, pixel_loss, soften_onehot,
                            tv_loss, weighted_ce_loss)
@@ -414,7 +414,8 @@ def generator_loss_of(cfg, kind="mlp"):
     clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0)).freeze()
     gen = Generator(GeneratorSpec(), rng=np.random.default_rng(1))
     rng = np.random.default_rng(2)
-    labels, images = _sample_batch(gen, [0, 1, 2], 32, rng, training=True)
+    labels, z = _draw_inputs(gen, [0, 1, 2], 32, rng)
+    images = gen.forward(z, labels, rng)
     total, _ = generator_loss(images, clf, labels, cfg, rng)
     return total
 
@@ -434,7 +435,7 @@ def test_cnn_reconstruction_loss_tape_is_small():
 
 
 def test_one_row_cnn_forward_tape_is_small():
-    """The forward ``ood_predict`` runs: layout transposes, two conv+pool
+    """A one-row recording forward: layout transposes, two conv+pool
     layers, the flatten and two affine layers."""
     clf = Classifier(ClassifierSpec(kind="cnn"), rng=np.random.default_rng(0))
     logits, _ = clf.forward(np.zeros((1, 1, 12, 12), dtype=np.float32))

@@ -1,5 +1,5 @@
-import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from netinv import autograd as ag
-from netinv.errors import ContractError, DomainError, ShapeError
+from netinv.data import Dataset
+from netinv.errors import DomainError, ShapeError
 from netinv.inversion import generate_samples, inversion_accuracy
 from netinv.models import (Classifier, ClassifierSpec, Generator, GeneratorSpec,
-                           _condition_matrix, condition_matrix)
-from netinv.ood import ood_predict
+                           _condition_matrix, _generator_layers, condition_matrix)
+from netinv.ood import evaluate_grid, ood_predict
 from netinv.serialize import load_checkpoint, save_checkpoint
-from netinv.training import accuracy, predict_logits
+from netinv.training import accuracy, predict_logits, predict_probs
 from test_autograd import im2col_oracle, maxpool_oracle
 
 
@@ -83,7 +84,7 @@ class TestCondition:
         gen = Generator(GeneratorSpec(classes=4), rng=np.random.default_rng(0))
         z = np.zeros((1, 64), dtype=np.float32)
         with pytest.raises(DomainError):
-            gen.forward(ag.Tensor(z), [4], training=False)
+            gen.sample(z, [4])
 
 
 class TestGenerator:
@@ -91,14 +92,14 @@ class TestGenerator:
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(6))
         z = np.random.default_rng(7).standard_normal((4, 64)).astype(np.float32)
         labels = [i % 3 for i in range(4)]
-        a = gen.forward(ag.Tensor(z), labels, training=False).data
-        b = gen.forward(ag.Tensor(z), labels, training=False).data
+        a = gen.sample(z, labels)
+        b = gen.sample(z, labels)
         np.testing.assert_array_equal(a, b)
 
     def test_output_in_unit_range(self):
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(8))
         z = np.random.default_rng(9).uniform(-10, 10, size=(16, 64)).astype(np.float32)
-        out = gen.forward(ag.Tensor(z), [i % 3 for i in range(16)], training=False).data
+        out = gen.sample(z, [i % 3 for i in range(16)])
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_train_mode_dropout_varies(self):
@@ -108,19 +109,11 @@ class TestGenerator:
         differing = 0
         total = 0
         for pair in range(100):
-            a = gen.forward(ag.Tensor(z), labels, rng=np.random.default_rng(2 * pair),
-                            training=True).data
-            b = gen.forward(ag.Tensor(z), labels, rng=np.random.default_rng(2 * pair + 1),
-                            training=True).data
+            a = gen.forward(z, labels, np.random.default_rng(2 * pair)).data
+            b = gen.forward(z, labels, np.random.default_rng(2 * pair + 1)).data
             differing += int(np.sum(np.abs(a - b) > 1e-6))
             total += a.size
         assert differing / total > 0.01
-
-    def test_missing_mode_flag(self):
-        gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(0))
-        z = np.zeros((1, 64), dtype=np.float32)
-        with pytest.raises(ContractError):
-            gen.forward(ag.Tensor(z), [0])
 
     @pytest.mark.parametrize("mode, count", [("hidden", 82448), ("hot", 78736)])
     def test_default_param_count(self, mode, count):
@@ -165,10 +158,9 @@ class TestCnnLayout:
             assert clf.params[f"kb{i}"].shape == (1, F, 1, 1)
             cin = F
         x = np.random.default_rng(42).uniform(size=(B, *in_shape)).astype(np.float32)
-        with ag.no_grad():
-            logits, _ = clf.forward(x)
         want = cnn_forward_oracle(clf, x)
-        assert logits.dtype == want.dtype and np.array_equal(logits.data, want)
+        for logits in (clf.forward(x)[0].data, clf.predict(x)[0]):
+            assert logits.dtype == want.dtype and np.array_equal(logits, want)
 
 
 DIMS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
@@ -235,7 +227,7 @@ class TestAcceptedSpecs:
         if isinstance(spec, GeneratorSpec):
             model = Generator(spec, rng=rng)
             z = rng.standard_normal((2, spec.z_dim)).astype(np.float32)
-            out = model.forward(ag.Tensor(z), [0, 1], training=False)
+            out = model.sample(z, [0, 1])
             assert out.shape == (2, *spec.out_shape)
         else:
             model = Classifier(spec, rng=rng)
@@ -263,21 +255,16 @@ class TestAcceptedSpecs:
 FAMILIES = ["mlp", "cnn1", "cnn2", "cnn3", "gen-hot", "gen-hidden"]
 
 
-def both_passes(forward):
-    """(recording pass, no-grad pass) of ``forward()``."""
-    recorded = forward()
-    with ag.no_grad():
-        return recorded, forward()
-
-
 def assert_same_bits(got, want):
-    assert got.data.dtype == want.data.dtype and got.shape == want.shape
-    assert got.data.tobytes() == want.data.tobytes()
+    """``got``, an array, holds the bits of the recorded Tensor ``want``."""
+    assert isinstance(got, np.ndarray) and want._op is not None
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.data.tobytes()
 
 
 class TestArrayPass:
-    """Inside ``no_grad`` a model runs its layers on plain arrays; that pass
-    must give the recording pass's bits and raise its errors."""
+    """``predict`` and ``sample`` run a model's layers on plain arrays; that
+    pass must give the recording ``forward``'s bits and raise its errors."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @settings(max_examples=25, deadline=None)
@@ -292,18 +279,21 @@ class TestArrayPass:
                 t.data[:] = rng.normal(size=t.shape)
         for rows in (1, 256):
             if isinstance(spec, GeneratorSpec):
-                z = ag.Tensor(rng.standard_normal((rows, spec.z_dim)).astype(np.float32))
+                z = rng.standard_normal((rows, spec.z_dim)).astype(np.float32)
                 labels = rng.integers(spec.classes, size=rows)
-                for training in (False, True):
-                    rec, arr = both_passes(lambda: model.forward(
-                        z, labels, rng=np.random.default_rng(seed), training=training))
-                    assert rec._op is not None and arr._op is None
-                    assert_same_bits(arr, rec)
+                # eval mode: ``sample`` is ``forward`` with dropout off
+                no_drop = Generator.from_arrays(replace(spec, dropout=0.0),
+                                                model.param_arrays())
+                assert_same_bits(no_drop.sample(z, labels),
+                                 no_drop.forward(z, labels, np.random.default_rng(seed)))
+                # training mode: the array layers draw the recording pass's masks
+                cond = condition_matrix(spec)[labels]
+                got = _generator_layers(ag.arrays, spec, model.param_arrays(), z, cond,
+                                        np.random.default_rng(seed), training=True)
+                assert_same_bits(got, model.forward(z, labels, np.random.default_rng(seed)))
             else:
                 x = rng.uniform(size=(rows, *spec.in_shape)).astype(np.float32)
-                rec, arr = both_passes(lambda: model.forward(x))
-                for got, want in zip(arr, rec):
-                    assert want._op is not None and got._op is None
+                for got, want in zip(model.predict(x), model.forward(x)):
                     assert_same_bits(got, want)
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
@@ -311,13 +301,15 @@ class TestArrayPass:
         clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0))
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(0))
         z = np.zeros((2, 64), dtype=np.float32)
-        for forward in (lambda: clf.forward(np.zeros((2, 1, 8, 8), dtype=np.float32)),
-                        lambda: clf.forward(np.zeros((2, 144), dtype=np.float32)),
-                        lambda: gen.forward(z, [0, 1, 2], training=False)):
+        bad, flat = np.zeros((2, 1, 8, 8), np.float32), np.zeros((2, 144), np.float32)
+        for passes in ((lambda: clf.forward(bad), lambda: clf.predict(bad)),
+                       (lambda: clf.forward(flat), lambda: clf.predict(flat)),
+                       (lambda: gen.forward(z, [0, 1, 2], np.random.default_rng(0)),
+                        lambda: gen.sample(z, [0, 1, 2]))):
             messages = []
-            for context in (contextlib.nullcontext, ag.no_grad):
-                with context(), pytest.raises(ShapeError) as err:
-                    forward()
+            for run in passes:
+                with pytest.raises(ShapeError) as err:
+                    run()
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
 
@@ -336,6 +328,10 @@ class TestArrayPass:
         ood_predict(clf, images[0])
         assert predict_logits(clf, images).shape == (300, 4)
         assert accuracy(clf, images, labels) >= 0.0
+        assert predict_probs(clf, images).shape == (300, 4)
+        grid = evaluate_grid({"id": clf}, {"id": Dataset(images, labels),
+                                           "ood": Dataset(images[::-1], labels)}, {"id": 3})
+        assert grid[2].shape == (1, 2) and len(grid[3]) == 1
         assert generate_samples(gen, 300, rng)[1].shape == (300, 1, 12, 12)
         assert inversion_accuracy(gen, clf, 10, rng) >= 0.0
         with pytest.raises(AssertionError, match="tape node"):

@@ -155,26 +155,26 @@ class TestPredictAndThreshold:
             assert ood_predict(clf, img).probs.tobytes() == want.tobytes()
 
     def test_one_forward_and_its_scores(self, trained_mlp, monkeypatch):
-        """One ``Classifier.forward`` per prediction; ``ue`` is ``uncertainty``
+        """One ``Classifier.predict`` per prediction; ``ue`` is ``uncertainty``
         of the returned probabilities, looked up through the ``ood`` module so
         a wrapper installed there sees every call."""
-        forwards, scored = [], []
-        forward, score = Classifier.forward, ood.uncertainty
+        predicts, scored = [], []
+        predict, score = Classifier.predict, ood.uncertainty
 
-        def counted_forward(clf, batch):
-            forwards.append(batch.shape)
-            return forward(clf, batch)
+        def counted_predict(clf, batch):
+            predicts.append(batch.shape)
+            return predict(clf, batch)
 
         def counted_uncertainty(p):
             scored.append(p)
             return score(p)
 
-        monkeypatch.setattr(Classifier, "forward", counted_forward)
+        monkeypatch.setattr(Classifier, "predict", counted_predict)
         monkeypatch.setattr(ood, "uncertainty", counted_uncertainty)
         probes = np.random.default_rng(11).uniform(size=(5, 1, 12, 12)).astype(np.float32)
         for i, img in enumerate(probes, 1):
             pred = ood_predict(trained_mlp, img)
-            assert forwards == [(1, 1, 12, 12)] * i
+            assert predicts == [(1, 1, 12, 12)] * i
             assert len(scored) == i and scored[-1] is pred.probs
             assert type(pred.ue) is float and pred.ue == score(pred.probs)
             assert pred.index == int(np.argmax(pred.probs))

@@ -3,7 +3,7 @@ import pytest
 
 from netinv import autograd as ag
 from netinv.errors import DomainError
-from netinv.inversion import (TERM_WEIGHTS, InversionConfig, _sample_batch,
+from netinv.inversion import (TERM_WEIGHTS, InversionConfig, _draw_inputs,
                               generator_loss, linf_perturb)
 from netinv.losses import (cosine_diversity_loss, feature_gram, kl_loss, ortho_loss,
                            soften_onehot, weighted_ce_loss)
@@ -15,8 +15,8 @@ def make_batch(trained_mlp, seed=0, batch=8):
     gen = Generator(GeneratorSpec(classes=3, hidden=(32, 32), z_dim=8),
                     rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
-    labels, images = _sample_batch(gen, [0, 1, 2], batch, rng, training=False)
-    return labels, images
+    labels, z = _draw_inputs(gen, [0, 1, 2], batch, rng)
+    return labels, ag.Tensor(gen.sample(z, labels))
 
 
 class TestLinfPerturb:
