@@ -13,14 +13,14 @@ A forward computes its output and nothing else, so an op whose inputs need
 no gradient pays only for the output. One rule holds for every VJP: it reads
 its node's inputs, its adjoint and the forward's intermediate arrays, never
 its own output, so the inputs must not change before the reverse pass. An op
-whose derivative is written in terms of its output (``exp``, ``sigmoid``,
-``softmax``, ``log_softmax``) recomputes that output from its input inside
-the VJP. No closure then holds its own node, no node sits on a reference
-cycle, and reference counting frees each step's tape, every intermediate
-array included, when the step ends. State that only a VJP reads (a pooling
-mask, an activation's slope scale) is built inside the VJP on its first call
-and kept in the closure, because the second-order replay calls the same VJP
-twice (inner and outer pass).
+whose derivative is written in terms of its output (``sigmoid``, ``softmax``)
+recomputes that output from its input inside the VJP. No closure then holds
+its own node, no node sits on a reference cycle, and reference counting
+frees each step's tape, every intermediate array included, when the step
+ends. State that only a VJP reads (a pooling mask, an activation's slope
+scale) is built inside the VJP on its first call and kept in the closure,
+because the second-order replay calls the same VJP twice (inner and outer
+pass).
 
 A model layer is one node: ``linear`` takes the hidden layers' leaky-ReLU
 slope, and ``conv2d`` takes its bias and slope. Their VJPs keep the
@@ -37,8 +37,9 @@ for Tensors: ``arrays`` holds plain-array twins of the ops a model's layers
 use (``linear``, ``conv2d``, ``maxpool2d``, ``sigmoid``, ``dropout``,
 ``reshape``, ``transpose``, ``concat``). Each op and its twin call one helper
 for the op's input checks and forward arithmetic (``_affine_data``,
-``_conv2d_data``, ``_leaky_data``, ``_maxpool_data``, ``_sigmoid_data``,
-``_dropout_keep``), so the two give the same bits and raise the same errors;
+``_conv2d_data``, ``_leaky_data``, ``_maxpool_data``, ``_sigmoid_data``), so
+the two give the same bits and raise the same errors. The namespace sets the
+mode: ``dropout`` always drops, and its twin is eval mode's identity.
 ``softmax_array`` is ``softmax``'s forward on an array.
 """
 
@@ -209,15 +210,6 @@ def square(a):
     return mul(a, a)
 
 
-def exp(a):
-    a = as_tensor(a)
-
-    def vjp(g, need):
-        return (mul(g, exp(a)),)
-
-    return _from_op(np.exp(a.data), (a,), vjp)
-
-
 def sqrt(a):
     return pow_const(a, 0.5)
 
@@ -228,7 +220,7 @@ def _leaky_slope(dtype, slope):
     and so is never cached: each call with a bad slope is checked again."""
     s = dtype.type(slope)
     if not 0 < s <= 1:
-        raise ContractError(f"leaky_relu slope must be in (0, 1] in {dtype}, got {slope}")
+        raise ContractError(f"leaky ReLU slope must be in (0, 1] in {dtype}, got {slope}")
     return s
 
 
@@ -244,8 +236,8 @@ def _leaky(pre, slope):
 
     The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
     builds that select on its first call and keeps it, because the
-    second-order replay calls the same VJP twice. ``leaky_relu``, ``linear``
-    and ``conv2d`` all run this arithmetic, and so do their array twins."""
+    second-order replay calls the same VJP twice. ``linear`` and ``conv2d``
+    run this arithmetic; their array twins run its forward, ``_leaky_data``."""
     out, s = _leaky_data(pre, slope)
     scale = None
 
@@ -262,13 +254,6 @@ def _leaky(pre, slope):
         return mul(g, scale)
 
     return out, scaled
-
-
-def leaky_relu(a, slope):
-    """``x * (1 if x > 0 else slope)`` for a slope in (0, 1] in the input's dtype."""
-    a = as_tensor(a)
-    out, scaled = _leaky(a.data, slope)
-    return _from_op(out, (a,), lambda g, need: (scaled(g),))
 
 
 def _sigmoid_data(x):
@@ -301,20 +286,21 @@ def clamp01(a):
     return _from_op(np.clip(a.data, 0.0, 1.0), (a,), vjp)
 
 
-def _dropout_keep(x, rate, rng, training):
+def _dropout_keep(x, rate, rng):
     """Inverted dropout's scaled keep mask for the array ``x``, drawn from
-    ``rng``; None where dropout is the identity (eval mode or rate 0)."""
-    if not training or rate == 0.0:
+    ``rng``; None at rate 0, where dropout is the identity."""
+    if rate == 0.0:
         return None
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     return (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
 
 
-def dropout(a, rate, rng, training=True):
-    """Inverted dropout with an explicit RNG stream for reproducibility."""
+def dropout(a, rate, rng):
+    """Training-mode inverted dropout with an explicit RNG stream for
+    reproducibility; eval mode is ``arrays.dropout``, the identity."""
     a = as_tensor(a)
-    keep = _dropout_keep(a.data, rate, rng, training)
+    keep = _dropout_keep(a.data, rate, rng)
     return a if keep is None else mul(a, Tensor(keep))
 
 
@@ -416,16 +402,6 @@ def sum_(a, axis=None, keepdims=False):
     return _from_op(out_data, (a,), vjp)
 
 
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return div(sum_(a, axis=axis, keepdims=keepdims), as_tensor(float(count), a))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra / convolution
 
@@ -458,7 +434,7 @@ def _affine_data(x, w, b):
 def linear(x, w, b, slope=None):
     """Affine layer ``x @ w + b`` as one node, followed in the same node by a
     leaky ReLU when ``slope`` is given; same arithmetic as matmul, add, then
-    leaky_relu. The pre-activation is a forward intermediate the VJP keeps."""
+    the activation. The pre-activation is a forward intermediate the VJP keeps."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     out = _affine_data(x.data, w.data, b.data)
     scaled = None
@@ -705,17 +681,6 @@ def softmax(logits, axis=-1):
     return _from_op(softmax_array(logits.data, axis), (logits,), vjp)
 
 
-def log_softmax(logits, axis=-1):
-    """Row-stable log-softmax as one node; its VJP is ``g - softmax(logits) * sum(g)``."""
-    logits = as_tensor(logits)
-    z, _, s = _shifted(logits.data, axis)
-
-    def vjp(g, need):
-        return (sub(g, mul(softmax(logits, axis), sum_(g, axis=axis, keepdims=True))),)
-
-    return _from_op(z - np.log(s), (logits,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # plain-array twins of the model layer ops
 
@@ -729,16 +694,12 @@ def _conv2d_array(x, kernel, stride=1, pad=0, bias=None, slope=None):
     return out if slope is None else _leaky_data(out, slope)[0]
 
 
-def _dropout_array(a, rate, rng, training=True):
-    keep = _dropout_keep(a, rate, rng, training)
-    return a if keep is None else a * keep
-
-
 # Each twin takes and returns arrays where its op takes and returns Tensors,
-# with the op's signature, checks and arithmetic, and records nothing.
+# with the op's signature, checks and arithmetic, and records nothing. A pass
+# that records nothing runs in eval mode, so the dropout twin is the identity.
 arrays = SimpleNamespace(
     linear=_linear_array, conv2d=_conv2d_array, maxpool2d=_maxpool_data,
-    sigmoid=_sigmoid_data, dropout=_dropout_array,
+    sigmoid=_sigmoid_data, dropout=lambda a, rate, rng: a,
     reshape=lambda a, shape: a.reshape(shape),
     transpose=lambda a, axes=None: a.transpose(axes),
     concat=lambda parts, axis=0: np.concatenate(parts, axis=axis))

@@ -146,7 +146,11 @@ def parse_config(path=None, overrides=None):
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -193,7 +197,7 @@ def write_resolved(values, out_dir):
     """Materialize every default into the run directory."""
     lines = [f"{k} = {values[k]}" for k in sorted(values)]
     path = Path(out_dir) / "resolved.conf"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 

@@ -205,14 +205,14 @@ def _classifier_layers(ops, spec, p, x):
     return ops.linear(feats, p["wo"], p["bo"]), feats
 
 
-def _generator_layers(ops, spec, p, z, cond, rng, training):
+def _generator_layers(ops, spec, p, z, cond, rng):
     """The generator's layers on latents ``z`` [B, z_dim] and their
     condition rows ``cond`` -> images [B, C, H, W], run by ``ops``."""
     h = ops.concat([z, cond], axis=1)
     n_hidden = len(spec.hidden)
     for i in range(n_hidden):
         h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], 0.1)
-        h = ops.dropout(h, spec.dropout, rng, training=training)
+        h = ops.dropout(h, spec.dropout, rng)
     out = ops.sigmoid(ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]))
     return ops.reshape(out, (z.shape[0], *spec.out_shape))
 
@@ -261,10 +261,10 @@ class Generator(Model):
         """Recorded training-mode images [B, C, H, W]; dropout draws from ``rng``."""
         z = ag.as_tensor(z)
         cond = ag.Tensor(self._condition(z.shape[0], labels))
-        return _generator_layers(ag, self.spec, self.params, z, cond, rng, training=True)
+        return _generator_layers(ag, self.spec, self.params, z, cond, rng)
 
     def sample(self, z, labels):
         """Eval-mode images as an array: no dropout, no draw, no tape node."""
         z = np.asarray(z, dtype=ag.DEFAULT_DTYPE)
         return _generator_layers(ag.arrays, self.spec, self.param_arrays(), z,
-                                 self._condition(z.shape[0], labels), None, training=False)
+                                 self._condition(z.shape[0], labels), None)

@@ -14,35 +14,6 @@ _BLOCK_BYTES = 4 << 20       # working-set budget of one reference block in ssim
 _TIE = 1e-12                 # scores closer than this to the best are ties
 
 
-def _channel_ssim(x, y):
-    """Mean local SSIM over sliding 7x7 uniform windows, valid region."""
-    wx = sliding_window_view(x, (WINDOW, WINDOW))
-    wy = sliding_window_view(y, (WINDOW, WINDOW))
-    mx = wx.mean(axis=(-1, -2))
-    my = wy.mean(axis=(-1, -2))
-    vx = (wx * wx).mean(axis=(-1, -2)) - mx * mx
-    vy = (wy * wy).mean(axis=(-1, -2)) - my * my
-    cov = (wx * wy).mean(axis=(-1, -2)) - mx * my
-    num = (2 * mx * my + _C1) * (2 * cov + _C2)
-    den = (mx * mx + my * my + _C1) * (vx + vy + _C2)
-    return float(np.mean(num / den))
-
-
-def ssim(a, b):
-    """SSIM between two images in [0, 1]; multichannel averages per-channel scores."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"ssim needs identical shapes, got {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a, b = a[None], b[None]
-    if a.ndim != 3:
-        raise ShapeError(f"ssim expects [H,W] or [C,H,W] images, got {a.shape}")
-    if a.shape[-2] < WINDOW or a.shape[-1] < WINDOW:
-        raise ShapeError(f"image {a.shape} smaller than the {WINDOW}x{WINDOW} window")
-    return float(np.mean([_channel_ssim(a[c], b[c]) for c in range(a.shape[0])]))
-
-
 @dataclass
 class PrivacyReport:
     match_index: np.ndarray     # per reconstruction: argmax reference index
@@ -77,11 +48,13 @@ def _image_set(images, name):
 
 
 def ssim_matrix(recons, reference_set):
-    """[R, N] SSIM of every reconstruction against every reference, as ``ssim`` scores a pair.
+    """[R, N] SSIM of every reconstruction against every reference.
 
-    Window statistics are computed once per image; the cross term of every
-    pair is one batched matmul over the window axis. References are scored
-    in blocks so the working set stays under ``_BLOCK_BYTES``.
+    A pair's score is the mean over its channels of the mean local SSIM over
+    every valid 7x7 uniform window (``WINDOW``). Window statistics are
+    computed once per image; the cross term of every pair is one batched
+    matmul over the window axis. References are scored in blocks so the
+    working set stays under ``_BLOCK_BYTES``.
     """
     recons = np.asarray(recons)
     refs = np.asarray(reference_set)                        # float64 one block at a time
@@ -105,7 +78,7 @@ def ssim_matrix(recons, reference_set):
         den = ((mx * mx)[:, :, None] + (my * my)[:, None, :] + _C1) \
             * (vx[:, :, None] + vy[:, None, :] + _C2)
         # every channel has the same window count: the mean over all windows
-        # equals ssim's mean of per-channel means
+        # equals the mean of per-channel means
         scores[:, start:start + block] = (num / den).mean(axis=0)
     return scores
 

@@ -27,10 +27,11 @@ from netinv.models import (Classifier, ClassifierSpec, Generator,
                            GeneratorSpec)
 from netinv.ood import (OodCycleConfig, ood_predict, ood_training_cycle,
                         uncertainty)
-from netinv.privacy import privacy_score, ssim
+from netinv.privacy import privacy_score
 from netinv.reconstruction import ReconConfig
 from netinv.serialize import load_checkpoint, save_checkpoint
 from netinv.training import accuracy, train_classifier
+from test_privacy import ssim
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +59,13 @@ def _graph_mlp(rng):
     w1 = ag.Tensor(rng.standard_normal((5, 4)) * 0.7, requires_grad=True)
     b1 = ag.Tensor(rng.standard_normal(4) * 0.3, requires_grad=True)
     w2 = ag.Tensor(rng.standard_normal((4, 3)) * 0.7, requires_grad=True)
-    coeff = ag.Tensor(rng.standard_normal((2, 3)))
+    labels = rng.integers(0, 3, size=2)
+    weights = rng.uniform(0.5, 2.0, size=3)
 
     def forward():
-        h = ag.leaky_relu(ag.add(ag.matmul(x, w1), b1), 0.01)
-        return ag.sum_(ag.mul(ag.log_softmax(ag.matmul(h, w2)), coeff))
+        # the log-softmax head the subcommands run: weighted cross-entropy
+        h = ag.linear(x, w1, b1, slope=0.01)
+        return weighted_ce_loss(ag.matmul(h, w2), labels, weights)
 
     return forward, [x, w1, b1, w2]
 
@@ -82,8 +85,9 @@ def _graph_cnn(rng):
 def _graph_chain(rng):
     x = ag.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     c = ag.Tensor(rng.standard_normal((3, 4)))
-    ops = [ag.square, ag.sigmoid, lambda t: ag.leaky_relu(t, 0.01),
-           lambda t: ag.exp(ag.mul(t, 0.3)),
+    eye, zero = ag.Tensor(np.eye(4)), ag.Tensor(np.zeros(4))
+    ops = [ag.square, ag.sigmoid, lambda t: ag.linear(t, eye, zero, slope=0.01),
+           lambda t: ag.div(ag.mul(t, 0.3), ag.add(ag.square(t), 1.0)),
            lambda t: ag.mul(t, c), lambda t: ag.add(t, c)]
     picks = [ops[i] for i in rng.integers(0, len(ops), size=int(rng.integers(3, 6)))]
 
@@ -91,7 +95,7 @@ def _graph_chain(rng):
         t = x
         for op in picks:
             t = op(t)
-        return ag.mean(t)
+        return ag.div(ag.sum_(t), float(t.size))
 
     return forward, [x]
 
@@ -117,7 +121,7 @@ def test_c1_autodiff_matches_finite_differences():
     c = ag.Tensor(rng.standard_normal((3, 3)))
 
     def gns():
-        out = ag.sum_(ag.mul(ag.leaky_relu(ag.matmul(x, w), 0.01), c))
+        out = ag.sum_(ag.mul(ag.linear(x, w, ag.Tensor(np.zeros(3)), slope=0.01), c))
         return ag.grad_norm_sq(out, [w])
 
     g2_ad = ag.grad(gns(), [x])[0].data

@@ -297,6 +297,14 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err and "Traceback" not in err
 
+    def test_config_not_utf8_exits_two_without_traceback(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+        assert main(["train-classifier", "--config", str(conf),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(conf) in err and "Traceback" not in err
+
     def test_corrupt_classifier_exits_one_without_traceback(self, tmp_path, capsys,
                                                             classifier_run):
         payload = bytearray(classifier_run.read_bytes()[:-4])

@@ -1,5 +1,7 @@
 """Static checks: every imported name in the package and its tests is read
-somewhere, and every function of the package takes its RNG from its caller."""
+somewhere, every public function or class of the package has a caller
+outside the tests, and every function of the package takes its RNG from its
+caller."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "netinv").glob("*.py"))
+# the benchmark's workloads call the package from outside it
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -41,6 +45,89 @@ def test_no_unread_import(path):
 ], ids=["unread", "dotted-read", "aliased", "store-only", "base-class"])
 def test_checker_finds_unread_names(source, want):
     assert unread_imports(source) == want
+
+
+def package_reads(source, aliases=None):
+    """{(module, name)} that ``source`` reads from the package's modules:
+    ``from .m import name``, and ``alias.name`` for an alias bound by
+    ``from . import m`` or ``from netinv import m``. ``aliases`` maps further
+    local names to modules."""
+    aliases = dict(aliases or {})
+    found = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and not module.startswith("netinv"):
+            continue
+        module = module.removeprefix("netinv").lstrip(".")
+        for alias in node.names:
+            if module:
+                found.add((module, alias.name))
+            else:
+                aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add((aliases[node.value.id], node.attr))
+    return found
+
+
+# models.py writes each layer sequence once over ``ops``, which is autograd
+# itself or its array twins
+OPS_ALIASES = {"models": {"ops": "autograd"}}
+
+
+def uncalled_public_names(package, outside=()):
+    """Sorted ``module.name`` of each public top-level function or class of
+    ``package`` ({module: source}) that no other package module, no
+    statement of its own module outside its own body, and no source in
+    ``outside`` reads."""
+    read = set()
+    for module, source in package.items():
+        read |= {ref for ref in package_reads(source, OPS_ALIASES.get(module))
+                 if ref[0] != module}
+    for source in outside:
+        read |= package_reads(source)
+    unread = []
+    for module, source in package.items():
+        body = ast.parse(source).body
+        for node in body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or (module, node.name) in read):
+                continue
+            # a read of the name in any other top-level statement of its module
+            if not any(isinstance(n, ast.Name) and n.id == node.name
+                       and not isinstance(n.ctx, ast.Store)
+                       for stmt in body if stmt is not node for n in ast.walk(stmt)):
+                unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_public_name_has_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert uncalled_public_names(package, [WORKLOADS.read_text()]) == []
+
+
+@pytest.mark.parametrize("package, outside, want", [
+    ({"a": "def f(): pass\nclass K: pass\n"}, (), ["a.K", "a.f"]),
+    ({"a": "def f(): pass\ndef g(): return f()\n"}, (), ["a.g"]),
+    ({"a": "def f(): return f()\n"}, (), ["a.f"]),
+    ({"a": "def f(): pass\ndef _g(): pass\n", "b": "from .a import f\n"}, (), []),
+    ({"a": "def f(): pass\n", "b": "from . import a as x\nx.f()\n"}, (), []),
+    ({"a": "def f(): pass\n", "b": "import a\nimport numpy as np\nnp.f()\na.f()\n"},
+     (), ["a.f"]),
+    ({"autograd": "def f(): pass\n", "models": "def g(ops): ops.f()\ng(1)\n"}, (), []),
+    ({"autograd": "def f(): pass\n", "other": "def g(ops): ops.f()\ng(1)\n"}, (),
+     ["autograd.f"]),
+    ({"a": "def f(): pass\n"}, ["from netinv import a\na.f()\n"], []),
+    ({"a": "def f(): pass\n"}, ["from netinv.a import f\n"], []),
+], ids=["unread", "own-module", "own-body-only", "from-import", "module-alias",
+        "not-a-package-alias", "models-ops", "ops-elsewhere", "outside-alias",
+        "outside-from-import"])
+def test_checker_finds_uncalled_public_names(package, outside, want):
+    assert uncalled_public_names(package, outside) == want
 
 
 def rng_fallbacks(source):

@@ -78,6 +78,20 @@ class TestWeightedCE:
         got = weighted_ce_loss(ag.Tensor(logits), labels, [0.2, 1.8]).item()
         assert got == pytest.approx(np.log(2), abs=1e-7)
 
+    def test_forward_bit_equal_to_log_softmax_formula(self):
+        # log-softmax as the exp / float64 sum / log composition, then the
+        # label-weighted 64-bit mean
+        rng = np.random.default_rng(22)
+        x = rng.normal(scale=6, size=(64, 5)).astype(np.float32)
+        labels = rng.integers(5, size=64)
+        weights = rng.uniform(0.5, 2.0, size=5)
+        z = x - x.max(axis=1, keepdims=True)
+        s = np.sum(np.exp(z), axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
+        picked = (z - np.log(s))[np.arange(64), labels].astype(np.float64)
+        want = np.asarray(-np.dot(weights[labels] / 64, picked), dtype=np.float32)
+        got = weighted_ce_loss(ag.Tensor(x), labels, weights).data
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
     def test_label_out_of_range(self):
         with pytest.raises(DomainError):
             weighted_ce_loss(ag.Tensor(np.zeros((1, 3))), [3])
@@ -178,7 +192,7 @@ class TestPixel:
     @pytest.mark.parametrize("special", [None, np.inf, -np.inf, np.nan])
     def test_bit_equal_to_former_hinge(self, dtype, special):
         """Against mean(relu(x - 1)^2 + relu(-x)^2) and its gradient in numpy,
-        reduced as ``ag.mean`` reduces: a 64-bit sum, then one division."""
+        reduced as ``sum_`` then ``div`` reduce: a 64-bit sum, then one division."""
         rng = np.random.default_rng(12)
         x = np.concatenate([rng.uniform(-2, 3, 300),
                             np.round(rng.uniform(-1, 2, 100)),    # ties at 0 and 1
@@ -294,7 +308,8 @@ def composed_tv(images):
 
 
 def composed_pixel(images):
-    return ag.mean(ag.square(ag.sub(images, ag.clamp01(images))))
+    sq = ag.square(ag.sub(images, ag.clamp01(images)))
+    return ag.div(ag.sum_(sq), float(sq.size))
 
 
 def composed_total(terms, weights, order):
@@ -314,7 +329,7 @@ TOTAL_ORDER = ("c", "skip", "a", "b")
 
 def three_terms(x):
     """Scalar terms of ``x`` for ``compose_total``, one of them weighted zero."""
-    return {"a": ag.sum_(ag.square(x)), "b": ag.sum_(ag.exp(x)),
+    return {"a": ag.sum_(ag.square(x)), "b": ag.sum_(ag.sigmoid(x)),
             "c": ag.sum_(ag.mul(x, ag.take_slice(x, 0, 1, 2))), "skip": ag.sum_(x)}
 
 

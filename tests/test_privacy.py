@@ -1,9 +1,42 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from netinv import privacy
 from netinv.errors import ShapeError
-from netinv.privacy import privacy_score, ssim, ssim_matrix
+from netinv.privacy import WINDOW, privacy_score, ssim_matrix
+
+C1, C2 = 0.01 ** 2, 0.03 ** 2
+
+
+def _channel_ssim(x, y):
+    """Mean local SSIM over sliding 7x7 uniform windows, valid region."""
+    wx = sliding_window_view(x, (WINDOW, WINDOW))
+    wy = sliding_window_view(y, (WINDOW, WINDOW))
+    mx = wx.mean(axis=(-1, -2))
+    my = wy.mean(axis=(-1, -2))
+    vx = (wx * wx).mean(axis=(-1, -2)) - mx * mx
+    vy = (wy * wy).mean(axis=(-1, -2)) - my * my
+    cov = (wx * wy).mean(axis=(-1, -2)) - mx * my
+    num = (2 * mx * my + C1) * (2 * cov + C2)
+    den = (mx * mx + my * my + C1) * (vx + vy + C2)
+    return float(np.mean(num / den))
+
+
+def ssim(a, b):
+    """SSIM between two images in [0, 1], one pair at a time: the oracle of
+    ``ssim_matrix``. Multichannel averages per-channel scores."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"ssim needs identical shapes, got {a.shape} vs {b.shape}")
+    if a.ndim == 2:
+        a, b = a[None], b[None]
+    if a.ndim != 3:
+        raise ShapeError(f"ssim expects [H,W] or [C,H,W] images, got {a.shape}")
+    if a.shape[-2] < WINDOW or a.shape[-1] < WINDOW:
+        raise ShapeError(f"image {a.shape} smaller than the {WINDOW}x{WINDOW} window")
+    return float(np.mean([_channel_ssim(a[c], b[c]) for c in range(a.shape[0])]))
 
 
 class TestSsim:
