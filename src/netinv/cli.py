@@ -187,10 +187,14 @@ def cmd_reconstruct(args):
     manifest.stop()
     report = privacy_score(recons, train.images)
     holdout_report = privacy_score(recons, holdout.images)
-    rows = [[i, int(report.match_index[i]), float(report.match_ssim[i])]
-            for i in range(len(recons))]
-    rows.append(["mean", "", report.mean_ssim])
-    write_csv(rows, ["recon_id", "match_id", "ssim"], out / "privacy.csv")
+    delta = report.match_ssim - holdout_report.match_ssim
+    rows = [[i, int(report.match_index[i]), float(report.match_ssim[i]),
+             int(holdout_report.match_index[i]), float(holdout_report.match_ssim[i]),
+             float(delta[i])] for i in range(len(recons))]
+    rows.append(["mean", "", report.mean_ssim, "", holdout_report.mean_ssim,
+                 float(delta.mean())])
+    write_csv(rows, ["recon_id", "match_id", "ssim", "holdout_match_id", "holdout_ssim",
+                     "delta"], out / "privacy.csv")
     manifest.record(out / "privacy.csv")
     grid = _image_path(out, "reconstructions", recons.shape[1])
     write_pgm_grid(recons, 8, grid)

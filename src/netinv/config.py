@@ -147,7 +147,7 @@ def parse_config(path=None, overrides=None):
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")   # a leading byte-order mark is dropped
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):

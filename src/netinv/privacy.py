@@ -10,7 +10,9 @@ from .errors import ShapeError
 WINDOW = 7                   # SSIM window side; smaller images cannot be scored
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
-_BLOCK_BYTES = 4 << 20       # working-set budget of one reference block in ssim_matrix
+# working-set budget of one reference block in ssim_matrix: its windows and
+# three [P, R, n] float64 maps, sized to stay in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 _TIE = 1e-12                 # scores closer than this to the best are ties
 
 
@@ -66,20 +68,32 @@ def ssim_matrix(recons, reference_set):
     x = _windows(recons)                                    # [P, R, 49]
     mx, vx = _moments(x)
     n_windows, n_recons, area = x.shape
-    # per reference: its windows plus about four [P, R] float64 temporaries
-    block = max(1, _BLOCK_BYTES // (8 * n_windows * (area + 4 * n_recons)))
+    # per reference: its windows plus three [P, R] float64 maps
+    block = max(1, _BLOCK_BYTES // (8 * n_windows * (area + 3 * n_recons)))
     scores = np.empty((n_recons, len(refs)))
     for start in range(0, len(refs), block):
         y = _windows(refs[start:start + block])             # [P, n, 49]
         my, vy = _moments(y)
+        # the SSIM map in three [P, R, n] buffers updated in place, in the
+        # operation order of the one-expression form, so its bits are kept
+        num = np.matmul(x, y.transpose(0, 2, 1))            # area * E[xy]
+        num /= area
         mxy = mx[:, :, None] * my[:, None, :]
-        cov = np.matmul(x, y.transpose(0, 2, 1)) / area - mxy
-        num = (2 * mxy + _C1) * (2 * cov + _C2)
-        den = ((mx * mx)[:, :, None] + (my * my)[:, None, :] + _C1) \
-            * (vx[:, :, None] + vy[:, None, :] + _C2)
+        num -= mxy                                          # cov
+        num *= 2
+        num += _C2
+        mxy *= 2
+        mxy += _C1
+        num *= mxy                                          # (2 mxy + C1)(2 cov + C2)
+        den = np.add((mx * mx)[:, :, None], (my * my)[:, None, :], out=mxy)
+        den += _C1
+        var = vx[:, :, None] + vy[:, None, :]
+        var += _C2
+        den *= var                                          # (mx² + my² + C1)(vx + vy + C2)
+        num /= den
         # every channel has the same window count: the mean over all windows
         # equals the mean of per-channel means
-        scores[:, start:start + block] = (num / den).mean(axis=0)
+        scores[:, start:start + block] = num.mean(axis=0)
     return scores
 
 

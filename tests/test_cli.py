@@ -122,6 +122,21 @@ class TestConfig:
         assert derive_seed(0, "a") != derive_seed(0, "b")
         assert derive_seed(0, "a") == derive_seed(0, "a")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """A config some editor saved with a UTF-8 byte-order mark runs like
+        the same file without it."""
+        text = "seed = 1\n" + TINY_RUN
+        plain = tmp_path / "plain.conf"
+        plain.write_bytes(text.encode())
+        marked = tmp_path / "bom.conf"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for conf in (plain, marked):
+            assert main(["train-classifier", "--config", str(conf),
+                         "--out", str(tmp_path / conf.stem)]) == 0
+        resolved = (tmp_path / "bom" / "resolved.conf").read_bytes()
+        assert resolved == (tmp_path / "plain" / "resolved.conf").read_bytes()
+        assert b"seed = 1\n" in resolved
+
 
 TINY_RUN = """
 synth.train = 30
@@ -264,6 +279,31 @@ class TestInvert:
         out = tmp_path / "inv0"
         assert main(["invert", "--config", conf, "--out", str(out),
                      "--classifier", str(classifier_run)]) == 0
+
+
+class TestReconstruct:
+    def test_privacy_csv_pairs_train_and_holdout_matches(self, tmp_path, classifier_run):
+        conf = write_conf(tmp_path, FAST_TRAIN + "recon.steps = 2\nrecon.samples = 3\n")
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", conf, "--out", str(out),
+                     "--classifier", str(classifier_run)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "privacy.csv").read_text().splitlines()]
+        assert header == ["recon_id", "match_id", "ssim", "holdout_match_id",
+                          "holdout_ssim", "delta"]
+        *pairs, mean = rows
+        assert [row[0] for row in pairs] == ["0", "1", "2"]
+        for _, match, score, holdout_match, holdout_score, delta in pairs:
+            assert 0 <= int(match) < 200 and 0 <= int(holdout_match) < 100
+            # every field is written to 9 significant digits
+            assert float(delta) == pytest.approx(float(score) - float(holdout_score),
+                                                 rel=0, abs=1e-8)
+        assert mean[0] == "mean" and mean[1] == mean[3] == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        for col, key in ((2, "mean_max_ssim_train"), (4, "mean_max_ssim_holdout")):
+            assert float(mean[col]) == pytest.approx(manifest[key], rel=1e-8)
+        assert float(mean[5]) == pytest.approx(np.mean([float(r[5]) for r in pairs]),
+                                               rel=0, abs=1e-8)
 
 
 class TestRejectedRuns:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,6 +126,26 @@ def _oracle(recons, refs):
     return np.array([[ssim(r, f) for f in refs] for r in recons])
 
 
+def _expression_ssim_matrix(recons, refs, block):
+    """``ssim_matrix`` with the SSIM map written as one expression, a fresh
+    array per term, over blocks of ``block`` references: the oracle of the
+    in-place kernel's bits."""
+    x = privacy._windows(recons)
+    mx, vx = privacy._moments(x)
+    area = x.shape[-1]
+    scores = []
+    for start in range(0, len(refs), block):
+        y = privacy._windows(refs[start:start + block])
+        my, vy = privacy._moments(y)
+        mxy = mx[:, :, None] * my[:, None, :]
+        cov = np.matmul(x, y.transpose(0, 2, 1)) / area - mxy
+        num = (2 * mxy + C1) * (2 * cov + C2)
+        den = ((mx * mx)[:, :, None] + (my * my)[:, None, :] + C1) \
+            * (vx[:, :, None] + vy[:, None, :] + C2)
+        scores.append((num / den).mean(axis=0))
+    return np.concatenate(scores, axis=1)
+
+
 class TestSsimMatrix:
     @pytest.mark.parametrize("shape", [(12, 12), (1, 12, 12), (3, 12, 12), (1, 10, 13),
                                        (3, 13, 10)])
@@ -149,6 +171,39 @@ class TestSsimMatrix:
                                    rtol=0, atol=1e-12)
         assert len(unfolds) > 2 and sum(unfolds[1:]) == len(refs)
         assert privacy_score(recons, refs).match_index[2] == 7
+
+    @pytest.mark.parametrize("shape", [(1, 12, 12), (3, 12, 12), (1, 28, 28)])
+    @pytest.mark.parametrize("block", [1, 4, 9])
+    def test_bit_equal_to_expression_at_equal_blocks(self, monkeypatch, shape, block):
+        rng = np.random.default_rng(11)
+        recons = rng.uniform(size=(5, *shape))
+        refs = rng.uniform(size=(9, *shape))
+        n_windows = shape[0] * (shape[1] - WINDOW + 1) * (shape[2] - WINDOW + 1)
+        # the budget of exactly `block` references: windows plus three maps each
+        monkeypatch.setattr(privacy, "_BLOCK_BYTES",
+                            block * 8 * n_windows * (WINDOW * WINDOW + 3 * len(recons)))
+        unfolds = []
+        windows = privacy._windows
+        monkeypatch.setattr(privacy, "_windows",
+                            lambda images: unfolds.append(len(images)) or windows(images))
+        scores = ssim_matrix(recons, refs)
+        assert unfolds[1:] == [min(block, len(refs) - s) for s in range(0, len(refs), block)]
+        np.testing.assert_array_equal(scores, _expression_ssim_matrix(recons, refs, block))
+
+    def test_scoring_peak_memory(self):
+        """32 reconstructions against 100 references, 12x12: the traced peak
+        of the audit's scoring call stays under 2.5 MiB (5.35 MiB with 4 MiB
+        blocks and a fresh array per SSIM term)."""
+        rng = np.random.default_rng(12)
+        recons = rng.uniform(size=(32, 1, 12, 12))
+        refs = rng.uniform(size=(100, 1, 12, 12))
+        tracemalloc.start()
+        try:
+            privacy_score(recons, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
 
     def test_window_larger_than_image(self):
         with pytest.raises(ShapeError):
