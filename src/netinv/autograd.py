@@ -1,13 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The tape is implicit: every tracked operation stores its input tensors and a
-vector-Jacobian closure expressed in terms of the public ops. The closure
-takes the output's adjoint and one flag per input, and builds the adjoints of
-the flagged inputs only (None for the others). ``grad`` is the one reverse
-pass; it returns the adjoints rather than storing them on the tensors.
+vector-Jacobian function (a closure, or a ``_Layer`` for the layer ops)
+expressed in terms of the public ops. The function takes the output's
+adjoint and one flag per input, and builds the adjoints of the flagged
+inputs only (None for the others). ``grad`` is the one reverse pass; it
+returns the adjoints rather than storing them on the tensors.
 Running it with ``create_graph=True`` records the adjoint computation itself,
-which is what makes the gradient-norm penalty differentiable with respect to
-upstream inputs (a second-order replay).
+so gradients can be differentiated again: the tape is second-order capable.
+The gradient-norm penalty (``grad_norm_sq``) does not need that: on a
+piecewise-linear classifier its gradient has a first-order form, one extra
+node over the layer inputs that the ordinary backward pass differentiates.
 
 A forward computes its output and nothing else, so an op whose inputs need
 no gradient pays only for the output. One rule holds for every VJP: it reads
@@ -19,12 +22,14 @@ its own node, no node sits on a reference cycle, and reference counting
 frees each step's tape, every intermediate array included, when the step
 ends. State that only a VJP reads (a pooling mask, an activation's slope
 scale) is built inside the VJP on its first call and kept in the closure,
-because the second-order replay calls the same VJP twice (inner and outer
-pass).
+because a step can call the same VJP twice: ``grad_norm_sq``'s inner pass and
+the step's own backward pass.
 
 A model layer is one node: ``linear`` takes the hidden layers' leaky-ReLU
 slope, and ``conv2d`` takes its bias and slope. Their VJPs keep the
 pre-activation (and ``conv2d`` its im2col columns) as forward intermediates.
+Their VJP is a ``_Layer``, which also carries what ``grad_norm_sq`` reads of
+the layer: its input, parameters, geometry and pre-activation adjoint.
 
 The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
 return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
@@ -235,9 +240,10 @@ def _leaky(pre, slope):
     """Leaky ReLU of the array ``pre`` -> (output, adjoint scaler).
 
     The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
-    builds that select on its first call and keeps it, because the
-    second-order replay calls the same VJP twice. ``linear`` and ``conv2d``
-    run this arithmetic; their array twins run its forward, ``_leaky_data``."""
+    builds that select on its first call and keeps it, because a step can
+    call it twice (``grad_norm_sq``'s pass and the step's). ``linear`` and
+    ``conv2d`` run this arithmetic; their array twins run its forward,
+    ``_leaky_data``."""
     out, s = _leaky_data(pre, slope)
     scale = None
 
@@ -425,6 +431,27 @@ def matmul(a, b):
     return _from_op(a.data @ b.data, (a, b), vjp)
 
 
+class _Layer:
+    """The VJP of a ``linear`` or ``conv2d`` node, and what the node hands
+    ``grad_norm_sq``: the layer input ``x`` (H), the weight ``w``, the bias
+    ``b`` (None without one) and, for a conv, its ``(stride, pad)`` (None for
+    ``linear``). ``delta`` maps an adjoint of the node's output to the
+    adjoint Δ of its pre-activation; the op's own VJP, ``_vjp``, takes Δ and
+    reads the conv's columns from the forward."""
+
+    __slots__ = ("x", "w", "b", "geometry", "_scaled", "_vjp")
+
+    def __init__(self, x, w, b, scaled, vjp, geometry=None):
+        self.x, self.w, self.b, self.geometry = x, w, b, geometry
+        self._scaled, self._vjp = scaled, vjp
+
+    def delta(self, g):
+        return g if self._scaled is None else self._scaled(g)
+
+    def __call__(self, g, need):
+        return self._vjp(self.delta(g), need)
+
+
 def _affine_data(x, w, b):
     """``x @ w + b`` on arrays, after matmul's shape checks."""
     _check_matmul(x, w)
@@ -441,15 +468,13 @@ def linear(x, w, b, slope=None):
     if slope is not None:
         out, scaled = _leaky(out, slope)
 
-    def vjp(g, need):
-        if scaled is not None:
-            g = scaled(g)
-        gx = matmul(g, transpose(w)) if need[0] else None
-        gw = matmul(transpose(x), g) if need[1] else None
-        gb = _unbroadcast(g, b.data.shape) if need[2] else None
+    def vjp(d, need):
+        gx = matmul(d, transpose(w)) if need[0] else None
+        gw = matmul(transpose(x), d) if need[1] else None
+        gb = _unbroadcast(d, b.data.shape) if need[2] else None
         return gx, gw, gb
 
-    return _from_op(out, (x, w, b), vjp)
+    return _from_op(out, (x, w, b), _Layer(x, w, b, scaled, vjp))
 
 
 def _conv_out(n, k, stride, pad):
@@ -568,8 +593,9 @@ def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     The forward is im2col's columns, the kernel matmul, its reshape without a
     copy, the bias add and the activation, in that order. The VJP keeps the
     columns and the pre-activation; for the kernel's adjoint it wraps the
-    columns in an im2col node of ``x``, so a second-order replay still
-    differentiates through ``x`` without recomputing them.
+    columns in an im2col node of ``x``, so a second-order pass
+    (``create_graph=True``) still differentiates through ``x`` without
+    recomputing them.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     inputs = (x, kernel)
@@ -585,24 +611,22 @@ def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     if slope is not None:
         out, scaled = _leaky(out, slope)
 
-    def vjp(g, need):
-        if scaled is not None:
-            g = scaled(g)
-        g2 = reshape(g, (F, cols.shape[1]))
+    def vjp(d, need):
+        d2 = reshape(d, (F, cols.shape[1]))
         gx = gk = gb = None
         if need[0]:
-            gx = col2im(matmul(transpose(reshape(kernel, k2_shape)), g2),
+            gx = col2im(matmul(transpose(reshape(kernel, k2_shape)), d2),
                         (C, H, W, B), kh, kw, stride, pad)
         if need[1]:
             cols_t = transpose(_cols_node(x, cols, kh, kw, stride, pad))
-            gk = reshape(matmul(g2, cols_t), kernel.data.shape)
+            gk = reshape(matmul(d2, cols_t), kernel.data.shape)
         if bias is None:
             return gx, gk
         if need[2]:
-            gb = reshape(sum_(g, axis=(1, 2, 3), keepdims=True), bias.data.shape)
+            gb = reshape(sum_(d, axis=(1, 2, 3), keepdims=True), bias.data.shape)
         return gx, gk, gb
 
-    return _from_op(out, inputs, vjp)
+    return _from_op(out, inputs, _Layer(x, kernel, bias, scaled, vjp, (stride, pad)))
 
 
 def _maxpool_data(x, k):
@@ -755,20 +779,89 @@ def grad(out, wrt, create_graph=False):
 
 
 def grad_norm_sq(scalar_out, params):
-    """Σ ‖d scalar_out / d θ‖² over ``params``, itself differentiable.
+    """Σ ‖d scalar_out / d θ‖² over ``params``, as one node over the inputs of
+    the layers that hold them.
 
-    The inner reverse pass runs with graph construction enabled, so the result
-    stays connected to whatever the parameters' gradients depend on (e.g.
-    the images fed to a classifier).
+    Every listed parameter must enter the graph under ``scalar_out`` only as
+    the weight or bias of ``linear`` or ``conv2d`` nodes; any other use
+    raises ``ContractError``. One first-order ``grad`` gives each such node's
+    output adjoint, hence the adjoint Δ of its pre-activation. The node's own
+    VJP, given Δ, gives the weight gradient G = Hᵀ Δ over the layer input H
+    (over H's im2col columns for a conv) and the bias gradient Σ Δ; a shared
+    parameter's gradients are summed. The value sums every listed
+    parameter's squared gradient, with the arithmetic of the double backward.
+
+    The node's gradient is exact almost everywhere when every op between
+    those layers' pre-activations and ``scalar_out`` is piecewise linear in
+    its recorded input, with operands that do not depend on what is
+    differentiated: leaky ReLU, max-pool, reshape, transpose, a layer's fixed
+    weights, a sum of products with a constant (a classifier's true-class
+    logit sum). Then each Δ is locally constant, the bias gradients carry no
+    gradient, and the penalty's gradient is the first-order backward of
+    Σ ⟨c, H⟩ with each c held constant: c = 2 Δ Gᵀ for a linear layer and
+    col2im(2 Gᵀ Δ) for a conv. The VJP is ``mul(g, c)`` on each H: the node
+    is differentiable to first order, exactly with respect to what feeds the
+    layers from outside (a classifier's images), not with respect to the
+    listed parameters. A loss that is not linear in the logits breaks the
+    condition.
     """
     params = list(params)
     if not params:
         raise ContractError("grad_norm_sq needs a non-empty parameter set")
     if not scalar_out.requires_grad:
         raise ContractError("scalar output is not connected to the tape")
-    gs = grad(scalar_out, params, create_graph=True)
+    listed = set(params)
+    # the layer nodes that hold a listed parameter; no other node may take one
+    nodes, seen, stack = [], {scalar_out}, [scalar_out]
+    while stack:
+        node = stack.pop()
+        inputs, vjp = node._op
+        layer = vjp if isinstance(vjp, _Layer) else None
+        for i, inp in enumerate(inputs):
+            if inp in listed:
+                if layer is None or i == 0:
+                    raise ContractError("grad_norm_sq needs each parameter to enter the "
+                                        "graph only as a linear or conv2d weight or bias")
+            elif inp._op is not None and inp not in seen:
+                seen.add(inp)
+                stack.append(inp)
+        if layer is not None and (layer.w in listed or layer.b in listed):
+            nodes.append(node)
+
+    # each layer's parameter gradients from its own VJP, given Δ
+    grads, weighted = {}, []
+    with no_grad():
+        for node, g in zip(nodes, grad(scalar_out, nodes)):
+            layer = node._op[1]
+            d = layer.delta(g)
+            need = (False, layer.w in listed, layer.b in listed)
+            for p, pg in zip((layer.w, layer.b), layer._vjp(d, need)[1:]):
+                if pg is not None:
+                    grads[p] = pg.data if p not in grads else grads[p] + pg.data
+            if need[1]:
+                weighted.append((layer, d.data))
+
     total = None
-    for g in gs:
-        term = sum_(square(g))
-        total = term if total is None else add(total, term)
-    return total
+    for p in params:
+        g = grads.get(p)
+        term = (np.zeros((), p.data.dtype) if g is None else
+                np.asarray((g * g).sum(dtype=np.float64), dtype=g.dtype))
+        total = term if total is None else total + term
+
+    inputs, coefs = [], []
+    for layer, d in weighted:
+        gw = grads[layer.w]
+        if layer.geometry is None:
+            c = d @ gw.T
+        else:
+            F, _, kh, kw = gw.shape
+            cols = gw.reshape(F, -1).T @ d.reshape(F, -1)
+            c = col2im(cols, layer.x.data.shape, kh, kw, *layer.geometry).data
+        c *= 2
+        inputs.append(layer.x)
+        coefs.append(Tensor(c))
+
+    def vjp(g, need):
+        return tuple(mul(g, c) if n else None for n, c in zip(need, coefs))
+
+    return _from_op(total, tuple(inputs), vjp)

@@ -101,7 +101,6 @@ class Prediction:
     probs: np.ndarray
     index: int
     is_ood: bool
-    confidence: float
     ue: float
 
 
@@ -117,7 +116,6 @@ def ood_predict(clf, image):
     k = int(probs.argmax())
     return Prediction(probs=probs, index=k,
                       is_ood=(k == clf.spec.classes - 1),
-                      confidence=float(probs[k]),
                       ue=uncertainty(probs))
 
 

@@ -10,8 +10,11 @@ from .errors import ShapeError
 WINDOW = 7                   # SSIM window side; smaller images cannot be scored
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
-# working-set budget of one reference block in ssim_matrix: its windows and
-# three [P, R, n] float64 maps, sized to stay in a core's L2 cache
+# working-set budget of ssim_matrix: one reference block's windows and its
+# three [P, r, n] float64 maps fit in it, sized to stay in a core's L2 cache;
+# the windows of one reconstruction block, which every reference block reads,
+# fit in four. With one reference block alive while the next is built, the
+# working set stays under six budgets whatever the number of images
 _BLOCK_BYTES = 1 << 20
 _TIE = 1e-12                 # scores closer than this to the best are ties
 
@@ -54,9 +57,10 @@ def ssim_matrix(recons, reference_set):
 
     A pair's score is the mean over its channels of the mean local SSIM over
     every valid 7x7 uniform window (``WINDOW``). Window statistics are
-    computed once per image; the cross term of every pair is one batched
-    matmul over the window axis. References are scored in blocks so the
-    working set stays under ``_BLOCK_BYTES``.
+    computed once per image and block; the cross term of every pair is one
+    batched matmul over the window axis. Reconstructions, and the references
+    against each block of them, are scored in blocks so the working set stays
+    bounded by ``_BLOCK_BYTES``.
     """
     recons = np.asarray(recons)
     refs = np.asarray(reference_set)                        # float64 one block at a time
@@ -65,35 +69,41 @@ def ssim_matrix(recons, reference_set):
                          f"vs reference {refs.shape[1:]}")
     recons = _image_set(recons, "reconstruction")
     refs = _image_set(refs, "reference")
-    x = _windows(recons)                                    # [P, R, 49]
-    mx, vx = _moments(x)
-    n_windows, n_recons, area = x.shape
-    # per reference: its windows plus three [P, R] float64 maps
-    block = max(1, _BLOCK_BYTES // (8 * n_windows * (area + 3 * n_recons)))
-    scores = np.empty((n_recons, len(refs)))
-    for start in range(0, len(refs), block):
-        y = _windows(refs[start:start + block])             # [P, n, 49]
-        my, vy = _moments(y)
-        # the SSIM map in three [P, R, n] buffers updated in place, in the
-        # operation order of the one-expression form, so its bits are kept
-        num = np.matmul(x, y.transpose(0, 2, 1))            # area * E[xy]
-        num /= area
-        mxy = mx[:, :, None] * my[:, None, :]
-        num -= mxy                                          # cov
-        num *= 2
-        num += _C2
-        mxy *= 2
-        mxy += _C1
-        num *= mxy                                          # (2 mxy + C1)(2 cov + C2)
-        den = np.add((mx * mx)[:, :, None], (my * my)[:, None, :], out=mxy)
-        den += _C1
-        var = vx[:, :, None] + vy[:, None, :]
-        var += _C2
-        den *= var                                          # (mx² + my² + C1)(vx + vy + C2)
-        num /= den
-        # every channel has the same window count: the mean over all windows
-        # equals the mean of per-channel means
-        scores[:, start:start + block] = num.mean(axis=0)
+    C, H, W = recons.shape[1:]
+    n_windows, area = C * (H - WINDOW + 1) * (W - WINDOW + 1), WINDOW * WINDOW
+    scores = np.empty((len(recons), len(refs)))
+    # per reconstruction: its windows
+    r_block = max(1, 4 * _BLOCK_BYTES // (8 * n_windows * area))
+    for r_start in range(0, len(recons), r_block):
+        x = _windows(recons[r_start:r_start + r_block])    # [P, r, 49]
+        mx, vx = _moments(x)
+        rows = slice(r_start, r_start + x.shape[1])
+        # per reference: its windows plus three [P, r] float64 maps
+        block = max(1, _BLOCK_BYTES // (8 * n_windows * (area + 3 * x.shape[1])))
+        for start in range(0, len(refs), block):
+            y = _windows(refs[start:start + block])         # [P, n, 49]
+            my, vy = _moments(y)
+            # the SSIM map in three [P, r, n] buffers updated in place, in the
+            # operation order of the one-expression form, so its bits are kept
+            num = np.matmul(x, y.transpose(0, 2, 1))        # area * E[xy]
+            num /= area
+            mxy = mx[:, :, None] * my[:, None, :]
+            num -= mxy                                      # cov
+            num *= 2
+            num += _C2
+            mxy *= 2
+            mxy += _C1
+            num *= mxy                                      # (2 mxy + C1)(2 cov + C2)
+            den = np.add((mx * mx)[:, :, None], (my * my)[:, None, :], out=mxy)
+            den += _C1
+            var = vx[:, :, None] + vy[:, None, :]
+            var += _C2
+            den *= var                                      # (mx² + my² + C1)(vx + vy + C2)
+            num /= den
+            # every channel has the same window count: the mean over all
+            # windows equals the mean of per-channel means
+            scores[rows, start:start + block] = num.mean(axis=0)
+        del x, mx, vx                   # freed before the next block is unfolded
     return scores
 
 

@@ -3,9 +3,9 @@
 On top of the inversion terms, the composite loss asks that generated
 images stay correctly and confidently classified after a bounded
 perturbation, look like valid low-noise images (pixel and smoothness
-priors), and sit where the classifier's weight gradients are small.  The
-objective, step and loop live in ``inversion``; this module holds the
-preset.
+priors), and sit where the classifier's weight gradients are small
+(``autograd.grad_norm_sq``, a first-order node).  The objective, step and
+loop live in ``inversion``; this module holds the preset.
 """
 
 from dataclasses import dataclass
@@ -27,5 +27,5 @@ class ReconConfig(InversionConfig):
     target_accuracy: float = None
 
 
-# the same step under the reconstruction name (perfbench's audit probe uses it)
+# the same step under the reconstruction name; perfbench's audit probe times it
 reconstruction_step = inversion_step

@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
 
+from netinv import autograd as ag
 from netinv.data import SynthSpec, synth_dataset
+from netinv.errors import ContractError
 from netinv.models import Classifier, ClassifierSpec
 from netinv.training import accuracy, train_classifier
+
+
+def grad_norm_sq_replay(scalar_out, params):
+    """Σ ‖d scalar_out / d θ‖² over ``params`` by double backward: the inner
+    pass runs with ``create_graph=True``, so the result stays differentiable,
+    to any order, with respect to everything the parameters' gradients depend
+    on. The oracle of ``autograd.grad_norm_sq``, and the tests' way into the
+    second-order tape."""
+    params = list(params)
+    if not params:
+        raise ContractError("grad_norm_sq needs a non-empty parameter set")
+    if not scalar_out.requires_grad:
+        raise ContractError("scalar output is not connected to the tape")
+    total = None
+    for g in ag.grad(scalar_out, params, create_graph=True):
+        term = ag.sum_(ag.square(g))
+        total = term if total is None else ag.add(total, term)
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,7 @@ from netinv.privacy import privacy_score
 from netinv.reconstruction import ReconConfig
 from netinv.serialize import load_checkpoint, save_checkpoint
 from netinv.training import accuracy, train_classifier
+from conftest import grad_norm_sq_replay
 from test_privacy import ssim
 
 
@@ -122,7 +123,7 @@ def test_c1_autodiff_matches_finite_differences():
 
     def gns():
         out = ag.sum_(ag.mul(ag.linear(x, w, ag.Tensor(np.zeros(3)), slope=0.01), c))
-        return ag.grad_norm_sq(out, [w])
+        return grad_norm_sq_replay(out, [w])
 
     g2_ad = ag.grad(gns(), [x])[0].data
     g2_fd = _fd_grad(lambda: float(gns().item()), x.data, h=1e-5)
@@ -447,7 +448,7 @@ recon.samples = 8
 
 
 def test_c7_cnn_determinism(tmp_path):
-    """The CNN path (batch-innermost image ops, grad-norm replay) repeats
+    """The CNN path (batch-innermost image ops, grad-norm penalty) repeats
     byte for byte: train-classifier then reconstruct, twice."""
     conf = tmp_path / "cnn.conf"
     conf.write_text(_CNN_CONF)

@@ -5,6 +5,7 @@ import pytest
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, ShapeError
+from conftest import grad_norm_sq_replay
 
 
 def fd_grad(f, x, h=1e-6):
@@ -184,11 +185,12 @@ def composed_linear(x, w, b, slope=None):
 
 
 def check_second_order(make_out, arrays, penalized, rtol=1e-3, atol=1e-6):
-    """d/d(every other leaf) of ``grad_norm_sq(make_out(*leaves), [the
-    penalized leaves])`` against central differences, in float64."""
+    """d/d(every other leaf) of ``grad_norm_sq_replay(make_out(*leaves), [the
+    penalized leaves])`` against central differences, in float64: a gate on
+    the second-order tape."""
     def gns(values):
         leaves = [ag.Tensor(a.copy(), requires_grad=True) for a in values]
-        return leaves, ag.grad_norm_sq(make_out(*leaves), [leaves[i] for i in penalized])
+        return leaves, grad_norm_sq_replay(make_out(*leaves), [leaves[i] for i in penalized])
 
     leaves, value = gns(arrays)
     others = [i for i in range(len(arrays)) if i not in penalized]
@@ -566,19 +568,19 @@ class TestGradNormSq:
         w = ag.Tensor(np.array(2.0), requires_grad=True)
         x = ag.Tensor(np.array(3.0), requires_grad=True)
         out = ag.mul(w, x)
-        assert ag.grad_norm_sq(out, [w]).item() == pytest.approx(9.0)
+        assert grad_norm_sq_replay(out, [w]).item() == pytest.approx(9.0)
 
     def test_constant_in_params(self):
         w = ag.Tensor(np.array(5.0), requires_grad=True)
         x = ag.Tensor(np.array(3.0), requires_grad=True)
         out = ag.square(x)
-        assert ag.grad_norm_sq(out, [w]).item() == pytest.approx(0.0)
+        assert grad_norm_sq_replay(out, [w]).item() == pytest.approx(0.0)
 
     def test_nonnegative_zero_iff_vanishing(self):
         rng = np.random.default_rng(7)
         w = ag.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         x = ag.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-        val = ag.grad_norm_sq(ag.sum_(ag.matmul(x, w)), [w]).item()
+        val = grad_norm_sq_replay(ag.sum_(ag.matmul(x, w)), [w]).item()
         assert val > 0
 
     def test_second_order_analytic(self):
@@ -586,7 +588,7 @@ class TestGradNormSq:
         w = ag.Tensor(np.array(1.0), requires_grad=True)
         x = ag.Tensor(np.array(2.0), requires_grad=True)
         out = ag.mul(w, ag.square(x))
-        gns = ag.grad_norm_sq(out, [w])
+        gns = grad_norm_sq_replay(out, [w])
         assert gns.item() == pytest.approx(16.0)
         (gx,) = ag.grad(gns, [x])
         assert gx.item() == pytest.approx(32.0)
@@ -602,12 +604,12 @@ class TestGradNormSq:
             x = ag.Tensor(x_arr)
             h = ag.linear(x, w1, zero, 0.1)
             out = ag.sum_(ag.matmul(h, w2))
-            return ag.grad_norm_sq(out, [w1, w2]).item()
+            return grad_norm_sq_replay(out, [w1, w2]).item()
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
         h = ag.linear(x, w1, zero, 0.1)
         out = ag.sum_(ag.matmul(h, w2))
-        gns = ag.grad_norm_sq(out, [w1, w2])
+        gns = grad_norm_sq_replay(out, [w1, w2])
         (gx,) = ag.grad(gns, [x])
         want = fd_grad(gns_value, x0.copy(), h=1e-5)
         np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
@@ -623,7 +625,7 @@ class TestGradNormSq:
         def gns_of(x):
             h = ag.linear(x, w1, b1, 0.1)
             out = ag.sum_(ag.square(ag.linear(h, w2, b2)))
-            return ag.grad_norm_sq(out, [w1, b1, w2, b2])
+            return grad_norm_sq_replay(out, [w1, b1, w2, b2])
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
         (gx,) = ag.grad(gns_of(x), [x])
@@ -639,7 +641,7 @@ class TestGradNormSq:
         def gns_of(x):
             h = ag.conv2d(x, k, stride=1, pad=1, slope=0.1)
             h = ag.reshape(ag.transpose(ag.maxpool2d(h, 2), (3, 0, 1, 2)), (2, 8))
-            return ag.grad_norm_sq(ag.sum_(ag.matmul(h, w)), [k, w])
+            return grad_norm_sq_replay(ag.sum_(ag.matmul(h, w)), [k, w])
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
         (gx,) = ag.grad(gns_of(x), [x])
@@ -649,7 +651,7 @@ class TestGradNormSq:
     def test_empty_params_rejected(self):
         x = ag.Tensor(np.array(1.0), requires_grad=True)
         with pytest.raises(ContractError):
-            ag.grad_norm_sq(ag.square(x), [])
+            grad_norm_sq_replay(ag.square(x), [])
 
 
 def where_leaky_relu(x, slope):
@@ -754,7 +756,7 @@ class TestBackwardState:
 
         x = ag.Tensor(x0, requires_grad=True)
         loss = loss_of(x)
-        inner = ag.grad(loss, [x, w], create_graph=True)    # as in grad_norm_sq
+        inner = ag.grad(loss, [x, w], create_graph=True)    # as in grad_norm_sq_replay
         outer = ag.grad(loss, [x, w])
         x_fresh = ag.Tensor(x0, requires_grad=True)
         fresh = ag.grad(loss_of(x_fresh), [x_fresh, w])

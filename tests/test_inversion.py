@@ -12,6 +12,7 @@ from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.optim import make_optimizer
 from netinv.reconstruction import ReconConfig
 from netinv.training import train_classifier
+from conftest import grad_norm_sq_replay
 
 
 def small_gen(classes=3, seed=0):
@@ -190,7 +191,7 @@ class TestTapeFreedOnStepEnd:
 
     @pytest.mark.parametrize("kind, cfg", [
         ("mlp", InversionConfig(batch_size=4)),
-        ("mlp", ReconConfig(batch_size=4)),     # runs the grad_norm_sq replay
+        ("mlp", ReconConfig(batch_size=4)),     # runs the grad-norm penalty
         ("cnn", ReconConfig(batch_size=4)),
     ], ids=["mlp-inversion", "mlp-reconstruction", "cnn-reconstruction"])
     def test_generator_step_leaves_no_cycles(self, kind, cfg):
@@ -211,7 +212,8 @@ class TestTapeFreedOnStepEnd:
     @pytest.mark.parametrize("name", list(_SCALARS))
     def test_op_leaves_no_cycles(self, name):
         """Each op whose derivative is written in terms of its output, and
-        each fused loss, at first order and through the grad-norm replay."""
+        each fused loss, at first order and through the double-backward
+        grad-norm penalty."""
         rng = np.random.default_rng(41)
         x = ag.Tensor(rng.normal(scale=3, size=(4, 3)).astype(np.float32), requires_grad=True)
         w = ag.Tensor(rng.uniform(0.5, 1.5, size=(4, 3)).astype(np.float32), requires_grad=True)
@@ -222,7 +224,7 @@ class TestTapeFreedOnStepEnd:
             first[:] = [h.data, ag.grad(_SCALARS[name](h), [x, w, h])[2].data]
 
         def second_order():
-            ag.grad(ag.grad_norm_sq(_SCALARS[name](ag.mul(x, w)), [w]), [x])
+            ag.grad(grad_norm_sq_replay(_SCALARS[name](ag.mul(x, w)), [w]), [x])
 
         assert cyclic_garbage(first_order) == 0
         assert cyclic_garbage(second_order) == 0

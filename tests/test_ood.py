@@ -178,7 +178,6 @@ class TestPredictAndThreshold:
             assert len(scored) == i and scored[-1] is pred.probs
             assert type(pred.ue) is float and pred.ue == score(pred.probs)
             assert pred.index == int(np.argmax(pred.probs))
-            assert pred.confidence == pred.probs[pred.index]
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_routing_matches_batched_argmax(self, kind, bars_data):

@@ -126,10 +126,13 @@ def _oracle(recons, refs):
     return np.array([[ssim(r, f) for f in refs] for r in recons])
 
 
-def _expression_ssim_matrix(recons, refs, block):
+def _expression_ssim_matrix(recons, refs, block, r_block=None):
     """``ssim_matrix`` with the SSIM map written as one expression, a fresh
-    array per term, over blocks of ``block`` references: the oracle of the
-    in-place kernel's bits."""
+    array per term, over blocks of ``block`` references and, when given,
+    ``r_block`` reconstructions: the oracle of the in-place kernel's bits."""
+    if r_block is not None:
+        return np.concatenate([_expression_ssim_matrix(recons[r:r + r_block], refs, block)
+                               for r in range(0, len(recons), r_block)])
     x = privacy._windows(recons)
     mx, vx = privacy._moments(x)
     area = x.shape[-1]
@@ -190,6 +193,39 @@ class TestSsimMatrix:
         assert unfolds[1:] == [min(block, len(refs) - s) for s in range(0, len(refs), block)]
         np.testing.assert_array_equal(scores, _expression_ssim_matrix(recons, refs, block))
 
+    @pytest.mark.parametrize("r_block", [1, 2, 3, 6])
+    def test_bit_equal_to_expression_at_equal_reconstruction_blocks(self, monkeypatch,
+                                                                    r_block):
+        """Blocks of ``r_block`` reconstructions at 28x28, each scored against
+        every block of references, give the expression's bits."""
+        rng = np.random.default_rng(13)
+        recons = rng.uniform(size=(6, 1, 28, 28))
+        refs = rng.uniform(size=(5, 1, 28, 28))
+        n_windows, area = (28 - WINDOW + 1) ** 2, WINDOW * WINDOW
+        # the budget whose four hold exactly `r_block` reconstructions' windows
+        budget = -(-r_block * 8 * n_windows * area // 4)
+        block = max(1, budget // (8 * n_windows * (area + 3 * r_block)))
+        monkeypatch.setattr(privacy, "_BLOCK_BYTES", budget)
+        unfolds = []
+        windows = privacy._windows
+        monkeypatch.setattr(privacy, "_windows",
+                            lambda images: unfolds.append(len(images)) or windows(images))
+        scores = ssim_matrix(recons, refs)
+        ref_blocks = [min(block, len(refs) - s) for s in range(0, len(refs), block)]
+        assert unfolds == ([r_block] + ref_blocks) * (len(recons) // r_block)
+        np.testing.assert_array_equal(
+            scores, _expression_ssim_matrix(recons, refs, block, r_block))
+
+    def test_audit_partition(self, monkeypatch):
+        """The audit's 32 reconstructions against 100 references at 12x12:
+        one reconstruction block, references in blocks of 25."""
+        unfolds = []
+        windows = privacy._windows
+        monkeypatch.setattr(privacy, "_windows",
+                            lambda images: unfolds.append(len(images)) or windows(images))
+        ssim_matrix(np.zeros((32, 1, 12, 12)), np.zeros((100, 1, 12, 12)))
+        assert unfolds == [32, 25, 25, 25, 25]
+
     def test_scoring_peak_memory(self):
         """32 reconstructions against 100 references, 12x12: the traced peak
         of the audit's scoring call stays under 2.5 MiB (5.35 MiB with 4 MiB
@@ -204,6 +240,21 @@ class TestSsimMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2 ** 20
+
+    def test_scoring_peak_memory_at_28x28(self):
+        """200 reconstructions against 10 references, 28x28: the traced peak
+        stays under 6 MiB, six budgets (41.6 MiB when every reconstruction's
+        windows were unfolded at once)."""
+        rng = np.random.default_rng(14)
+        recons = rng.uniform(size=(200, 1, 28, 28))
+        refs = rng.uniform(size=(10, 1, 28, 28))
+        tracemalloc.start()
+        try:
+            privacy_score(recons, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
     def test_window_larger_than_image(self):
         with pytest.raises(ShapeError):
