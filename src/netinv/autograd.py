@@ -25,11 +25,16 @@ scale) is built inside the VJP on its first call and kept in the closure,
 because a step can call the same VJP twice: ``grad_norm_sq``'s inner pass and
 the step's own backward pass.
 
-A model layer is one node: ``linear`` takes the hidden layers' leaky-ReLU
-slope, and ``conv2d`` takes its bias and slope. Their VJPs keep the
-pre-activation (and ``conv2d`` its im2col columns) as forward intermediates.
-Their VJP is a ``_Layer``, which also carries what ``grad_norm_sq`` reads of
-the layer: its input, parameters, geometry and pre-activation adjoint.
+A model layer is one node, and the layer ops are the layers the models
+build, with no geometry or slope to set: ``linear(x, w, b, leaky)`` is the
+affine map, then on a hidden layer a leaky ReLU of slope ``LEAKY_SLOPE``;
+``conv2d(x, kernel, bias)`` is a stride-1 cross-correlation with an odd
+square kernel, zero-padded by ``k // 2`` so that it keeps H x W, then the
+bias and the leaky ReLU; ``maxpool2d`` pools 2 x 2. The VJPs of ``linear``
+and ``conv2d`` keep the pre-activation (and ``conv2d`` its im2col columns)
+as forward intermediates. Their VJP is a ``_Layer``, which also carries what
+``grad_norm_sq`` reads of the layer: its input, its weight and its
+pre-activation adjoint.
 
 The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
 return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
@@ -49,7 +54,6 @@ mode: ``dropout`` always drops, and its twin is eval mode's identity.
 """
 
 import contextlib
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +61,9 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+
+# the negative-side slope of every leaky ReLU the models apply
+LEAKY_SLOPE = 0.1
 
 _grad_enabled = True
 
@@ -79,8 +86,8 @@ class no_grad:
 class Tensor:
     __slots__ = ("data", "requires_grad", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self._op = None
 
@@ -104,8 +111,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def parameter(data, dtype=None):
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data):
+    return Tensor(data, requires_grad=True)
 
 
 def as_tensor(x, like=None):
@@ -219,24 +226,14 @@ def sqrt(a):
     return pow_const(a, 0.5)
 
 
-@functools.lru_cache(maxsize=64)
-def _leaky_slope(dtype, slope):
-    """``slope`` in ``dtype``, checked to lie in (0, 1]. A rejection raises
-    and so is never cached: each call with a bad slope is checked again."""
-    s = dtype.type(slope)
-    if not 0 < s <= 1:
-        raise ContractError(f"leaky ReLU slope must be in (0, 1] in {dtype}, got {slope}")
-    return s
+def _leaky_data(pre):
+    """Leaky ReLU of the array ``pre``; numpy takes ``LEAKY_SLOPE`` in the
+    array's dtype."""
+    # with the slope s in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
+    return np.maximum(pre, pre * LEAKY_SLOPE)
 
 
-def _leaky_data(pre, slope):
-    """-> (leaky ReLU of the array ``pre``, the slope in its dtype)."""
-    s = _leaky_slope(pre.dtype, slope)
-    # with a slope in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
-    return np.maximum(pre, pre * s), s
-
-
-def _leaky(pre, slope):
+def _leaky(pre):
     """Leaky ReLU of the array ``pre`` -> (output, adjoint scaler).
 
     The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
@@ -244,7 +241,7 @@ def _leaky(pre, slope):
     call it twice (``grad_norm_sq``'s pass and the step's). ``linear`` and
     ``conv2d`` run this arithmetic; their array twins run its forward,
     ``_leaky_data``."""
-    out, s = _leaky_data(pre, slope)
+    out = _leaky_data(pre)
     scale = None
 
     def scaled(g):
@@ -254,7 +251,7 @@ def _leaky(pre, slope):
             # branch, in place
             up = (pre > 0).astype(pre.dtype)
             sel = 1 - up
-            sel *= s
+            sel *= LEAKY_SLOPE
             sel += up
             scale = Tensor(sel)
         return mul(g, scale)
@@ -433,16 +430,15 @@ def matmul(a, b):
 
 class _Layer:
     """The VJP of a ``linear`` or ``conv2d`` node, and what the node hands
-    ``grad_norm_sq``: the layer input ``x`` (H), the weight ``w``, the bias
-    ``b`` (None without one) and, for a conv, its ``(stride, pad)`` (None for
-    ``linear``). ``delta`` maps an adjoint of the node's output to the
-    adjoint Δ of its pre-activation; the op's own VJP, ``_vjp``, takes Δ and
-    reads the conv's columns from the forward."""
+    ``grad_norm_sq``: the layer input ``x`` (H) and the weight ``w``.
+    ``delta`` maps an adjoint of the node's output to the adjoint Δ of its
+    pre-activation; the op's own VJP, ``_vjp``, takes Δ and reads the conv's
+    columns from the forward."""
 
-    __slots__ = ("x", "w", "b", "geometry", "_scaled", "_vjp")
+    __slots__ = ("x", "w", "_scaled", "_vjp")
 
-    def __init__(self, x, w, b, scaled, vjp, geometry=None):
-        self.x, self.w, self.b, self.geometry = x, w, b, geometry
+    def __init__(self, x, w, scaled, vjp):
+        self.x, self.w = x, w
         self._scaled, self._vjp = scaled, vjp
 
     def delta(self, g):
@@ -458,15 +454,16 @@ def _affine_data(x, w, b):
     return x @ w + b
 
 
-def linear(x, w, b, slope=None):
+def linear(x, w, b, leaky=False):
     """Affine layer ``x @ w + b`` as one node, followed in the same node by a
-    leaky ReLU when ``slope`` is given; same arithmetic as matmul, add, then
-    the activation. The pre-activation is a forward intermediate the VJP keeps."""
+    leaky ReLU of slope ``LEAKY_SLOPE`` when ``leaky``; same arithmetic as
+    matmul, add, then the activation. The pre-activation is a forward
+    intermediate the VJP keeps."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     out = _affine_data(x.data, w.data, b.data)
     scaled = None
-    if slope is not None:
-        out, scaled = _leaky(out, slope)
+    if leaky:
+        out, scaled = _leaky(out)
 
     def vjp(d, need):
         gx = matmul(d, transpose(w)) if need[0] else None
@@ -474,121 +471,117 @@ def linear(x, w, b, slope=None):
         gb = _unbroadcast(d, b.data.shape) if need[2] else None
         return gx, gw, gb
 
-    return _from_op(out, (x, w, b), _Layer(x, w, b, scaled, vjp))
+    return _from_op(out, (x, w, b), _Layer(x, w, scaled, vjp))
 
 
-def _conv_out(n, k, stride, pad):
-    return (n + 2 * pad - k) // stride + 1
-
-
-def _im2col_data(x, kh, kw, stride, pad):
+def _im2col_data(x, k):
     """im2col's arithmetic on a [C, H, W, B] array; ``im2col`` and
     ``conv2d`` share it."""
     if x.ndim != 4:
         raise ShapeError(f"im2col expects a 4-D [C, H, W, B] image, got {x.shape}")
     C, H, W, B = x.shape
-    if kh > H + 2 * pad or kw > W + 2 * pad:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * pad}x{W + 2 * pad}")
-    padded = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=x.dtype)
-    padded[:, pad:pad + H, pad:pad + W] = x
-    out_h, out_w = _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad)
+    p = k // 2
+    padded = np.zeros((C, H + 2 * p, W + 2 * p, B), dtype=x.dtype)
+    padded[:, p:p + H, p:p + W] = x
     sC, sH, sW, sB = padded.strides
-    windows = np.ndarray((C, kh, kw, out_h, out_w, B), padded.dtype, buffer=padded,
-                         strides=(sC, sH, sW, sH * stride, sW * stride, sB))
-    return windows.reshape(C * kh * kw, out_h * out_w * B)
+    windows = np.ndarray((C, k, k, H, W, B), padded.dtype, buffer=padded,
+                         strides=(sC, sH, sW, sH, sW, sB))
+    return windows.reshape(C * k * k, H * W * B)
 
 
-def _cols_node(x, cols, kh, kw, stride, pad):
+def _cols_node(x, cols, k):
     """The im2col node of ``x`` whose columns ``cols`` are already computed."""
     img_shape = x.data.shape
 
     def vjp(g, need):
-        return (col2im(g, img_shape, kh, kw, stride, pad),)
+        return (col2im(g, img_shape, k),)
 
     return _from_op(cols, (x,), vjp)
 
 
-def im2col(x, kh, kw, stride=1, pad=0):
-    """Unfold a [C, H, W, B] image into [C*kh*kw, oh*ow*B] patch columns.
+def im2col(x, k):
+    """Unfold a [C, H, W, B] image into [C*k*k, H*W*B] patch columns of an
+    odd k x k kernel at stride 1, the image zero-padded by k // 2.
 
     The columns are ordered (y, x, b), batch innermost, which is the layout
-    the kernel matmul takes and returns. One strided view [C, kh, kw, oh, ow,
-    B] of the padded image is reshaped in one copy; at stride 1 that copy
-    moves contiguous runs of ow*B values.
+    the kernel matmul takes and returns. One strided view [C, k, k, H, W, B]
+    of the padded image is reshaped in one copy, which moves contiguous runs
+    of W*B values.
     """
     x = as_tensor(x)
-    return _cols_node(x, _im2col_data(x.data, kh, kw, stride, pad), kh, kw, stride, pad)
+    return _cols_node(x, _im2col_data(x.data, k), k)
 
 
-def _tap_range(d, n, n_out, stride, pad):
-    """(first output index, output count, first image index) of the outputs
-    whose kernel tap ``d`` lands inside an image axis of length ``n``."""
-    lo = max(0, -((d - pad) // stride))
-    hi = min(n_out, (n - 1 + pad - d) // stride + 1)
-    return lo, max(hi - lo, 0), d + stride * lo - pad
+def _tap(s, n):
+    """(image slice, output slice) along an axis of length ``n`` of the
+    outputs that the kernel tap at offset ``s`` from the kernel's centre
+    sends inside the image; it sends output index i to image index i + s,
+    and no output at all when |s| >= n (two empty slices)."""
+    lo = max(s, 0)
+    hi = max(lo, n + min(s, 0))
+    return slice(lo, hi), slice(lo - s, hi - s)
 
 
-def col2im(cols, img_shape, kh, kw, stride=1, pad=0):
-    """Adjoint of im2col: add [C*kh*kw, oh*ow*B] patch columns back into a
+def col2im(cols, img_shape, k):
+    """Adjoint of im2col: add [C*k*k, H*W*B] patch columns back into a
     [C, H, W, B] image.
 
-    One strided slice add per kernel offset (di, dj), in row-major order,
-    straight into a zeroed image: each tap adds only the patch values that
-    land inside the image, so every pixel sums its contributions in that
-    order and the result is contiguous.
+    One slice add per kernel tap (di, dj), in row-major order, straight into
+    a zeroed image: each tap adds only the patch values that land inside the
+    image, so every pixel sums its contributions in that order and the
+    result is contiguous.
     """
     cols = as_tensor(cols)
     C, H, W, B = img_shape
-    out_h, out_w = _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad)
-    if cols.data.shape != (C * kh * kw, out_h * out_w * B):
-        raise ShapeError(f"col2im expects [C*kh*kw, oh*ow*B] = "
-                         f"{(C * kh * kw, out_h * out_w * B)} columns for a [C, H, W, B] "
-                         f"image {tuple(img_shape)}, got {cols.data.shape}")
-    patches = cols.data.reshape(C, kh, kw, out_h, out_w, B)
+    if cols.data.shape != (C * k * k, H * W * B):
+        raise ShapeError(f"col2im expects [C*k*k, H*W*B] = {(C * k * k, H * W * B)} "
+                         f"columns for a [C, H, W, B] image {tuple(img_shape)}, "
+                         f"got {cols.data.shape}")
+    patches = cols.data.reshape(C, k, k, H, W, B)
     out = np.zeros((C, H, W, B), dtype=cols.dtype)
-    for di in range(kh):
-        oy, ny, y0 = _tap_range(di, H, out_h, stride, pad)
-        for dj in range(kw):
-            ox, nx, x0 = _tap_range(dj, W, out_w, stride, pad)
-            if ny and nx:
-                out[:, y0:y0 + stride * ny:stride, x0:x0 + stride * nx:stride] += \
-                    patches[:, di, dj, oy:oy + ny, ox:ox + nx]
+    rows = [_tap(d - k // 2, H) for d in range(k)]
+    across = [_tap(d - k // 2, W) for d in range(k)]
+    for di, (iy, oy) in enumerate(rows):
+        for dj, (ix, ox) in enumerate(across):
+            out[:, iy, ix] += patches[:, di, dj, oy, ox]
 
     def vjp(g, need):
-        return (im2col(g, kh, kw, stride, pad),)
+        return (im2col(g, k),)
 
     return _from_op(out, (cols,), vjp)
 
 
-def _conv2d_data(x, kernel, stride, pad, bias):
+def _conv2d_data(x, kernel, bias):
     """conv2d's checks and arithmetic up to its activation, on arrays ->
-    (output [F, oh, ow, B], im2col columns [C*kh*kw, oh*ow*B])."""
+    (output [F, H, W, B], im2col columns [C*k*k, H*W*B])."""
     if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, kh, kw] kernel, "
+        raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, k, k] kernel, "
                          f"got {x.shape} and {kernel.shape}")
     C, H, W, B = x.shape
     F, Ck, kh, kw = kernel.shape
     if Ck != C:
         raise ShapeError(f"conv2d channel mismatch: [C, H, W, B] input {x.shape}, "
-                         f"[F, C, kh, kw] kernel {kernel.shape}")
-    cols = _im2col_data(x, kh, kw, stride, pad)
-    out_shape = (F, _conv_out(H, kh, stride, pad), _conv_out(W, kw, stride, pad), B)
-    out = (kernel.reshape(F, C * kh * kw) @ cols).reshape(out_shape)
-    if bias is not None:
-        if bias.size != F:
-            raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
-                             f"got shape {bias.shape}")
-        b = bias.reshape(F, 1, 1, 1)
-        # in place into the matmul's fresh result, widened first as add would
-        out = out.astype(np.result_type(out, b), copy=False)
-        out += b
+                         f"[F, C, k, k] kernel {kernel.shape}")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d expects an odd square [F, C, k, k] kernel, "
+                         f"got {kernel.shape}")
+    if bias.size != F:
+        raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
+                         f"got shape {bias.shape}")
+    cols = _im2col_data(x, kh)
+    out = (kernel.reshape(F, C * kh * kw) @ cols).reshape(F, H, W, B)
+    b = bias.reshape(F, 1, 1, 1)
+    # in place into the matmul's fresh result, widened first as add would
+    out = out.astype(np.result_type(out, b), copy=False)
+    out += b
     return out, cols
 
 
-def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
-    """Cross-correlation of a [C, H, W, B] image with [F, C, kh, kw] kernels
-    -> [F, oh, ow, B], plus a per-filter ``bias`` (F values, any shape) and a
-    leaky ReLU of ``slope`` when given, as one node over x, kernel and bias.
+def conv2d(x, kernel, bias):
+    """Cross-correlation of a [C, H, W, B] image with [F, C, k, k] kernels, k
+    odd, at stride 1 over the image zero-padded by k // 2 -> [F, H, W, B],
+    plus a per-filter ``bias`` (F values, any shape), then a leaky ReLU of
+    slope ``LEAKY_SLOPE``, as one node over x, kernel and bias.
 
     The forward is im2col's columns, the kernel matmul, its reshape without a
     copy, the bias add and the activation, in that order. The VJP keeps the
@@ -597,65 +590,56 @@ def conv2d(x, kernel, stride=1, pad=0, bias=None, slope=None):
     (``create_graph=True``) still differentiates through ``x`` without
     recomputing them.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    inputs = (x, kernel)
-    if bias is not None:
-        bias = as_tensor(bias)
-        inputs += (bias,)
-    out, cols = _conv2d_data(x.data, kernel.data, stride, pad,
-                             None if bias is None else bias.data)
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    out, cols = _conv2d_data(x.data, kernel.data, bias.data)
+    out, scaled = _leaky(out)
     C, H, W, B = x.data.shape
-    F, _, kh, kw = kernel.data.shape
-    k2_shape = (F, C * kh * kw)
-    scaled = None
-    if slope is not None:
-        out, scaled = _leaky(out, slope)
+    F, _, k, _ = kernel.data.shape
+    k2_shape = (F, C * k * k)
 
     def vjp(d, need):
         d2 = reshape(d, (F, cols.shape[1]))
         gx = gk = gb = None
         if need[0]:
-            gx = col2im(matmul(transpose(reshape(kernel, k2_shape)), d2),
-                        (C, H, W, B), kh, kw, stride, pad)
+            gx = col2im(matmul(transpose(reshape(kernel, k2_shape)), d2), (C, H, W, B), k)
         if need[1]:
-            cols_t = transpose(_cols_node(x, cols, kh, kw, stride, pad))
+            cols_t = transpose(_cols_node(x, cols, k))
             gk = reshape(matmul(d2, cols_t), kernel.data.shape)
-        if bias is None:
-            return gx, gk
         if need[2]:
             gb = reshape(sum_(d, axis=(1, 2, 3), keepdims=True), bias.data.shape)
         return gx, gk, gb
 
-    return _from_op(out, inputs, _Layer(x, kernel, bias, scaled, vjp, (stride, pad)))
+    return _from_op(out, (x, kernel, bias), _Layer(x, kernel, scaled, vjp))
 
 
-def _maxpool_data(x, k):
+def _maxpool_data(x):
     """maxpool2d's checks and output on an array: the running maximum over
-    the k*k strided taps x[:, i::k, j::k], in (i, j) row-major order."""
+    the four strided taps x[:, i::2, j::2], in (i, j) row-major order."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] image, got {x.shape}")
     _, H, W, _ = x.shape
-    if H % k or W % k:
-        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by {k}, "
+    if H % 2 or W % 2:
+        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by 2, "
                          f"got {x.shape}")
-    out = x[:, 0::k, 0::k].copy()
-    for i in range(k):
-        for j in range(k):
+    out = x[:, 0::2, 0::2].copy()
+    for i in range(2):
+        for j in range(2):
             if i or j:
-                np.maximum(out, x[:, i::k, j::k], out=out)
+                np.maximum(out, x[:, i::2, j::2], out=out)
     return out
 
 
-def maxpool2d(x, k=2):
-    """Non-overlapping k x k max pooling of a [C, H, W, B] image; H and W must
-    be divisible by k.
+def maxpool2d(x):
+    """Non-overlapping 2 x 2 max pooling of a [C, H, W, B] image; H and W must
+    be even.
 
-    The output is a running maximum over the k*k strided taps x[:, i::k, j::k].
-    The gradient goes to the first tap, in (i, j) row-major order, that holds
-    the window's maximum; the VJP builds that first-hit mask once per node.
+    The output is a running maximum over the four strided taps
+    x[:, i::2, j::2]. The gradient goes to the first tap, in (i, j) row-major
+    order, that holds the window's maximum; the VJP builds that first-hit
+    mask once per node.
     """
     x = as_tensor(x)
-    out_data = _maxpool_data(x.data, k)
+    out_data = _maxpool_data(x.data)
     C, H, W, B = x.data.shape
     mask = None
 
@@ -664,15 +648,15 @@ def maxpool2d(x, k=2):
         if mask is None:
             first = np.zeros_like(x.data)
             free = np.ones(out_data.shape, dtype=bool)
-            for i in range(k):
-                for j in range(k):
-                    hit = x.data[:, i::k, j::k] == out_data
+            for i in range(2):
+                for j in range(2):
+                    hit = x.data[:, i::2, j::2] == out_data
                     hit &= free
-                    first[:, i::k, j::k] = hit
+                    first[:, i::2, j::2] = hit
                     free ^= hit
-            mask = Tensor(first.reshape(C, H // k, k, W // k, k, B))
-        # the adjoint broadcast over the k x k taps of each window
-        up = mul(mask, reshape(g, (C, H // k, 1, W // k, 1, B)))
+            mask = Tensor(first.reshape(C, H // 2, 2, W // 2, 2, B))
+        # the adjoint broadcast over the 2 x 2 taps of each window
+        up = mul(mask, reshape(g, (C, H // 2, 1, W // 2, 1, B)))
         return (reshape(up, (C, H, W, B)),)
 
     return _from_op(out_data, (x,), vjp)
@@ -708,14 +692,13 @@ def softmax(logits, axis=-1):
 # ---------------------------------------------------------------------------
 # plain-array twins of the model layer ops
 
-def _linear_array(x, w, b, slope=None):
+def _linear_array(x, w, b, leaky=False):
     out = _affine_data(x, w, b)
-    return out if slope is None else _leaky_data(out, slope)[0]
+    return _leaky_data(out) if leaky else out
 
 
-def _conv2d_array(x, kernel, stride=1, pad=0, bias=None, slope=None):
-    out, _ = _conv2d_data(x, kernel, stride, pad, bias)
-    return out if slope is None else _leaky_data(out, slope)[0]
+def _conv2d_array(x, kernel, bias):
+    return _leaky_data(_conv2d_data(x, kernel, bias)[0])
 
 
 # Each twin takes and returns arrays where its op takes and returns Tensors,
@@ -784,11 +767,12 @@ def grad_norm_sq(scalar_out, params):
 
     Every listed parameter must enter the graph under ``scalar_out`` only as
     the weight or bias of ``linear`` or ``conv2d`` nodes; any other use
-    raises ``ContractError``. One first-order ``grad`` gives each such node's
-    output adjoint, hence the adjoint Δ of its pre-activation. The node's own
-    VJP, given Δ, gives the weight gradient G = Hᵀ Δ over the layer input H
-    (over H's im2col columns for a conv) and the bias gradient Σ Δ; a shared
-    parameter's gradients are summed. The value sums every listed
+    raises ``ContractError``. One first-order ``grad`` over the nodes that
+    hold a listed weight and over the parameters gives each such node's
+    output adjoint, hence the adjoint Δ of its pre-activation, and each
+    parameter's gradient: the weight gradient G = Hᵀ Δ over the layer input
+    H (over H's im2col columns for a conv), the bias gradient Σ Δ, summed
+    over the layers that share a parameter. The value sums every listed
     parameter's squared gradient, with the arithmetic of the double backward.
 
     The node's gradient is exact almost everywhere when every op between
@@ -811,7 +795,8 @@ def grad_norm_sq(scalar_out, params):
     if not scalar_out.requires_grad:
         raise ContractError("scalar output is not connected to the tape")
     listed = set(params)
-    # the layer nodes that hold a listed parameter; no other node may take one
+    # the layer nodes whose weight is listed; no other node may take a
+    # listed parameter
     nodes, seen, stack = [], {scalar_out}, [scalar_out]
     while stack:
         node = stack.pop()
@@ -825,38 +810,26 @@ def grad_norm_sq(scalar_out, params):
             elif inp._op is not None and inp not in seen:
                 seen.add(inp)
                 stack.append(inp)
-        if layer is not None and (layer.w in listed or layer.b in listed):
+        if layer is not None and layer.w in listed:
             nodes.append(node)
 
-    # each layer's parameter gradients from its own VJP, given Δ
-    grads, weighted = {}, []
-    with no_grad():
-        for node, g in zip(nodes, grad(scalar_out, nodes)):
-            layer = node._op[1]
-            d = layer.delta(g)
-            need = (False, layer.w in listed, layer.b in listed)
-            for p, pg in zip((layer.w, layer.b), layer._vjp(d, need)[1:]):
-                if pg is not None:
-                    grads[p] = pg.data if p not in grads else grads[p] + pg.data
-            if need[1]:
-                weighted.append((layer, d.data))
-
+    adjoints = grad(scalar_out, nodes + params)
+    grads = {p: g.data for p, g in zip(params, adjoints[len(nodes):])}
     total = None
     for p in params:
-        g = grads.get(p)
-        term = (np.zeros((), p.data.dtype) if g is None else
-                np.asarray((g * g).sum(dtype=np.float64), dtype=g.dtype))
+        g = grads[p]
+        term = np.asarray((g * g).sum(dtype=np.float64), dtype=g.dtype)
         total = term if total is None else total + term
 
     inputs, coefs = [], []
-    for layer, d in weighted:
-        gw = grads[layer.w]
-        if layer.geometry is None:
+    for node, g in zip(nodes, adjoints):
+        layer = node._op[1]
+        d, gw = layer.delta(g).data, grads[layer.w]
+        if gw.ndim == 2:
             c = d @ gw.T
         else:
-            F, _, kh, kw = gw.shape
-            cols = gw.reshape(F, -1).T @ d.reshape(F, -1)
-            c = col2im(cols, layer.x.data.shape, kh, kw, *layer.geometry).data
+            F, _, k, _ = gw.shape
+            c = col2im(gw.reshape(F, -1).T @ d.reshape(F, -1), layer.x.data.shape, k).data
         c *= 2
         inputs.append(layer.x)
         coefs.append(Tensor(c))

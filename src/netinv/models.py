@@ -20,7 +20,7 @@ class ClassifierSpec:
     kind: str = "mlp"                  # mlp | cnn
     in_shape: tuple = (1, 12, 12)      # C, H, W
     hidden: tuple = (256, 128)         # MLP widths
-    conv_channels: tuple = (8, 16)     # CNN filter counts, 3x3, stride 1, pad 1
+    conv_channels: tuple = (8, 16)     # CNN filter counts, 3x3 convs that keep H x W
     conv_hidden: int = 64              # CNN post-flatten affine width
     classes: int = 3
 
@@ -192,16 +192,15 @@ def _classifier_layers(ops, spec, p, x):
         h = ops.reshape(x, (B, -1))
         n_hidden = len(spec.hidden)
         for i in range(n_hidden):
-            h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], 0.1)
+            h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], leaky=True)
         return ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]), h
     # the image ops run batch-innermost, [C, H, W, B]; the head flattens
     # [B, C, H, W] as before, so checkpoints keep their logits
     h = ops.transpose(x, (1, 2, 3, 0))
     for i in range(len(spec.conv_channels)):
-        h = ops.conv2d(h, p[f"k{i}"], stride=1, pad=1, bias=p[f"kb{i}"], slope=0.1)
-        h = ops.maxpool2d(h, 2)
+        h = ops.maxpool2d(ops.conv2d(h, p[f"k{i}"], p[f"kb{i}"]))
     h = ops.reshape(ops.transpose(h, (3, 0, 1, 2)), (B, -1))
-    feats = ops.linear(h, p["wh"], p["bh"], 0.1)
+    feats = ops.linear(h, p["wh"], p["bh"], leaky=True)
     return ops.linear(feats, p["wo"], p["bo"]), feats
 
 
@@ -211,7 +210,7 @@ def _generator_layers(ops, spec, p, z, cond, rng):
     h = ops.concat([z, cond], axis=1)
     n_hidden = len(spec.hidden)
     for i in range(n_hidden):
-        h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], 0.1)
+        h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], leaky=True)
         h = ops.dropout(h, spec.dropout, rng)
     out = ops.sigmoid(ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]))
     return ops.reshape(out, (z.shape[0], *spec.out_shape))

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -118,70 +119,69 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = chwn(rng.normal(size=(1, 1, 3, 3)))
         k = np.ones((1, 1, 1, 1))
-        np.testing.assert_allclose(ag.conv2d(ag.Tensor(x), ag.Tensor(k)).data, x)
+        out = ag.conv2d(ag.Tensor(x), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
+        np.testing.assert_allclose(out, np.maximum(x, ag.LEAKY_SLOPE * x))
 
     def test_sum_kernel(self):
+        # zero padding keeps 3 x 3: each output sums the taps inside the image
         x = chwn(np.ones((1, 1, 3, 3)))
         k = np.ones((1, 1, 3, 3))
-        out = ag.conv2d(ag.Tensor(x), ag.Tensor(k)).data
-        assert out.shape == (1, 1, 1, 1)
-        assert out.item() == pytest.approx(9.0)
+        out = ag.conv2d(ag.Tensor(x), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
+        assert out.shape == (1, 3, 3, 1)
+        np.testing.assert_array_equal(out[0, :, :, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
-    def test_nested_loop_oracle(self):
+    # a 5 x 5 kernel on a 2 x 3 image: whole kernel taps fall outside it
+    @pytest.mark.parametrize("k, H, W", [(1, 6, 7), (3, 6, 7), (5, 6, 7), (5, 2, 3)])
+    def test_nested_loop_oracle(self, k, H, W):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 8, 8))
-        k = rng.normal(size=(4, 3, 3, 3))
-        stride, pad = 2, 1
-        H2 = (8 + 2 * pad - 3) // stride + 1
-        want = np.zeros((2, 4, H2, H2))
+        x = rng.normal(size=(2, 3, H, W))
+        kern = rng.normal(size=(4, 3, k, k))
+        bias = rng.normal(size=4)
+        pad = k // 2
+        want = np.zeros((2, 4, H, W))
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         for b in range(2):
             for f in range(4):
-                for i in range(H2):
-                    for j in range(H2):
+                for i in range(H):
+                    for j in range(W):
                         for c in range(3):
-                            for u in range(3):
-                                for v in range(3):
-                                    want[b, f, i, j] += xp[b, c, i * stride + u, j * stride + v] * k[f, c, u, v]
-        got = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(k), stride=stride, pad=pad).data
+                            for u in range(k):
+                                for v in range(k):
+                                    want[b, f, i, j] += xp[b, c, i + u, j + v] * kern[f, c, u, v]
+        want += bias.reshape(4, 1, 1)
+        want = np.maximum(want, ag.LEAKY_SLOPE * want)
+        got = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(kern), ag.Tensor(bias)).data
         np.testing.assert_allclose(got, chwn(want), atol=1e-10)
-
-    def test_kernel_too_large(self):
-        with pytest.raises(ShapeError):
-            ag.conv2d(ag.Tensor(chwn(np.zeros((1, 1, 3, 3)))), ag.Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         x = chwn(rng.normal(size=(2, 2, 5, 5)))
         k = rng.normal(size=(3, 2, 3, 3))
-        check_grads(lambda a, b: ag.sum_(ag.square(ag.conv2d(a, b, stride=1, pad=1))),
-                    [x, k], rtol=1e-4, atol=1e-6)
+        bias = rng.normal(size=(1, 3, 1, 1))
+        check_grads(lambda a, b, c: ag.sum_(ag.square(ag.conv2d(a, b, c))),
+                    [x, k, bias], rtol=1e-4, atol=1e-6)
 
 
-def where_leaky_node(h, slope):
+def where_leaky_node(h):
     """The leaky ReLU of the Tensor ``h`` as a product with its
     ``where_leaky_relu`` scale, held as a constant."""
-    return ag.mul(h, ag.Tensor(where_leaky_relu(h.data, slope)[1]))
+    return ag.mul(h, ag.Tensor(where_leaky_relu(h.data, ag.LEAKY_SLOPE)[1]))
 
 
-def composed_conv(x, k, stride, pad, bias=None, slope=None):
+def composed_conv(x, k, bias):
     """The former op chain of a conv layer: im2col, the kernel reshape, the
     matmul and the output reshape, then the bias reshape and add, then the
     leaky ReLU."""
     F, C, kh, kw = k.shape
     _, H, W, B = x.shape
-    out_h = (H + 2 * pad - kh) // stride + 1
-    out_w = (W + 2 * pad - kw) // stride + 1
-    cols = ag.im2col(x, kh, kw, stride, pad)
-    h = ag.reshape(ag.matmul(ag.reshape(k, (F, C * kh * kw)), cols), (F, out_h, out_w, B))
-    if bias is not None:
-        h = ag.add(h, ag.reshape(bias, (-1, 1, 1, 1)))
-    return h if slope is None else where_leaky_node(h, slope)
+    cols = ag.im2col(x, kh)
+    h = ag.reshape(ag.matmul(ag.reshape(k, (F, C * kh * kw)), cols), (F, H, W, B))
+    return where_leaky_node(ag.add(h, ag.reshape(bias, (-1, 1, 1, 1))))
 
 
-def composed_linear(x, w, b, slope=None):
+def composed_linear(x, w, b, leaky=False):
     h = ag.add(ag.matmul(x, w), b)
-    return h if slope is None else where_leaky_node(h, slope)
+    return where_leaky_node(h) if leaky else h
 
 
 def check_second_order(make_out, arrays, penalized, rtol=1e-3, atol=1e-6):
@@ -202,7 +202,7 @@ def check_second_order(make_out, arrays, penalized, rtol=1e-3, atol=1e-6):
 
 
 class TestLayerNodes:
-    """``linear`` with a slope and ``conv2d`` with a bias and a slope are one
+    """``linear`` (with or without its leaky ReLU) and ``conv2d`` are one
     tape node each, with the arithmetic of the op chains they replace."""
 
     @staticmethod
@@ -213,36 +213,28 @@ class TestLayerNodes:
         return out, [out] + ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), leaves)
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("slope", [None, 0.1])
-    def test_linear_bit_equal_to_composed(self, slope, dtype):
+    @pytest.mark.parametrize("leaky", [False, True])
+    def test_linear_bit_equal_to_composed(self, leaky, dtype):
         rng = np.random.default_rng(50)
         arrays = [rng.normal(size=s).astype(dtype) for s in ((5, 4), (4, 3), (1, 3))]
         up = rng.normal(size=(5, 3)).astype(dtype)
-        out, one = self.run(lambda x, w, b: ag.linear(x, w, b, slope), arrays, up)
-        _, chain = self.run(lambda x, w, b: composed_linear(x, w, b, slope), arrays, up)
+        out, one = self.run(lambda x, w, b: ag.linear(x, w, b, leaky), arrays, up)
+        _, chain = self.run(lambda x, w, b: composed_linear(x, w, b, leaky), arrays, up)
         assert len(out._op[0]) == 3
         assert [t.data.dtype for t in one] == [dtype] * 4
         assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
 
-    CONV_CASES = [(stride, pad, with_bias, slope) for stride in (1, 2) for pad in (0, 1, 2)
-                  for with_bias in (False, True) for slope in (None, 0.1)]
-
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("stride, pad, with_bias, slope", CONV_CASES)
-    def test_conv2d_bit_equal_to_composed(self, stride, pad, with_bias, slope, dtype):
-        rng = np.random.default_rng(51 + 10 * stride + pad)
-        arrays = [rng.normal(size=s).astype(dtype) for s in ((2, 5, 6, 3), (4, 2, 3, 3))]
-        if with_bias:
-            arrays.append(rng.normal(size=(1, 4, 1, 1)).astype(dtype))
-        oh, ow = (5 + 2 * pad - 3) // stride + 1, (6 + 2 * pad - 3) // stride + 1
-        up = rng.normal(size=(4, oh, ow, 3)).astype(dtype)
-
-        def layer(conv):
-            return lambda x, k, *b: conv(x, k, stride, pad, *b, slope=slope)
-
-        out, one = self.run(layer(ag.conv2d), arrays, up)
-        _, chain = self.run(layer(composed_conv), arrays, up)
-        assert len(out._op[0]) == len(arrays)
+    @pytest.mark.parametrize("H, W", [(5, 6), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_bit_equal_to_composed(self, k, H, W, dtype):
+        rng = np.random.default_rng(51 + k)
+        arrays = [rng.normal(size=s).astype(dtype)
+                  for s in ((2, H, W, 3), (4, 2, k, k), (1, 4, 1, 1))]
+        up = rng.normal(size=(4, H, W, 3)).astype(dtype)
+        out, one = self.run(ag.conv2d, arrays, up)
+        _, chain = self.run(composed_conv, arrays, up)
+        assert len(out._op[0]) == 3
         assert [t.data.dtype for t in one] == [dtype] * len(one)
         assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
 
@@ -250,18 +242,16 @@ class TestLayerNodes:
         rng = np.random.default_rng(52)
         arrays = [rng.normal(size=s) for s in ((3, 4), (4, 2), (1, 2))]
         up = rng.normal(size=(3, 2))
-        check_grads(lambda x, w, b: ag.sum_(ag.mul(ag.linear(x, w, b, 0.1), ag.Tensor(up))),
-                    arrays)
+        check_grads(lambda x, w, b: ag.sum_(ag.mul(ag.linear(x, w, b, leaky=True),
+                                                   ag.Tensor(up))), arrays)
 
-    @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 2)])
-    def test_conv2d_finite_differences(self, stride, pad):
-        rng = np.random.default_rng(53 + stride + pad)
-        arrays = [rng.normal(size=s) for s in ((2, 5, 5, 2), (3, 2, 3, 3), (1, 3, 1, 1))]
-        oh = (5 + 2 * pad - 3) // stride + 1
-        up = rng.normal(size=(3, oh, oh, 2))
-        check_grads(lambda x, k, b: ag.sum_(ag.mul(
-            ag.conv2d(x, k, stride, pad, bias=b, slope=0.1), ag.Tensor(up))),
-            arrays, rtol=1e-4, atol=1e-6)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_finite_differences(self, k):
+        rng = np.random.default_rng(53 + k)
+        arrays = [rng.normal(size=s) for s in ((2, 5, 5, 2), (3, 2, k, k), (1, 3, 1, 1))]
+        up = rng.normal(size=(3, 5, 5, 2))
+        check_grads(lambda x, kern, b: ag.sum_(ag.mul(ag.conv2d(x, kern, b), ag.Tensor(up))),
+                    arrays, rtol=1e-4, atol=1e-6)
 
     # the squared head makes the adjoint entering the layer depend on every leaf
     @pytest.mark.parametrize("penalized", [(1, 2), (0,)], ids=["over-params", "over-input"])
@@ -270,19 +260,18 @@ class TestLayerNodes:
         w2 = ag.Tensor(rng.normal(size=(5, 2)))
         arrays = [rng.normal(size=s) for s in ((3, 4), (4, 5), (1, 5))]
         check_second_order(lambda x, w, b: ag.sum_(ag.square(ag.matmul(
-            ag.linear(x, w, b, 0.1), w2))), arrays, penalized)
+            ag.linear(x, w, b, leaky=True), w2))), arrays, penalized)
 
     @pytest.mark.parametrize("penalized", [(1, 2), (0,)], ids=["over-params", "over-input"])
     def test_conv2d_second_order_through_maxpool(self, penalized):
         """d/dx of the penalty over kernel and bias, and d/d(kernel, bias) of
-        the penalty over the input, through
-        maxpool2d(conv2d(x, k, bias=b, slope=0.1))."""
+        the penalty over the input, through maxpool2d(conv2d(x, k, b))."""
         rng = np.random.default_rng(55)
         w = ag.Tensor(rng.normal(size=(8, 1)))
         arrays = [rng.normal(size=s) for s in ((1, 4, 4, 2), (2, 1, 3, 3), (1, 2, 1, 1))]
 
         def out_of(x, k, b):
-            h = ag.maxpool2d(ag.conv2d(x, k, pad=1, bias=b, slope=0.1), 2)
+            h = ag.maxpool2d(ag.conv2d(x, k, b))
             h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (2, 8))
             return ag.sum_(ag.square(ag.matmul(h, w)))
 
@@ -291,7 +280,7 @@ class TestLayerNodes:
     def test_conv2d_bias_needs_one_value_per_filter(self):
         x = ag.Tensor(np.zeros((1, 4, 4, 1)))
         with pytest.raises(ShapeError, match="bias"):
-            ag.conv2d(x, ag.Tensor(np.zeros((2, 1, 3, 3))), bias=ag.Tensor(np.zeros(3)))
+            ag.conv2d(x, ag.Tensor(np.zeros((2, 1, 3, 3))), ag.Tensor(np.zeros(3)))
 
 
 def _im2col_indices(C, H, W, kh, kw, stride, pad):
@@ -325,45 +314,48 @@ def col2im_oracle(cols, img_shape, kh, kw, stride, pad):
 
 
 class TestIm2col:
-    CASES = [(stride, pad, C, H, W) for stride in (1, 2) for pad in (0, 1)
-             for C in (1, 3) for H, W in ((6, 6), (7, 5))]
+    # the kernel sizes at stride 1 and padding k // 2, on images as small as
+    # 2 x 3, where whole kernel taps of k = 5 fall outside the image
+    CASES = [(k, C, H, W) for k in (1, 3, 5) for C in (1, 3)
+             for H, W in ((6, 6), (7, 5), (2, 3))]
 
-    @pytest.mark.parametrize("stride, pad, C, H, W", CASES)
-    def test_bit_equal_to_index_oracle(self, stride, pad, C, H, W):
-        rng = np.random.default_rng(stride * 1000 + pad * 100 + C * 10 + W)
+    @pytest.mark.parametrize("k, C, H, W", CASES)
+    def test_bit_equal_to_index_oracle(self, k, C, H, W):
+        rng = np.random.default_rng(k * 1000 + H * 100 + C * 10 + W)
         x = rng.normal(size=(2, C, H, W)).astype(np.float32)
         xc = np.ascontiguousarray(chwn(x))
-        cols = ag.im2col(ag.Tensor(xc), 3, 3, stride, pad).data
-        want = b_inner(im2col_oracle(x, 3, 3, stride, pad), 2)
+        cols = ag.im2col(ag.Tensor(xc), k).data
+        want = b_inner(im2col_oracle(x, k, k, 1, k // 2), 2)
         assert cols.dtype == want.dtype and cols.tobytes() == want.tobytes()
         # the same values laid out as a strided view and as an offset view
         strided = chwn(x)
         offset = np.concatenate([xc[:, :, :, :1], xc], axis=3)[:, :, :, 1:]
         for view in (strided, offset):
-            assert ag.im2col(ag.Tensor(view), 3, 3, stride, pad).data.tobytes() == want.tobytes()
+            assert ag.im2col(ag.Tensor(view), k).data.tobytes() == want.tobytes()
         y = rng.normal(size=cols.shape).astype(np.float32)
-        img = ag.col2im(ag.Tensor(y), xc.shape, 3, 3, stride, pad).data
-        want = chwn(col2im_oracle(b_outer(y, 2), x.shape, 3, 3, stride, pad))
+        img = ag.col2im(ag.Tensor(y), xc.shape, k).data
+        want = chwn(col2im_oracle(b_outer(y, 2), x.shape, k, k, 1, k // 2))
         assert img.shape == xc.shape and img.tobytes() == want.tobytes()
 
     def test_shape_errors_name_the_layout(self):
         img = ag.Tensor(np.zeros((1, 6, 6), dtype=np.float32))
-        bad = [lambda: ag.im2col(img, 3, 3),
-               lambda: ag.col2im(ag.Tensor(np.zeros((9, 35))), (1, 6, 6, 1), 3, 3),
-               lambda: ag.conv2d(img, ag.Tensor(np.zeros((2, 1, 3, 3)))),
-               lambda: ag.maxpool2d(img, 2),
-               lambda: ag.maxpool2d(ag.Tensor(np.zeros((1, 6, 5, 2))), 2)]
+        bad = [lambda: ag.im2col(img, 3),
+               lambda: ag.col2im(ag.Tensor(np.zeros((9, 35))), (1, 6, 6, 1), 3),
+               lambda: ag.conv2d(img, ag.Tensor(np.zeros((2, 1, 3, 3))),
+                                 ag.Tensor(np.zeros(2))),
+               lambda: ag.maxpool2d(img),
+               lambda: ag.maxpool2d(ag.Tensor(np.zeros((1, 6, 5, 2))))]
         for call in bad:
             with pytest.raises(ShapeError, match=r"\[C, H, W, B\]"):
                 call()
 
-    @pytest.mark.parametrize("stride, pad, C, H, W", CASES)
-    def test_col2im_is_the_adjoint(self, stride, pad, C, H, W):
+    @pytest.mark.parametrize("k, C, H, W", CASES)
+    def test_col2im_is_the_adjoint(self, k, C, H, W):
         rng = np.random.default_rng(7)
         x = chwn(rng.normal(size=(2, C, H, W)))
-        cols = ag.im2col(ag.Tensor(x), 3, 3, stride, pad).data
+        cols = ag.im2col(ag.Tensor(x), k).data
         y = rng.normal(size=cols.shape)
-        img = ag.col2im(ag.Tensor(y), x.shape, 3, 3, stride, pad).data
+        img = ag.col2im(ag.Tensor(y), x.shape, k).data
         assert np.vdot(cols, y) == pytest.approx(np.vdot(x, img), rel=1e-12)
 
 
@@ -383,22 +375,18 @@ def padded_col2im(cols, img_shape, kh, kw, stride, pad):
 
 
 class TestCol2imScatter:
-    # (kh, kw, H, W): square, rectangular, and kernels that overhang the
-    # image (kh > H or kw > W, reachable through the padding)
-    CASES = [(kh, kw, H, W, pad, stride)
-             for kh, kw, H, W in [(3, 3, 6, 6), (3, 2, 7, 5), (4, 5, 3, 4), (5, 1, 2, 6)]
-             for pad in (0, 1, 2) for stride in (1, 2)
-             if kh <= H + 2 * pad and kw <= W + 2 * pad]
+    # square and rectangular images, and kernels that overhang the image
+    # (k > H or k > W, reachable through the padding)
+    CASES = [(k, H, W) for k in (1, 3, 5) for H, W in [(6, 6), (7, 5), (3, 4), (2, 6)]]
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("kh, kw, H, W, pad, stride", CASES)
-    def test_bit_equal_to_padded_scatter(self, kh, kw, H, W, pad, stride, dtype):
-        rng = np.random.default_rng(kh * 1000 + kw * 100 + H * 10 + W)
+    @pytest.mark.parametrize("k, H, W", CASES)
+    def test_bit_equal_to_padded_scatter(self, k, H, W, dtype):
+        rng = np.random.default_rng(k * 1000 + H * 10 + W)
         shape = (2, H, W, 3)
-        n_cols = ((H + 2 * pad - kh) // stride + 1) * ((W + 2 * pad - kw) // stride + 1) * 3
-        cols = rng.normal(size=(2 * kh * kw, n_cols)).astype(dtype)
-        got = ag.col2im(ag.Tensor(cols), shape, kh, kw, stride, pad).data
-        want = padded_col2im(cols, shape, kh, kw, stride, pad)
+        cols = rng.normal(size=(2 * k * k, H * W * 3)).astype(dtype)
+        got = ag.col2im(ag.Tensor(cols), shape, k).data
+        want = padded_col2im(cols, shape, k, k, 1, k // 2)
         assert got.flags.c_contiguous
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -415,38 +403,37 @@ def maxpool_oracle(x, k):
 
 
 class TestMaxpool:
-    @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("kind", ["random", "rounded", "constant"])
-    def test_bit_equal_to_argmax_oracle(self, k, kind):
-        rng = np.random.default_rng(20 + k)
-        x = rng.normal(size=(3, 2, 4 * k, 2 * k)).astype(np.float32)
+    def test_bit_equal_to_argmax_oracle(self, kind):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(3, 2, 8, 4)).astype(np.float32)
         if kind == "rounded":           # many ties, including -0.0 against 0.0
             x = np.round(x * 0.7)
         elif kind == "constant":
             x = np.full_like(x, 0.5)
         up = rng.normal(size=(3, 2, 4, 2)).astype(np.float32)
         xt = ag.Tensor(chwn(x), requires_grad=True)
-        out = ag.maxpool2d(xt, k)
+        out = ag.maxpool2d(xt)
         (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(chwn(up)))), [xt])
-        want_out, mask = maxpool_oracle(x, k)
-        want_gx = chwn(np.repeat(np.repeat(up, k, axis=2), k, axis=3) * mask)
+        want_out, mask = maxpool_oracle(x, 2)
+        want_gx = chwn(np.repeat(np.repeat(up, 2, axis=2), 2, axis=3) * mask)
         want_out = chwn(want_out)
         assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
 
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_adjoint_bit_equal_to_upsample_then_multiply(self, k, dtype):
+    def test_adjoint_bit_equal_to_upsample_then_multiply(self, dtype):
         """Both orders of the VJP: the input adjoint, and (second order) the
         adjoint it sends back to the output adjoint."""
-        rng = np.random.default_rng(30 + k)
+        k = 2
+        rng = np.random.default_rng(32)
         x = np.round(rng.normal(size=(2, 2 * k, 3 * k, 3)) * 0.7).astype(dtype)   # ties
         C, H, W, B = x.shape
         up = rng.normal(size=(C, H // k, W // k, B)).astype(dtype)
         r = rng.normal(size=x.shape).astype(dtype)
         xt, gt = ag.Tensor(x, requires_grad=True), ag.Tensor(up, requires_grad=True)
-        (gx,) = ag.grad(ag.sum_(ag.mul(ag.maxpool2d(xt, k), gt)), [xt], create_graph=True)
+        (gx,) = ag.grad(ag.sum_(ag.mul(ag.maxpool2d(xt), gt)), [xt], create_graph=True)
         (gg,) = ag.grad(ag.sum_(ag.mul(gx, ag.Tensor(r))), [gt])
         _, mask = maxpool_oracle(x.transpose(3, 0, 1, 2), k)
         mask = mask.transpose(1, 2, 3, 0)
@@ -518,7 +505,7 @@ class TestBackward:
         x = rng.normal(size=(4, 5))
 
         def loss(w1t, b1t, w2t):
-            h = ag.linear(ag.Tensor(x), w1t, b1t, 0.1)
+            h = ag.linear(ag.Tensor(x), w1t, b1t, leaky=True)
             out = ag.matmul(h, w2t)
             return ag.div(ag.sum_(ag.square(ag.softmax(out))), float(out.size))
 
@@ -542,7 +529,7 @@ class TestBackward:
         rng = np.random.default_rng(15)
         x = ag.Tensor(chwn(rng.normal(size=(2, 1, 5, 5))), requires_grad=True)
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
-        loss = ag.sum_(ag.square(ag.conv2d(x, k, pad=1)))
+        loss = ag.sum_(ag.square(ag.conv2d(x, k, ag.Tensor(np.zeros(2)))))
         calls = []
         real = ag.col2im
         monkeypatch.setattr(ag, "col2im", lambda *a: calls.append(1) or real(*a))
@@ -602,12 +589,12 @@ class TestGradNormSq:
 
         def gns_value(x_arr):
             x = ag.Tensor(x_arr)
-            h = ag.linear(x, w1, zero, 0.1)
+            h = ag.linear(x, w1, zero, leaky=True)
             out = ag.sum_(ag.matmul(h, w2))
             return grad_norm_sq_replay(out, [w1, w2]).item()
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
-        h = ag.linear(x, w1, zero, 0.1)
+        h = ag.linear(x, w1, zero, leaky=True)
         out = ag.sum_(ag.matmul(h, w2))
         gns = grad_norm_sq_replay(out, [w1, w2])
         (gx,) = ag.grad(gns, [x])
@@ -623,7 +610,7 @@ class TestGradNormSq:
         x0 = rng.normal(size=(2, 4))
 
         def gns_of(x):
-            h = ag.linear(x, w1, b1, 0.1)
+            h = ag.linear(x, w1, b1, leaky=True)
             out = ag.sum_(ag.square(ag.linear(h, w2, b2)))
             return grad_norm_sq_replay(out, [w1, b1, w2, b2])
 
@@ -637,10 +624,11 @@ class TestGradNormSq:
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         w = ag.Tensor(rng.normal(size=(8, 1)), requires_grad=True)
         x0 = chwn(rng.normal(size=(2, 1, 4, 4)))
+        zero = ag.Tensor(np.zeros(2))
 
         def gns_of(x):
-            h = ag.conv2d(x, k, stride=1, pad=1, slope=0.1)
-            h = ag.reshape(ag.transpose(ag.maxpool2d(h, 2), (3, 0, 1, 2)), (2, 8))
+            h = ag.conv2d(x, k, zero)
+            h = ag.reshape(ag.transpose(ag.maxpool2d(h), (3, 0, 1, 2)), (2, 8))
             return grad_norm_sq_replay(ag.sum_(ag.matmul(h, w)), [k, w])
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
@@ -667,32 +655,24 @@ def where_sigmoid(x):
     return out, out * (1 - out)
 
 
-def _leaky(slope):
-    """``linear``'s leaky ReLU of a one-to-one map [[1]] + 0 of a column, and
-    the where formula on numpy's result of the same map."""
-    def op(t):
-        return ag.linear(t, *(ag.Tensor(np.full((1, 1), v, t.dtype)) for v in (1, 0)),
-                         slope)
-
-    def oracle(x):
-        return where_leaky_relu(x @ np.ones((1, 1), x.dtype) + np.zeros((1, 1), x.dtype),
-                                slope)
-
-    return op, oracle
+def leaky_op(t):
+    """``linear``'s leaky ReLU of a one-to-one map [[1]] + 0 of a column."""
+    return ag.linear(t, *(ag.Tensor(np.full((1, 1), v, t.dtype)) for v in (1, 0)),
+                     leaky=True)
 
 
+def leaky_oracle(x):
+    """The where formula on numpy's result of ``leaky_op``'s map."""
+    return where_leaky_relu(x @ np.ones((1, 1), x.dtype) + np.zeros((1, 1), x.dtype),
+                            ag.LEAKY_SLOPE)
 
 
 class TestActivations:
     @pytest.mark.parametrize("op, oracle, dtype", [
         pytest.param(op, oracle, dtype, id=f"{name}-{np.dtype(dtype).name}")
-        for name, (op, oracle), dtypes in [
-            ("leaky-0.1", _leaky(0.1), BOTH),
-            ("leaky-0.01", _leaky(0.01), BOTH),
-            # 0 in float32, where it is rejected; not 0 in float64
-            ("leaky-1e-50", _leaky(1e-50), (np.float64,)),
-            ("sigmoid", (ag.sigmoid, where_sigmoid), BOTH),
-        ] for dtype in dtypes])
+        for name, op, oracle in [("leaky-0.1", leaky_op, leaky_oracle),
+                                 ("sigmoid", ag.sigmoid, where_sigmoid)]
+        for dtype in BOTH])
     def test_bit_equal_to_where_formula(self, op, oracle, dtype):
         rng = np.random.default_rng(13)
         x = np.concatenate([
@@ -710,21 +690,6 @@ class TestActivations:
         assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
 
-    # 1e-50 is 0 in float32 but a valid slope in float64; float64 runs first,
-    # so a slope checked for one dtype is never taken as checked for another
-    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan"), 0.0, 1e-50])
-    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
-        for dtype in (np.float64, np.float32):
-            x, w, b = (ag.Tensor(a.astype(dtype))
-                       for a in (np.array([[-1.0, 2.0]]), np.eye(2), np.zeros((1, 2))))
-            if dtype is np.float64 and slope == 1e-50:
-                assert ag.linear(x, w, b, slope).data.tolist() == [[-1e-50, 2.0]]
-                continue
-            # the second call finds the slope checked before: still rejected
-            for _ in range(2):
-                with pytest.raises(ContractError):
-                    ag.linear(x, w, b, slope)
-
 
 class TestBackwardState:
     @pytest.mark.parametrize("mode", ["no_grad", "constant_input"])
@@ -735,9 +700,9 @@ class TestBackwardState:
         try:
             if mode == "no_grad":
                 with ag.no_grad():
-                    ag.maxpool2d(ag.Tensor(x, requires_grad=True), 2)
+                    ag.maxpool2d(ag.Tensor(x, requires_grad=True))
             else:
-                ag.maxpool2d(ag.Tensor(x), 2)
+                ag.maxpool2d(ag.Tensor(x))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -748,9 +713,10 @@ class TestBackwardState:
         x0 = chwn(np.round(rng.normal(size=(2, 3, 4, 4)) * 0.7).astype(np.float32))  # ties
         w = ag.Tensor(rng.normal(size=(12, 1)).astype(np.float32), requires_grad=True)
         eye = ag.Tensor(np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1))
+        zero = ag.Tensor(np.zeros(3, dtype=np.float32))
 
         def loss_of(x):
-            h = ag.maxpool2d(ag.conv2d(x, eye, slope=0.1), 2)
+            h = ag.maxpool2d(ag.conv2d(x, eye, zero))
             h = ag.transpose(h, (3, 0, 1, 2))
             return ag.sum_(ag.square(ag.matmul(ag.reshape(h, (2, 12)), w)))
 
@@ -808,7 +774,7 @@ def test_random_graph_gradients(seed):
 
     def loss(xt, wt):
         if seed % 3 == 1:
-            h = ag.linear(xt, wt, ag.Tensor(np.zeros(d)), 0.2)
+            h = ag.linear(xt, wt, ag.Tensor(np.zeros(d)), leaky=True)
         else:
             h = ag.matmul(xt, wt)
         if seed % 3 == 0:
@@ -828,12 +794,11 @@ def _twin_cases(rng):
 
     return [
         ("linear", (a(5, 7), a(7, 3), a(1, 3)), {}),
-        ("linear", (a(1, 7), a(7, 3), a(1, 3), 0.1), {}),
-        ("conv2d", (a(2, 6, 6, 3), a(4, 2, 3, 3)), {"stride": 1, "pad": 1}),
-        ("conv2d", (a(2, 7, 5, 2), a(4, 2, 3, 2)),
-         {"stride": 2, "pad": 0, "bias": a(1, 4, 1, 1), "slope": 0.1}),
-        ("maxpool2d", (a(2, 4, 6, 3), 2), {}),
-        ("maxpool2d", (a(1, 6, 6, 1), 3), {}),
+        ("linear", (a(1, 7), a(7, 3), a(1, 3), True), {}),
+        ("conv2d", (a(2, 6, 6, 3), a(4, 2, 3, 3), a(1, 4, 1, 1)), {}),
+        ("conv2d", (a(2, 7, 5, 2), a(4, 2, 5, 5)), {"bias": a(4)}),
+        ("maxpool2d", (a(2, 4, 6, 3),), {}),
+        ("maxpool2d", (a(1, 6, 2, 1),), {}),
         ("sigmoid", (a(4, 5) * 20,), {}),
         ("reshape", (a(2, 3, 4), (6, -1)), {}),
         ("transpose", (a(2, 3, 4), (2, 0, 1)), {}),
@@ -867,14 +832,13 @@ class TestArrayTwins:
     @pytest.mark.parametrize("name, args, kwargs, error", [
         ("linear", ((5, 7), (6, 3), (1, 3)), {}, ShapeError),
         ("linear", ((2, 5, 7), (7, 3), (1, 3)), {}, ShapeError),
-        ("linear", ((5, 7), (7, 3), (1, 3), 1.5), {}, ContractError),
-        ("conv2d", ((3, 6, 6, 1), (4, 2, 3, 3)), {}, ShapeError),
-        ("conv2d", ((6, 6, 1), (4, 6, 3, 3)), {}, ShapeError),
-        ("conv2d", ((2, 2, 2, 1), (4, 2, 3, 3)), {}, ShapeError),
+        ("conv2d", ((3, 6, 6, 1), (4, 2, 3, 3), (4,)), {}, ShapeError),
+        ("conv2d", ((6, 6, 1), (4, 6, 3, 3), (4,)), {}, ShapeError),
+        ("conv2d", ((2, 6, 6, 1), (4, 2, 2, 2), (4,)), {}, ShapeError),     # even kernel
+        ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 1), (4,)), {}, ShapeError),     # not square
         ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"bias": (1, 3, 1, 1)}, ShapeError),
-        ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"slope": 0.0}, ContractError),
-        ("maxpool2d", ((2, 5, 6, 1), 2), {}, ShapeError),
-        ("maxpool2d", ((6, 6, 1), 2), {}, ShapeError),
+        ("maxpool2d", ((2, 5, 6, 1),), {}, ShapeError),
+        ("maxpool2d", ((6, 6, 1),), {}, ShapeError),
     ])
     def test_raises_the_ops_error(self, name, args, kwargs, error):
         rng = np.random.default_rng(61)
@@ -891,6 +855,15 @@ class TestArrayTwins:
                 fn(*[wrap(v) for v in args], **{k: wrap(v) for k, v in kwargs.items()})
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("name", sorted(vars(ag.arrays)))
+    def test_takes_the_ops_parameters(self, name):
+        """The twin takes its op's parameters in the same order, of the same
+        kinds and with the same defaults; only their names may differ."""
+        def params(fn):
+            return [(p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+        assert params(getattr(ag.arrays, name)) == params(getattr(ag, name))
 
     def test_dropout_twin_is_eval_mode(self):
         """A pass that records nothing runs in eval mode: the dropout twin

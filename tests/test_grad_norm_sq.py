@@ -117,7 +117,7 @@ class TestExactness:
 
         def run(penalty):
             x = ag.Tensor(images, requires_grad=True)
-            logits = ag.linear(ag.linear(x, w, b1, 0.1), w, b2)
+            logits = ag.linear(ag.linear(x, w, b1, leaky=True), w, b2)
             value = penalty(true_logit_sum(logits, labels), params)
             return value.data, ag.grad(value, [x])[0].data
 
@@ -135,7 +135,7 @@ class TestExactness:
             params = [ag.parameter(a) for a in (w1, b1, w2, b2)]
 
             def logits_of(x):
-                h = ag.linear(x, params[0], params[1], 0.1)
+                h = ag.linear(x, params[0], params[1], leaky=True)
                 return ag.linear(h, params[2], params[3])
         else:
             x0 = chwn(rng.normal(size=(3, 1, 4, 4)))
@@ -144,8 +144,8 @@ class TestExactness:
             params = [ag.parameter(a) for a in (k, kb, w, b)]
 
             def logits_of(x):
-                h = ag.conv2d(x, params[0], pad=1, bias=params[1], slope=0.1)
-                h = ag.reshape(ag.transpose(ag.maxpool2d(h, 2), (3, 0, 1, 2)), (3, 8))
+                h = ag.conv2d(x, params[0], params[1])
+                h = ag.reshape(ag.transpose(ag.maxpool2d(h), (3, 0, 1, 2)), (3, 8))
                 return ag.linear(h, params[2], params[3])
 
         def penalty(x):
@@ -174,7 +174,7 @@ class TestIdentityGuard:
     def test_guard_sees_a_smooth_op(self):
         x = ag.Tensor(np.ones((2, 3)), requires_grad=True)
         w, b = ag.parameter(np.ones((3, 3))), ag.parameter(np.zeros((1, 3)))
-        kinds = op_kinds(ag.linear(ag.sigmoid(ag.linear(x, w, b, 0.1)), w, b), x)
+        kinds = op_kinds(ag.linear(ag.sigmoid(ag.linear(x, w, b, leaky=True)), w, b), x)
         assert kinds == {"linear", "sigmoid"}
         assert not kinds <= PIECEWISE_LINEAR
 

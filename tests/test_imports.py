@@ -1,7 +1,8 @@
 """Static checks: every imported name in the package and its tests is read
 somewhere, every public function or class of the package has a caller
-outside the tests, and every function of the package takes its RNG from its
-caller."""
+outside the tests, every parameter of an ``autograd`` function is passed by
+some caller outside the tests, and every function of the package takes its
+RNG from its caller."""
 
 import ast
 from pathlib import Path
@@ -47,14 +48,12 @@ def test_checker_finds_unread_names(source, want):
     assert unread_imports(source) == want
 
 
-def package_reads(source, aliases=None):
-    """{(module, name)} that ``source`` reads from the package's modules:
-    ``from .m import name``, and ``alias.name`` for an alias bound by
-    ``from . import m`` or ``from netinv import m``. ``aliases`` maps further
-    local names to modules."""
-    aliases = dict(aliases or {})
-    found = set()
-    tree = ast.parse(source)
+def import_bindings(tree, aliases=None):
+    """-> ({local name: module} of the package modules ``tree`` binds, by
+    ``from . import m`` or ``from netinv import m``, plus ``aliases``;
+    {local name: (module, name)} of the names it binds by
+    ``from .m import name``)."""
+    modules, names = dict(aliases or {}), {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -64,13 +63,24 @@ def package_reads(source, aliases=None):
         module = module.removeprefix("netinv").lstrip(".")
         for alias in node.names:
             if module:
-                found.add((module, alias.name))
+                names[alias.asname or alias.name] = (module, alias.name)
             else:
-                aliases[alias.asname or alias.name] = alias.name
+                modules[alias.asname or alias.name] = alias.name
+    return modules, names
+
+
+def package_reads(source, aliases=None):
+    """{(module, name)} that ``source`` reads from the package's modules:
+    ``from .m import name``, and ``alias.name`` for an alias bound by
+    ``from . import m`` or ``from netinv import m``. ``aliases`` maps further
+    local names to modules."""
+    tree = ast.parse(source)
+    modules, names = import_bindings(tree, aliases)
+    found = set(names.values())
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            found.add((aliases[node.value.id], node.attr))
+                and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
     return found
 
 
@@ -128,6 +138,95 @@ def test_every_public_name_has_a_caller():
         "outside-from-import"])
 def test_checker_finds_uncalled_public_names(package, outside, want):
     assert uncalled_public_names(package, outside) == want
+
+
+def public_signatures(source):
+    """{name: parameter names} of each public top-level function of
+    ``source`` and of each public class's constructor, without ``self``."""
+    signatures = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            init = [n for n in node.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            args = init[0].args if init else None
+        else:
+            args = node.args if isinstance(node, ast.FunctionDef) else None
+        if args is None or node.name.startswith("_"):
+            continue
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        signatures[node.name] = names[1:] if isinstance(node, ast.ClassDef) else names
+    return signatures
+
+
+def unpassed_parameters(package, outside=()):
+    """Sorted ``autograd.function.parameter`` of each parameter of a public
+    function or class constructor of ``package["autograd"]`` that no call in
+    ``package`` ({module: source}) or ``outside`` passes, by position or by
+    keyword. A call through ``*args`` or ``**kwargs`` passes them all."""
+    signatures = public_signatures(package["autograd"])
+    passed = set()
+    for module, source in [*package.items(), *(("", s) for s in outside)]:
+        tree = ast.parse(source)
+        modules, imported = import_bindings(tree, OPS_ALIASES.get(module))
+        # local names of autograd's public functions and classes
+        names = ({n: n for n in signatures} if module == "autograd" else
+                 {local: name for local, (m, name) in imported.items() if m == "autograd"})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and modules.get(f.value.id) == "autograd"):
+                name = f.attr
+            else:
+                name = names.get(f.id) if isinstance(f, ast.Name) else None
+            if name not in signatures:
+                continue
+            params = signatures[name]
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed.update((name, p) for p in params)
+            else:
+                passed.update((name, p) for p in params[:len(node.args)])
+                passed.update((name, k.arg) for k in node.keywords)
+    return sorted(f"autograd.{name}.{p}" for name, params in signatures.items()
+                  for p in params if (name, p) not in passed)
+
+
+# Parameters that no caller outside the tests passes, each kept for a reason.
+UNPASSED_ALLOWED = {
+    "autograd.grad.create_graph": "the tape stays second-order capable: the "
+                                  "second-order finite-difference gates record the "
+                                  "reverse pass through conftest.grad_norm_sq_replay",
+}
+
+
+def test_every_autograd_parameter_is_passed():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unpassed_parameters(package, [WORKLOADS.read_text()]) == sorted(UNPASSED_ALLOWED)
+
+
+@pytest.mark.parametrize("package, outside, want", [
+    ({"autograd": "def parameter(data, dtype=None):\n    pass\n"
+                  "def f():\n    parameter(1)\n"}, (), ["autograd.parameter.dtype"]),
+    ({"autograd": "def f(a, b=1):\n    pass\n", "m": "from . import autograd as ag\nag.f(1, b=2)\n"},
+     (), []),
+    ({"autograd": "def f(a, *, b=1):\n    pass\n", "m": "from .autograd import f as g\ng(1)\n"},
+     (), ["autograd.f.b"]),
+    ({"autograd": "def f(a, b=1):\n    pass\n", "models": "def h(ops):\n    ops.f(1, 2)\n"},
+     (), []),
+    ({"autograd": "def f(a, b=1):\n    pass\n", "other": "def h(ops):\n    ops.f(1, 2)\n"},
+     (), ["autograd.f.a", "autograd.f.b"]),
+    ({"autograd": "def f(a, b=1):\n    pass\n"},
+     ["from netinv import autograd as ag\nag.f(*xs)\n"], []),
+    ({"autograd": "class T:\n    def __init__(self, data, flag=False):\n        pass\n"
+                  "def _f(x=0):\n    T(1)\n"}, (), ["autograd.T.flag"]),
+    ({"autograd": "def f(a):\n    pass\n", "m": "import numpy as np\nnp.f(1)\n"},
+     (), ["autograd.f.a"]),
+], ids=["unpassed-default", "module-alias", "keyword-only", "models-ops", "ops-elsewhere",
+        "outside-starred", "constructor", "not-an-alias"])
+def test_checker_finds_unpassed_parameters(package, outside, want):
+    assert unpassed_parameters(package, outside) == want
 
 
 def rng_fallbacks(source):

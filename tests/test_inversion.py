@@ -160,12 +160,12 @@ _SCALARS = {
     "tv_loss": lambda h: losses.tv_loss(ag.reshape(h, (1, 1, 4, 3))),
     "pixel_loss": losses.pixel_loss,
     # layer nodes whose every input depends on h: a 1x1 conv of h's columns
-    # by h's rows, padded, and h times its own transpose
+    # by h's rows, and h times its own transpose
     "conv2d": lambda h: ag.sum_(ag.square(ag.conv2d(
-        ag.reshape(ag.transpose(h), (3, 1, 1, 4)), ag.reshape(h, (4, 3, 1, 1)), pad=1,
-        bias=ag.Tensor(_UP[:, 0].copy()), slope=0.1))),
+        ag.reshape(ag.transpose(h), (3, 1, 1, 4)), ag.reshape(h, (4, 3, 1, 1)),
+        ag.Tensor(_UP[:, 0].copy())))),
     "linear": lambda h: ag.sum_(ag.mul(ag.linear(h, ag.transpose(h), ag.Tensor(_UP[:1, :1]),
-                                                 0.1), ag.Tensor(_UP @ _UP.T))),
+                                                 leaky=True), ag.Tensor(_UP @ _UP.T))),
     "compose_total": lambda h: losses.compose_total(
         {"sq": ag.sum_(ag.square(h)), "lin": ag.sum_(h)}, {"sq": 0.5, "lin": 2.0},
         ("sq", "lin")),
