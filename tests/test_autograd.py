@@ -225,7 +225,7 @@ class TestLayerNodes:
         assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("H, W", [(5, 6), (2, 3)])
+    @pytest.mark.parametrize("H, W", [(5, 6), (7, 5), (2, 3)])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_bit_equal_to_composed(self, k, H, W, dtype):
         rng = np.random.default_rng(51 + k)
@@ -245,11 +245,12 @@ class TestLayerNodes:
         check_grads(lambda x, w, b: ag.sum_(ag.mul(ag.linear(x, w, b, leaky=True),
                                                    ag.Tensor(up))), arrays)
 
+    @pytest.mark.parametrize("H, W", [(5, 5), (2, 3)])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_conv2d_finite_differences(self, k):
+    def test_conv2d_finite_differences(self, k, H, W):
         rng = np.random.default_rng(53 + k)
-        arrays = [rng.normal(size=s) for s in ((2, 5, 5, 2), (3, 2, k, k), (1, 3, 1, 1))]
-        up = rng.normal(size=(3, 5, 5, 2))
+        arrays = [rng.normal(size=s) for s in ((2, H, W, 2), (3, 2, k, k), (1, 3, 1, 1))]
+        up = rng.normal(size=(3, H, W, 2))
         check_grads(lambda x, kern, b: ag.sum_(ag.mul(ag.conv2d(x, kern, b), ag.Tensor(up))),
                     arrays, rtol=1e-4, atol=1e-6)
 
@@ -315,9 +316,9 @@ def col2im_oracle(cols, img_shape, kh, kw, stride, pad):
 
 class TestIm2col:
     # the kernel sizes at stride 1 and padding k // 2, on images as small as
-    # 2 x 3, where whole kernel taps of k = 5 fall outside the image
+    # 2 x 3 and 1 x 4, where whole kernel taps of k = 3 and 5 fall outside
     CASES = [(k, C, H, W) for k in (1, 3, 5) for C in (1, 3)
-             for H, W in ((6, 6), (7, 5), (2, 3))]
+             for H, W in ((6, 6), (7, 5), (2, 3), (1, 4))]
 
     @pytest.mark.parametrize("k, C, H, W", CASES)
     def test_bit_equal_to_index_oracle(self, k, C, H, W):
@@ -376,8 +377,9 @@ def padded_col2im(cols, img_shape, kh, kw, stride, pad):
 
 class TestCol2imScatter:
     # square and rectangular images, and kernels that overhang the image
-    # (k > H or k > W, reachable through the padding)
-    CASES = [(k, H, W) for k in (1, 3, 5) for H, W in [(6, 6), (7, 5), (3, 4), (2, 6)]]
+    # (k > H or k > W, reachable through the padding), down to one pixel
+    CASES = [(k, H, W) for k in (1, 3, 5)
+             for H, W in [(6, 6), (7, 5), (3, 4), (2, 6), (5, 2), (1, 1)]]
 
     @pytest.mark.parametrize("dtype", BOTH)
     @pytest.mark.parametrize("k, H, W", CASES)
@@ -403,15 +405,16 @@ def maxpool_oracle(x, k):
 
 
 class TestMaxpool:
+    @pytest.mark.parametrize("H, W", [(8, 4), (2, 2), (6, 10)])
     @pytest.mark.parametrize("kind", ["random", "rounded", "constant"])
-    def test_bit_equal_to_argmax_oracle(self, kind):
+    def test_bit_equal_to_argmax_oracle(self, kind, H, W):
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(3, 2, 8, 4)).astype(np.float32)
+        x = rng.normal(size=(3, 2, H, W)).astype(np.float32)
         if kind == "rounded":           # many ties, including -0.0 against 0.0
             x = np.round(x * 0.7)
         elif kind == "constant":
             x = np.full_like(x, 0.5)
-        up = rng.normal(size=(3, 2, 4, 2)).astype(np.float32)
+        up = rng.normal(size=(3, 2, H // 2, W // 2)).astype(np.float32)
         xt = ag.Tensor(chwn(x), requires_grad=True)
         out = ag.maxpool2d(xt)
         (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(chwn(up)))), [xt])
@@ -423,12 +426,13 @@ class TestMaxpool:
 
 
     @pytest.mark.parametrize("dtype", BOTH)
-    def test_adjoint_bit_equal_to_upsample_then_multiply(self, dtype):
+    @pytest.mark.parametrize("H, W", [(4, 6), (2, 2)])
+    def test_adjoint_bit_equal_to_upsample_then_multiply(self, H, W, dtype):
         """Both orders of the VJP: the input adjoint, and (second order) the
         adjoint it sends back to the output adjoint."""
         k = 2
         rng = np.random.default_rng(32)
-        x = np.round(rng.normal(size=(2, 2 * k, 3 * k, 3)) * 0.7).astype(dtype)   # ties
+        x = np.round(rng.normal(size=(2, H, W, 3)) * 0.7).astype(dtype)   # ties
         C, H, W, B = x.shape
         up = rng.normal(size=(C, H // k, W // k, B)).astype(dtype)
         r = rng.normal(size=x.shape).astype(dtype)
@@ -661,6 +665,15 @@ def leaky_op(t):
                      leaky=True)
 
 
+def conv_leaky_op(t):
+    """``conv2d``'s leaky ReLU of a one-to-one map: a column as a 1 x 1
+    image, a 1 x 1 kernel [[1]] and a zero bias."""
+    img = ag.reshape(t, (1, 1, 1, t.size))
+    out = ag.conv2d(img, *(ag.Tensor(np.full(s, v, t.dtype))
+                           for s, v in (((1, 1, 1, 1), 1), ((1,), 0))))
+    return ag.reshape(out, t.shape)
+
+
 def leaky_oracle(x):
     """The where formula on numpy's result of ``leaky_op``'s map."""
     return where_leaky_relu(x @ np.ones((1, 1), x.dtype) + np.zeros((1, 1), x.dtype),
@@ -671,6 +684,7 @@ class TestActivations:
     @pytest.mark.parametrize("op, oracle, dtype", [
         pytest.param(op, oracle, dtype, id=f"{name}-{np.dtype(dtype).name}")
         for name, op, oracle in [("leaky-0.1", leaky_op, leaky_oracle),
+                                 ("conv-leaky-0.1", conv_leaky_op, leaky_oracle),
                                  ("sigmoid", ag.sigmoid, where_sigmoid)]
         for dtype in BOTH])
     def test_bit_equal_to_where_formula(self, op, oracle, dtype):
@@ -797,6 +811,8 @@ def _twin_cases(rng):
         ("linear", (a(1, 7), a(7, 3), a(1, 3), True), {}),
         ("conv2d", (a(2, 6, 6, 3), a(4, 2, 3, 3), a(1, 4, 1, 1)), {}),
         ("conv2d", (a(2, 7, 5, 2), a(4, 2, 5, 5)), {"bias": a(4)}),
+        ("conv2d", (a(3, 4, 4, 2), a(2, 3, 1, 1), a(2)), {}),
+        ("conv2d", (a(1, 2, 3, 2), a(3, 1, 5, 5), a(3)), {}),
         ("maxpool2d", (a(2, 4, 6, 3),), {}),
         ("maxpool2d", (a(1, 6, 2, 1),), {}),
         ("sigmoid", (a(4, 5) * 20,), {}),
@@ -832,12 +848,15 @@ class TestArrayTwins:
     @pytest.mark.parametrize("name, args, kwargs, error", [
         ("linear", ((5, 7), (6, 3), (1, 3)), {}, ShapeError),
         ("linear", ((2, 5, 7), (7, 3), (1, 3)), {}, ShapeError),
+        ("linear", ((5, 7), (7,), (1, 3)), {}, ShapeError),
         ("conv2d", ((3, 6, 6, 1), (4, 2, 3, 3), (4,)), {}, ShapeError),
         ("conv2d", ((6, 6, 1), (4, 6, 3, 3), (4,)), {}, ShapeError),
+        ("conv2d", ((2, 6, 6, 1), (4, 2, 3), (4,)), {}, ShapeError),
         ("conv2d", ((2, 6, 6, 1), (4, 2, 2, 2), (4,)), {}, ShapeError),     # even kernel
         ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 1), (4,)), {}, ShapeError),     # not square
         ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"bias": (1, 3, 1, 1)}, ShapeError),
         ("maxpool2d", ((2, 5, 6, 1),), {}, ShapeError),
+        ("maxpool2d", ((2, 6, 5, 1),), {}, ShapeError),
         ("maxpool2d", ((6, 6, 1),), {}, ShapeError),
     ])
     def test_raises_the_ops_error(self, name, args, kwargs, error):
