@@ -28,28 +28,33 @@ the step's own backward pass.
 A model layer is one node, and the layer ops are the layers the models
 build, with no geometry or slope to set: ``linear(x, w, b, leaky)`` is the
 affine map, then on a hidden layer a leaky ReLU of slope ``LEAKY_SLOPE``;
-``conv2d(x, kernel, bias)`` is a stride-1 cross-correlation with an odd
-square kernel, zero-padded by ``k // 2`` so that it keeps H x W, then the
-bias and the leaky ReLU; ``maxpool2d`` pools 2 x 2. The VJPs of ``linear``
-and ``conv2d`` keep the pre-activation (and ``conv2d`` its im2col columns)
-as forward intermediates. Their VJP is a ``_Layer``, which also carries what
-``grad_norm_sq`` reads of the layer: its input, its weight and its
-pre-activation adjoint.
+``conv2d(x, kernel, bias)`` is a CNN block, a stride-1 cross-correlation
+with an odd square kernel, zero-padded by ``k // 2``, then a 2 x 2 max-pool
+that halves H x W, the bias and the leaky ReLU. The pool runs before the
+bias and the activation because the bias is one value per filter and the
+slope is positive: both are monotone non-decreasing, so pooling first gives
+the same bits on a quarter of the values. Its adjoint goes to the first tap,
+in row-major order, that holds the window's maximum pre-activation, the
+kernel matmul's output before the bias. The VJPs of ``linear`` and
+``conv2d`` keep the pre-activation (and ``conv2d`` its im2col columns and
+its pool's input) as forward intermediates. Their VJP is a ``_Layer``, which
+also carries what ``grad_norm_sq`` reads of the layer: its input, its weight
+and its pre-activation adjoint.
 
-The image ops (``im2col``, ``col2im``, ``conv2d``, ``maxpool2d``) take and
-return images as [C, H, W, B], batch innermost. A kernel tap or a pooling tap
-then touches contiguous runs of ``ow * B`` or ``B`` values instead of rows a
-few pixels long, and the kernel matmul's [F, oh*ow*B] output is already the
-next layer's image. Kernels stay [F, C, kh, kw].
+The image ops (``im2col``, ``col2im``, ``conv2d``) take and return images as
+[C, H, W, B], batch innermost. A kernel tap or a pooling tap then touches
+contiguous runs of ``ow * B`` or ``B`` values instead of rows a few pixels
+long, and the kernel matmul's [F, oh*ow*B] output is already an image.
+Kernels stay [F, C, kh, kw].
 
 A pass that records nothing (a model's ``predict`` or ``sample``) has no use
 for Tensors: ``arrays`` holds plain-array twins of the ops a model's layers
-use (``linear``, ``conv2d``, ``maxpool2d``, ``sigmoid``, ``dropout``,
-``reshape``, ``transpose``, ``concat``). Each op and its twin call one helper
-for the op's input checks and forward arithmetic (``_affine_data``,
-``_conv2d_data``, ``_leaky_data``, ``_maxpool_data``, ``_sigmoid_data``), so
-the two give the same bits and raise the same errors. The namespace sets the
-mode: ``dropout`` always drops, and its twin is eval mode's identity.
+use (``linear``, ``conv2d``, ``sigmoid``, ``dropout``, ``reshape``,
+``transpose``, ``concat``). Each op and its twin call one helper for the
+op's input checks and forward arithmetic (``_affine_data``,
+``_conv2d_data``, ``_leaky_data``, ``_sigmoid_data``), so the two give the
+same bits and raise the same errors. The namespace sets the mode:
+``dropout`` always drops, and its twin is eval mode's identity.
 ``softmax_array`` is ``softmax``'s forward on an array.
 """
 
@@ -230,30 +235,35 @@ def _leaky_data(pre):
     """Leaky ReLU of the array ``pre``; numpy takes ``LEAKY_SLOPE`` in the
     array's dtype."""
     # with the slope s in (0, 1], max(x, s*x) is x where x > 0 and s*x elsewhere
-    return np.maximum(pre, pre * LEAKY_SLOPE)
+    out = pre * LEAKY_SLOPE
+    return np.maximum(pre, out, out=out)
+
+
+def _slope_select(pre):
+    """The leaky ReLU's derivative at the array ``pre``: 1 where ``pre`` > 0,
+    ``LEAKY_SLOPE`` elsewhere, in ``pre``'s dtype."""
+    # (1 - up) * s + up: the select without a data-dependent branch, in place
+    up = (pre > 0).astype(pre.dtype)
+    sel = 1 - up
+    sel *= LEAKY_SLOPE
+    sel += up
+    return sel
 
 
 def _leaky(pre):
     """Leaky ReLU of the array ``pre`` -> (output, adjoint scaler).
 
-    The scaler multiplies an adjoint by the 1-or-slope select of ``pre``. It
-    builds that select on its first call and keeps it, because a step can
-    call it twice (``grad_norm_sq``'s pass and the step's). ``linear`` and
-    ``conv2d`` run this arithmetic; their array twins run its forward,
-    ``_leaky_data``."""
+    The scaler multiplies an adjoint by ``_slope_select(pre)``. It builds
+    that select on its first call and keeps it, because a step can call it
+    twice (``grad_norm_sq``'s pass and the step's). ``linear`` runs this
+    arithmetic; its array twin runs its forward, ``_leaky_data``."""
     out = _leaky_data(pre)
     scale = None
 
     def scaled(g):
         nonlocal scale
         if scale is None:
-            # (1 - up) * s + up: the 1-or-slope select without a data-dependent
-            # branch, in place
-            up = (pre > 0).astype(pre.dtype)
-            sel = 1 - up
-            sel *= LEAKY_SLOPE
-            sel += up
-            scale = Tensor(sel)
+            scale = Tensor(_slope_select(pre))
         return mul(g, scale)
 
     return out, scaled
@@ -551,9 +561,21 @@ def col2im(cols, img_shape, k):
     return _from_op(out, (cols,), vjp)
 
 
+def _maxpool_data(x):
+    """The 2 x 2 max-pool of a [C, H, W, B] array, H and W even: a running
+    maximum over the strided taps x[:, i::2, j::2], (i, j) row-major."""
+    out = x[:, 0::2, 0::2].copy()
+    for i in range(2):
+        for j in range(2):
+            if i or j:
+                np.maximum(out, x[:, i::2, j::2], out=out)
+    return out
+
+
 def _conv2d_data(x, kernel, bias):
     """conv2d's checks and arithmetic up to its activation, on arrays ->
-    (output [F, H, W, B], im2col columns [C*k*k, H*W*B])."""
+    (pooled pre-activation [F, H/2, W/2, B], the kernel matmul's output
+    [F, H, W, B] and its pool, im2col columns [C*k*k, H*W*B])."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-D [C, H, W, B] input and [F, C, k, k] kernel, "
                          f"got {x.shape} and {kernel.shape}")
@@ -565,37 +587,61 @@ def _conv2d_data(x, kernel, bias):
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d expects an odd square [F, C, k, k] kernel, "
                          f"got {kernel.shape}")
+    if H % 2 or W % 2:
+        raise ShapeError(f"conv2d pools 2 x 2 and needs H, W of a [C, H, W, B] image "
+                         f"divisible by 2, got {x.shape}")
     if bias.size != F:
         raise ShapeError(f"conv2d bias needs one value per filter ({F}), "
                          f"got shape {bias.shape}")
     cols = _im2col_data(x, kh)
-    out = (kernel.reshape(F, C * kh * kw) @ cols).reshape(F, H, W, B)
-    b = bias.reshape(F, 1, 1, 1)
-    # in place into the matmul's fresh result, widened first as add would
-    out = out.astype(np.result_type(out, b), copy=False)
-    out += b
-    return out, cols
+    conv = (kernel.reshape(F, C * kh * kw) @ cols).reshape(F, H, W, B)
+    pooled = _maxpool_data(conv)
+    return pooled + bias.reshape(F, 1, 1, 1), conv, pooled, cols
 
 
 def conv2d(x, kernel, bias):
-    """Cross-correlation of a [C, H, W, B] image with [F, C, k, k] kernels, k
-    odd, at stride 1 over the image zero-padded by k // 2 -> [F, H, W, B],
-    plus a per-filter ``bias`` (F values, any shape), then a leaky ReLU of
-    slope ``LEAKY_SLOPE``, as one node over x, kernel and bias.
+    """One CNN block as one node over x, kernel and bias: a [C, H, W, B]
+    image, H and W even, cross-correlated with [F, C, k, k] kernels, k odd,
+    at stride 1 over the image zero-padded by k // 2, then a 2 x 2 max-pool,
+    a per-filter ``bias`` (F values, any shape) and a leaky ReLU of slope
+    ``LEAKY_SLOPE`` -> [F, H/2, W/2, B].
 
     The forward is im2col's columns, the kernel matmul, its reshape without a
-    copy, the bias add and the activation, in that order. The VJP keeps the
-    columns and the pre-activation; for the kernel's adjoint it wraps the
-    columns in an im2col node of ``x``, so a second-order pass
-    (``create_graph=True``) still differentiates through ``x`` without
+    copy, the pool, the bias add and the activation, in that order. The bias
+    is one value per filter and the slope is positive, so both are monotone
+    non-decreasing: pooling the matmul's output first gives the bits of
+    pooling the activation. The pooled adjoint goes to the first tap, in
+    (i, j) row-major order, that holds its window's maximum pre-activation
+    (the matmul's output), times the slope select of that maximum; the VJP
+    builds that scale once per node. It keeps the columns, and for the
+    kernel's adjoint wraps them in an im2col node of ``x``, so a second-order
+    pass (``create_graph=True``) differentiates through ``x`` without
     recomputing them.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
-    out, cols = _conv2d_data(x.data, kernel.data, bias.data)
-    out, scaled = _leaky(out)
+    pre, conv, pooled, cols = _conv2d_data(x.data, kernel.data, bias.data)
     C, H, W, B = x.data.shape
     F, _, k, _ = kernel.data.shape
     k2_shape = (F, C * k * k)
+    taps = (F, H // 2, 2, W // 2, 2, B)
+    scale = None
+
+    def delta(g):
+        nonlocal scale
+        if scale is None:
+            sel = _slope_select(pre)
+            first = np.empty(taps, dtype=pre.dtype)
+            free = np.ones(pooled.shape, dtype=bool)
+            for i in range(2):
+                for j in range(2):
+                    hit = conv[:, i::2, j::2] == pooled
+                    hit &= free
+                    free ^= hit
+                    np.multiply(hit, sel, out=first[:, :, i, :, j])
+            scale = Tensor(first)
+        # the adjoint broadcast over the 2 x 2 taps of each window
+        up = mul(reshape(g, (F, H // 2, 1, W // 2, 1, B)), scale)
+        return reshape(up, (F, H, W, B))
 
     def vjp(d, need):
         d2 = reshape(d, (F, cols.shape[1]))
@@ -609,57 +655,7 @@ def conv2d(x, kernel, bias):
             gb = reshape(sum_(d, axis=(1, 2, 3), keepdims=True), bias.data.shape)
         return gx, gk, gb
 
-    return _from_op(out, (x, kernel, bias), _Layer(x, kernel, scaled, vjp))
-
-
-def _maxpool_data(x):
-    """maxpool2d's checks and output on an array: the running maximum over
-    the four strided taps x[:, i::2, j::2], in (i, j) row-major order."""
-    if x.ndim != 4:
-        raise ShapeError(f"maxpool2d expects a 4-D [C, H, W, B] image, got {x.shape}")
-    _, H, W, _ = x.shape
-    if H % 2 or W % 2:
-        raise ShapeError(f"maxpool2d needs H, W of a [C, H, W, B] image divisible by 2, "
-                         f"got {x.shape}")
-    out = x[:, 0::2, 0::2].copy()
-    for i in range(2):
-        for j in range(2):
-            if i or j:
-                np.maximum(out, x[:, i::2, j::2], out=out)
-    return out
-
-
-def maxpool2d(x):
-    """Non-overlapping 2 x 2 max pooling of a [C, H, W, B] image; H and W must
-    be even.
-
-    The output is a running maximum over the four strided taps
-    x[:, i::2, j::2]. The gradient goes to the first tap, in (i, j) row-major
-    order, that holds the window's maximum; the VJP builds that first-hit
-    mask once per node.
-    """
-    x = as_tensor(x)
-    out_data = _maxpool_data(x.data)
-    C, H, W, B = x.data.shape
-    mask = None
-
-    def vjp(g, need):
-        nonlocal mask
-        if mask is None:
-            first = np.zeros_like(x.data)
-            free = np.ones(out_data.shape, dtype=bool)
-            for i in range(2):
-                for j in range(2):
-                    hit = x.data[:, i::2, j::2] == out_data
-                    hit &= free
-                    first[:, i::2, j::2] = hit
-                    free ^= hit
-            mask = Tensor(first.reshape(C, H // 2, 2, W // 2, 2, B))
-        # the adjoint broadcast over the 2 x 2 taps of each window
-        up = mul(mask, reshape(g, (C, H // 2, 1, W // 2, 1, B)))
-        return (reshape(up, (C, H, W, B)),)
-
-    return _from_op(out_data, (x,), vjp)
+    return _from_op(_leaky_data(pre), (x, kernel, bias), _Layer(x, kernel, delta, vjp))
 
 
 def _shifted(x, axis):
@@ -705,8 +701,8 @@ def _conv2d_array(x, kernel, bias):
 # with the op's signature, checks and arithmetic, and records nothing. A pass
 # that records nothing runs in eval mode, so the dropout twin is the identity.
 arrays = SimpleNamespace(
-    linear=_linear_array, conv2d=_conv2d_array, maxpool2d=_maxpool_data,
-    sigmoid=_sigmoid_data, dropout=lambda a, rate, rng: a,
+    linear=_linear_array, conv2d=_conv2d_array, sigmoid=_sigmoid_data,
+    dropout=lambda a, rate, rng: a,
     reshape=lambda a, shape: a.reshape(shape),
     transpose=lambda a, axes=None: a.transpose(axes),
     concat=lambda parts, axis=0: np.concatenate(parts, axis=axis))

@@ -20,7 +20,11 @@ class ClassifierSpec:
     kind: str = "mlp"                  # mlp | cnn
     in_shape: tuple = (1, 12, 12)      # C, H, W
     hidden: tuple = (256, 128)         # MLP widths
-    conv_channels: tuple = (8, 16)     # CNN filter counts, 3x3 convs that keep H x W
+    # CNN filter counts. A layer is a 3x3 conv, a 2x2 max-pool halving H x W, the
+    # bias and a leaky ReLU: exact with the pool first, as the bias is per filter
+    # and the slope positive; the pool's adjoint goes to the first tap, row-major,
+    # holding the window's maximum pre-activation
+    conv_channels: tuple = (8, 16)
     conv_hidden: int = 64              # CNN post-flatten affine width
     classes: int = 3
 
@@ -41,7 +45,7 @@ class ClassifierSpec:
 
     @property
     def downsample(self):
-        """CNN spatial reduction: each conv layer is followed by a 2x2 pool."""
+        """CNN spatial reduction: each conv layer pools 2x2."""
         return 2 ** len(self.conv_channels)
 
     def layout(self):
@@ -198,7 +202,7 @@ def _classifier_layers(ops, spec, p, x):
     # [B, C, H, W] as before, so checkpoints keep their logits
     h = ops.transpose(x, (1, 2, 3, 0))
     for i in range(len(spec.conv_channels)):
-        h = ops.maxpool2d(ops.conv2d(h, p[f"k{i}"], p[f"kb{i}"]))
+        h = ops.conv2d(h, p[f"k{i}"], p[f"kb{i}"])
     h = ops.reshape(ops.transpose(h, (3, 0, 1, 2)), (B, -1))
     feats = ops.linear(h, p["wh"], p["bh"], leaky=True)
     return ops.linear(feats, p["wo"], p["bo"]), feats

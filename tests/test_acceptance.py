@@ -80,7 +80,7 @@ def _graph_cnn(rng):
     b = ag.Tensor(rng.standard_normal((1, 2, 1, 1)) * 0.3, requires_grad=True)
 
     def forward():
-        y = ag.maxpool2d(ag.sigmoid(ag.conv2d(x, k, b)))
+        y = ag.sigmoid(ag.conv2d(x, k, b))
         return ag.sum_(ag.square(y))
 
     return forward, [x, k, b]

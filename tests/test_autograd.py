@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinv import autograd as ag
 from netinv.errors import ContractError, ShapeError
@@ -114,24 +116,35 @@ def b_outer(cols, B):
     return cols.reshape(R, -1, B).transpose(0, 2, 1).reshape(R, -1)
 
 
+def window_max(x):
+    """The 2 x 2 window maxima of a [B, C, H, W] array."""
+    B, C, H, W = x.shape
+    return x.reshape(B, C, H // 2, 2, W // 2, 2).max(axis=(3, 5))
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(2)
-        x = chwn(rng.normal(size=(1, 1, 3, 3)))
+        x = rng.normal(size=(1, 1, 4, 4))
         k = np.ones((1, 1, 1, 1))
-        out = ag.conv2d(ag.Tensor(x), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
-        np.testing.assert_allclose(out, np.maximum(x, ag.LEAKY_SLOPE * x))
+        out = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
+        want = window_max(x)
+        np.testing.assert_allclose(out, chwn(np.maximum(want, ag.LEAKY_SLOPE * want)))
 
     def test_sum_kernel(self):
-        # zero padding keeps 3 x 3: each output sums the taps inside the image
-        x = chwn(np.ones((1, 1, 3, 3)))
+        # zero padding keeps 4 x 4 before the pool: each output sums the taps
+        # inside the image, [[4, 6, 6, 4], [6, 9, 9, 6], ...]; each 2 x 2
+        # window's maximum is its inner corner, or on the negated image its
+        # outer corner
+        x = chwn(np.ones((1, 1, 4, 4)))
         k = np.ones((1, 1, 3, 3))
-        out = ag.conv2d(ag.Tensor(x), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
-        assert out.shape == (1, 3, 3, 1)
-        np.testing.assert_array_equal(out[0, :, :, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
+        for sign, want in ((1, 9), (-1, -4 * ag.LEAKY_SLOPE)):
+            out = ag.conv2d(ag.Tensor(sign * x), ag.Tensor(k), ag.Tensor(np.zeros(1))).data
+            assert out.shape == (1, 2, 2, 1)
+            np.testing.assert_array_equal(out[0, :, :, 0], np.full((2, 2), want))
 
-    # a 5 x 5 kernel on a 2 x 3 image: whole kernel taps fall outside it
-    @pytest.mark.parametrize("k, H, W", [(1, 6, 7), (3, 6, 7), (5, 6, 7), (5, 2, 3)])
+    # a 5 x 5 kernel on a 2 x 4 image: whole kernel taps fall outside it
+    @pytest.mark.parametrize("k, H, W", [(1, 6, 8), (3, 6, 8), (5, 6, 8), (5, 2, 4)])
     def test_nested_loop_oracle(self, k, H, W):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, H, W))
@@ -149,13 +162,13 @@ class TestConv2d:
                                 for v in range(k):
                                     want[b, f, i, j] += xp[b, c, i + u, j + v] * kern[f, c, u, v]
         want += bias.reshape(4, 1, 1)
-        want = np.maximum(want, ag.LEAKY_SLOPE * want)
+        want = window_max(np.maximum(want, ag.LEAKY_SLOPE * want))
         got = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(kern), ag.Tensor(bias)).data
         np.testing.assert_allclose(got, chwn(want), atol=1e-10)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
-        x = chwn(rng.normal(size=(2, 2, 5, 5)))
+        x = chwn(rng.normal(size=(2, 2, 6, 6)))
         k = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=(1, 3, 1, 1))
         check_grads(lambda a, b, c: ag.sum_(ag.square(ag.conv2d(a, b, c))),
@@ -168,15 +181,26 @@ def where_leaky_node(h):
     return ag.mul(h, ag.Tensor(where_leaky_relu(h.data, ag.LEAKY_SLOPE)[1]))
 
 
+def composed_pool(h):
+    """The former max-pool node's arithmetic as tape ops: the taps of each
+    2 x 2 window of the Tensor ``h`` times their first-hit mask (from
+    ``maxpool_oracle``, held as a constant), summed over the window."""
+    C, H, W, B = h.shape
+    six = (C, H // 2, 2, W // 2, 2, B)
+    _, mask = maxpool_oracle(h.data.transpose(3, 0, 1, 2), 2)
+    mask = ag.Tensor(mask.transpose(1, 2, 3, 0).reshape(six))
+    return ag.sum_(ag.mul(ag.reshape(h, six), mask), axis=(2, 4))
+
+
 def composed_conv(x, k, bias):
-    """The former op chain of a conv layer: im2col, the kernel reshape, the
+    """The former op chain of a CNN block: im2col, the kernel reshape, the
     matmul and the output reshape, then the bias reshape and add, then the
-    leaky ReLU."""
+    leaky ReLU, then the max-pool."""
     F, C, kh, kw = k.shape
     _, H, W, B = x.shape
     cols = ag.im2col(x, kh)
     h = ag.reshape(ag.matmul(ag.reshape(k, (F, C * kh * kw)), cols), (F, H, W, B))
-    return where_leaky_node(ag.add(h, ag.reshape(bias, (-1, 1, 1, 1))))
+    return composed_pool(where_leaky_node(ag.add(h, ag.reshape(bias, (-1, 1, 1, 1)))))
 
 
 def composed_linear(x, w, b, leaky=False):
@@ -202,8 +226,9 @@ def check_second_order(make_out, arrays, penalized, rtol=1e-3, atol=1e-6):
 
 
 class TestLayerNodes:
-    """``linear`` (with or without its leaky ReLU) and ``conv2d`` are one
-    tape node each, with the arithmetic of the op chains they replace."""
+    """``linear`` (with or without its leaky ReLU) and ``conv2d`` (a CNN
+    block) are one tape node each, with the arithmetic of the op chains they
+    replace."""
 
     @staticmethod
     def run(layer, arrays, up):
@@ -225,13 +250,13 @@ class TestLayerNodes:
         assert [t.data.tobytes() for t in one] == [t.data.tobytes() for t in chain]
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("H, W", [(5, 6), (7, 5), (2, 3)])
+    @pytest.mark.parametrize("H, W", [(4, 6), (8, 2), (2, 2)])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_bit_equal_to_composed(self, k, H, W, dtype):
         rng = np.random.default_rng(51 + k)
         arrays = [rng.normal(size=s).astype(dtype)
                   for s in ((2, H, W, 3), (4, 2, k, k), (1, 4, 1, 1))]
-        up = rng.normal(size=(4, H, W, 3)).astype(dtype)
+        up = rng.normal(size=(4, H // 2, W // 2, 3)).astype(dtype)
         out, one = self.run(ag.conv2d, arrays, up)
         _, chain = self.run(composed_conv, arrays, up)
         assert len(out._op[0]) == 3
@@ -245,12 +270,12 @@ class TestLayerNodes:
         check_grads(lambda x, w, b: ag.sum_(ag.mul(ag.linear(x, w, b, leaky=True),
                                                    ag.Tensor(up))), arrays)
 
-    @pytest.mark.parametrize("H, W", [(5, 5), (2, 3)])
+    @pytest.mark.parametrize("H, W", [(4, 4), (2, 4)])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_finite_differences(self, k, H, W):
         rng = np.random.default_rng(53 + k)
         arrays = [rng.normal(size=s) for s in ((2, H, W, 2), (3, 2, k, k), (1, 3, 1, 1))]
-        up = rng.normal(size=(3, H, W, 2))
+        up = rng.normal(size=(3, H // 2, W // 2, 2))
         check_grads(lambda x, kern, b: ag.sum_(ag.mul(ag.conv2d(x, kern, b), ag.Tensor(up))),
                     arrays, rtol=1e-4, atol=1e-6)
 
@@ -264,16 +289,15 @@ class TestLayerNodes:
             ag.linear(x, w, b, leaky=True), w2))), arrays, penalized)
 
     @pytest.mark.parametrize("penalized", [(1, 2), (0,)], ids=["over-params", "over-input"])
-    def test_conv2d_second_order_through_maxpool(self, penalized):
+    def test_conv2d_second_order(self, penalized):
         """d/dx of the penalty over kernel and bias, and d/d(kernel, bias) of
-        the penalty over the input, through maxpool2d(conv2d(x, k, b))."""
+        the penalty over the input, through conv2d(x, k, b) and its pool."""
         rng = np.random.default_rng(55)
         w = ag.Tensor(rng.normal(size=(8, 1)))
         arrays = [rng.normal(size=s) for s in ((1, 4, 4, 2), (2, 1, 3, 3), (1, 2, 1, 1))]
 
         def out_of(x, k, b):
-            h = ag.maxpool2d(ag.conv2d(x, k, b))
-            h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (2, 8))
+            h = ag.reshape(ag.transpose(ag.conv2d(x, k, b), (3, 0, 1, 2)), (2, 8))
             return ag.sum_(ag.square(ag.matmul(h, w)))
 
         check_second_order(out_of, arrays, penalized)
@@ -282,6 +306,16 @@ class TestLayerNodes:
         x = ag.Tensor(np.zeros((1, 4, 4, 1)))
         with pytest.raises(ShapeError, match="bias"):
             ag.conv2d(x, ag.Tensor(np.zeros((2, 1, 3, 3))), ag.Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("H, W", [(5, 6), (7, 5), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_odd_image_rejected(self, k, H, W):
+        """The block's 2 x 2 pool needs even H and W; im2col takes the same
+        image."""
+        x = ag.Tensor(np.zeros((2, H, W, 3)))
+        with pytest.raises(ShapeError, match="divisible by 2"):
+            ag.conv2d(x, ag.Tensor(np.zeros((4, 2, k, k))), ag.Tensor(np.zeros(4)))
+        assert ag.im2col(x, k).shape == (2 * k * k, H * W * 3)
 
 
 def _im2col_indices(C, H, W, kh, kw, stride, pad):
@@ -344,8 +378,8 @@ class TestIm2col:
                lambda: ag.col2im(ag.Tensor(np.zeros((9, 35))), (1, 6, 6, 1), 3),
                lambda: ag.conv2d(img, ag.Tensor(np.zeros((2, 1, 3, 3))),
                                  ag.Tensor(np.zeros(2))),
-               lambda: ag.maxpool2d(img),
-               lambda: ag.maxpool2d(ag.Tensor(np.zeros((1, 6, 5, 2))))]
+               lambda: ag.conv2d(ag.Tensor(np.zeros((1, 6, 5, 2))),
+                                 ag.Tensor(np.zeros((2, 1, 3, 3))), ag.Tensor(np.zeros(2)))]
         for call in bad:
             with pytest.raises(ShapeError, match=r"\[C, H, W, B\]"):
                 call()
@@ -404,50 +438,121 @@ def maxpool_oracle(x, k):
     return np.max(windows, axis=-1), mask.reshape(B, C, H, W)
 
 
-class TestMaxpool:
-    @pytest.mark.parametrize("H, W", [(8, 4), (2, 2), (6, 10)])
-    @pytest.mark.parametrize("kind", ["random", "rounded", "constant"])
-    def test_bit_equal_to_argmax_oracle(self, kind, H, W):
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=(3, 2, H, W)).astype(np.float32)
-        if kind == "rounded":           # many ties, including -0.0 against 0.0
-            x = np.round(x * 0.7)
-        elif kind == "constant":
-            x = np.full_like(x, 0.5)
-        up = rng.normal(size=(3, 2, H // 2, W // 2)).astype(np.float32)
-        xt = ag.Tensor(chwn(x), requires_grad=True)
-        out = ag.maxpool2d(xt)
-        (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(chwn(up)))), [xt])
-        want_out, mask = maxpool_oracle(x, 2)
-        want_gx = chwn(np.repeat(np.repeat(up, 2, axis=2), 2, axis=3) * mask)
-        want_out = chwn(want_out)
-        assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
-        assert gx.data.dtype == want_gx.dtype and gx.data.tobytes() == want_gx.tobytes()
+def upsample(a):
+    """[C, h, w, B] -> [C, 2h, 2w, B]: each value over its 2 x 2 window."""
+    return np.repeat(np.repeat(a, 2, axis=1), 2, axis=2)
 
+
+def conv_pool_oracle(x, kern, bias):
+    """A CNN block on [C, H, W, B] arrays by the former composition: conv2d's
+    kernel matmul (the same BLAS call on im2col's columns), the bias, the
+    where-formula leaky ReLU, then ``maxpool_oracle`` -> (output, the adjoint
+    scale: the first-hit mask of the matmul's output, the pre-activation,
+    times the slope select of the pooled pre-activation)."""
+    F, C, k, _ = kern.shape
+    conv = (kern.reshape(F, -1) @ ag.im2col(ag.Tensor(x), k).data).reshape(F, *x.shape[1:])
+    pre = conv + bias.reshape(F, 1, 1, 1)
+    out, _ = maxpool_oracle(where_leaky_relu(pre, ag.LEAKY_SLOPE)[0].transpose(3, 0, 1, 2), 2)
+    _, mask = maxpool_oracle(conv.transpose(3, 0, 1, 2), 2)
+    pooled, _ = maxpool_oracle(pre.transpose(3, 0, 1, 2), 2)
+    sel = where_leaky_relu(chwn(pooled), ag.LEAKY_SLOPE)[1]
+    return chwn(out), chwn(mask) * upsample(sel)
+
+
+@st.composite
+def conv_blocks(draw):
+    """(x, kernel, bias, output adjoint, second-order probe) of a CNN block,
+    in one dtype, with values rounded so that many windows tie."""
+    C, F, B = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    H, W = 2 * draw(st.integers(1, 4)), 2 * draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 3, 5]))
+    dtype = draw(st.sampled_from(BOTH))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x = np.round(rng.normal(size=(C, H, W, B)) * 1.5) / 2     # halves, -0.0 too
+    else:
+        x = np.full((C, H, W, B), 0.5)      # every inner window ties
+    kern = np.round(rng.normal(size=(F, C, k, k)))
+    bias = np.round(rng.normal(size=F) * 2) / 4
+    up = rng.normal(size=(F, H // 2, W // 2, B))
+    r = rng.normal(size=(F, H, W, B))
+    return tuple(a.astype(dtype) for a in (x, kern, bias, up, r))
+
+
+def slope_tie(dtype):
+    """Adjacent negative values lo < hi of ``dtype``, the first from -1.5 up,
+    whose leaky ReLU rounds to one value."""
+    lo = dtype(-1.5)
+    while True:
+        hi = np.nextafter(lo, dtype(0))
+        act, _ = where_leaky_relu(np.array([lo, hi]), ag.LEAKY_SLOPE)
+        if act[0] == act[1]:
+            return lo, hi
+        lo = hi
+
+
+class TestConvPool:
+    """``conv2d``'s pool runs on the kernel matmul's output, before the bias
+    and the leaky ReLU: the same bits as pooling the activation, and an
+    adjoint on the first tap holding the window's maximum pre-activation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=conv_blocks())
+    def test_forward_bit_equal_to_composed_oracle(self, block):
+        x, kern, bias, _, _ = block
+        want, _ = conv_pool_oracle(x, kern, bias)
+        op = ag.conv2d(ag.Tensor(x), ag.Tensor(kern), ag.Tensor(bias)).data
+        for got in (op, ag.arrays.conv2d(x, kern, bias)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=conv_blocks())
+    def test_adjoint_bit_equal_to_upsample_then_multiply(self, block):
+        """Both orders of the pool's VJP: the pre-activation adjoint Δ the
+        node's ``_Layer`` hands ``grad_norm_sq`` (and ``grad`` sums into the
+        bias adjoint), and (second order) the adjoint Δ sends back to the
+        output adjoint."""
+        x, kern, bias, up, r = block
+        (F, H, W, B), dtype = r.shape, x.dtype
+        _, scale = conv_pool_oracle(x, kern, bias)
+        bt = ag.Tensor(bias, requires_grad=True)
+        out = ag.conv2d(ag.Tensor(x), ag.Tensor(kern), bt)
+        gt = ag.Tensor(up, requires_grad=True)
+        delta = out._op[1].delta(gt)
+        want = upsample(up) * scale
+        assert delta.data.flags.c_contiguous
+        assert delta.data.dtype == dtype and delta.data.tobytes() == want.tobytes()
+        (gb,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), [bt])
+        want_gb = want.sum(axis=(1, 2, 3), dtype=np.float64).astype(dtype)
+        assert gb.data.tobytes() == want_gb.tobytes()
+        (gg,) = ag.grad(ag.sum_(ag.mul(delta, ag.Tensor(r))), [gt])
+        six = (F, H // 2, 2, W // 2, 2, B)
+        want_gg = (r * scale).reshape(six).sum(axis=(2, 4), dtype=np.float64).astype(dtype)
+        assert gg.data.dtype == dtype and gg.data.tobytes() == want_gg.reshape(up.shape).tobytes()
 
     @pytest.mark.parametrize("dtype", BOTH)
-    @pytest.mark.parametrize("H, W", [(4, 6), (2, 2)])
-    def test_adjoint_bit_equal_to_upsample_then_multiply(self, H, W, dtype):
-        """Both orders of the VJP: the input adjoint, and (second order) the
-        adjoint it sends back to the output adjoint."""
-        k = 2
-        rng = np.random.default_rng(32)
-        x = np.round(rng.normal(size=(2, H, W, 3)) * 0.7).astype(dtype)   # ties
-        C, H, W, B = x.shape
-        up = rng.normal(size=(C, H // k, W // k, B)).astype(dtype)
-        r = rng.normal(size=x.shape).astype(dtype)
-        xt, gt = ag.Tensor(x, requires_grad=True), ag.Tensor(up, requires_grad=True)
-        (gx,) = ag.grad(ag.sum_(ag.mul(ag.maxpool2d(xt), gt)), [xt], create_graph=True)
-        (gg,) = ag.grad(ag.sum_(ag.mul(gx, ag.Tensor(r))), [gt])
-        _, mask = maxpool_oracle(x.transpose(3, 0, 1, 2), k)
-        mask = mask.transpose(1, 2, 3, 0)
-        six = (C, H // k, k, W // k, k, B)
-        upsampled = np.broadcast_to(up.reshape(C, H // k, 1, W // k, 1, B), six)
-        want_gx = upsampled.reshape(x.shape) * mask
-        want_gg = (r * mask).reshape(six).sum(axis=(2, 4), dtype=np.float64).astype(dtype)
-        assert gx.data.flags.c_contiguous
-        assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
-        assert gg.data.dtype == dtype and gg.data.tobytes() == want_gg.reshape(up.shape).tobytes()
+    @pytest.mark.parametrize("rounding", ["bias", "slope"])
+    def test_adjoint_goes_to_the_true_maximum(self, rounding, dtype):
+        """A window whose first two pre-activations differ, but whose bias
+        add (or leaky slope) rounds them to one activation: the adjoint goes
+        to the larger, second tap, not to the first that holds the maximum
+        activation."""
+        if rounding == "bias":      # 1 + 1 and (1 + ulp) + 1 both round to 2
+            lo, hi, b = dtype(1), np.nextafter(dtype(1), dtype(2)), dtype(1)
+        else:
+            (lo, hi), b = slope_tie(dtype), dtype(0)
+        x = np.array([[lo, hi], [lo - 1, lo - 1]], dtype=dtype).reshape(1, 2, 2, 1)
+        act, _ = where_leaky_relu(x.reshape(4) + b, ag.LEAKY_SLOPE)
+        assert lo < hi and act[0] == act[1]             # the premise
+        xt = ag.Tensor(x, requires_grad=True)
+        out = ag.conv2d(xt, *(ag.Tensor(np.full(s, v, dtype))
+                              for s, v in (((1, 1, 1, 1), 1), ((1,), b))))
+        assert out.data.reshape(()) == act[0]
+        (gx,) = ag.grad(ag.sum_(out), [xt])
+        want = np.zeros_like(x)
+        want[0, 0, 1, 0] = 1 if rounding == "bias" else ag.LEAKY_SLOPE
+        assert gx.data.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -531,7 +636,7 @@ class TestBackward:
 
     def test_kernel_gradient_builds_no_image_adjoint(self, monkeypatch):
         rng = np.random.default_rng(15)
-        x = ag.Tensor(chwn(rng.normal(size=(2, 1, 5, 5))), requires_grad=True)
+        x = ag.Tensor(chwn(rng.normal(size=(2, 1, 6, 6))), requires_grad=True)
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         loss = ag.sum_(ag.square(ag.conv2d(x, k, ag.Tensor(np.zeros(2)))))
         calls = []
@@ -623,7 +728,7 @@ class TestGradNormSq:
         want = fd_grad(lambda a: gns_of(ag.Tensor(a)).item(), x0.copy(), h=1e-5)
         np.testing.assert_allclose(gx.data, want, rtol=1e-3, atol=1e-6)
 
-    def test_second_order_through_conv_and_maxpool(self):
+    def test_second_order_through_conv_and_pool(self):
         rng = np.random.default_rng(16)
         k = ag.Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         w = ag.Tensor(rng.normal(size=(8, 1)), requires_grad=True)
@@ -632,7 +737,7 @@ class TestGradNormSq:
 
         def gns_of(x):
             h = ag.conv2d(x, k, zero)
-            h = ag.reshape(ag.transpose(ag.maxpool2d(h), (3, 0, 1, 2)), (2, 8))
+            h = ag.reshape(ag.transpose(h, (3, 0, 1, 2)), (2, 8))
             return grad_norm_sq_replay(ag.sum_(ag.matmul(h, w)), [k, w])
 
         x = ag.Tensor(x0.copy(), requires_grad=True)
@@ -666,9 +771,13 @@ def leaky_op(t):
 
 
 def conv_leaky_op(t):
-    """``conv2d``'s leaky ReLU of a one-to-one map: a column as a 1 x 1
-    image, a 1 x 1 kernel [[1]] and a zero bias."""
-    img = ag.reshape(t, (1, 1, 1, t.size))
+    """``conv2d``'s leaky ReLU of a one-to-one map: each value of a column
+    as the first tap of a 2 x 2 image whose other taps are -inf, a 1 x 1
+    kernel [[1]] and a zero bias."""
+    n = t.size
+    low = ag.Tensor(np.full((1, 1, 1, n), -np.inf, t.dtype))
+    img = ag.concat([ag.concat([ag.reshape(t, (1, 1, 1, n)), low], axis=2),
+                     ag.concat([low, low], axis=2)], axis=1)
     out = ag.conv2d(img, *(ag.Tensor(np.full(s, v, t.dtype))
                            for s, v in (((1, 1, 1, 1), 1), ((1,), 0))))
     return ag.reshape(out, t.shape)
@@ -680,12 +789,28 @@ def leaky_oracle(x):
                             ag.LEAKY_SLOPE)
 
 
+def scaled(oracle):
+    """The (output, adjoint of ``up``) oracle of an (output, VJP scale) one."""
+    def run(x, up):
+        out, scale = oracle(x)
+        return out, up * scale
+    return run
+
+
+def conv_leaky_oracle(x, up):
+    """``leaky_oracle``, less the adjoint of a NaN: a NaN window holds no
+    maximum, so the pool sends it none. col2im adds the input adjoint into
+    zeros, so a zero adjoint is +0.0."""
+    out, scale = leaky_oracle(x)
+    return out, up * np.where(np.isnan(x), x.dtype.type(0), scale) + 0
+
+
 class TestActivations:
     @pytest.mark.parametrize("op, oracle, dtype", [
         pytest.param(op, oracle, dtype, id=f"{name}-{np.dtype(dtype).name}")
-        for name, op, oracle in [("leaky-0.1", leaky_op, leaky_oracle),
-                                 ("conv-leaky-0.1", conv_leaky_op, leaky_oracle),
-                                 ("sigmoid", ag.sigmoid, where_sigmoid)]
+        for name, op, oracle in [("leaky-0.1", leaky_op, scaled(leaky_oracle)),
+                                 ("conv-leaky-0.1", conv_leaky_op, conv_leaky_oracle),
+                                 ("sigmoid", ag.sigmoid, scaled(where_sigmoid))]
         for dtype in BOTH])
     def test_bit_equal_to_where_formula(self, op, oracle, dtype):
         rng = np.random.default_rng(13)
@@ -696,31 +821,39 @@ class TestActivations:
              88.0, -88.0, 745.0, -745.0]]).astype(dtype)[:, None]
         up = rng.normal(size=x.shape).astype(dtype)
         with np.errstate(all="ignore"):
-            want_out, want_scale = oracle(x)
+            want_out, want_gx = oracle(x, up)
             xt = ag.Tensor(x, requires_grad=True)
             out = op(xt)
             (gx,) = ag.grad(ag.sum_(ag.mul(out, ag.Tensor(up))), [xt])
-            want_gx = up * want_scale
         assert out.data.dtype == dtype and out.data.tobytes() == want_out.tobytes()
         assert gx.data.dtype == dtype and gx.data.tobytes() == want_gx.tobytes()
 
 
 class TestBackwardState:
-    @pytest.mark.parametrize("mode", ["no_grad", "constant_input"])
-    def test_maxpool_forward_allocates_only_its_output(self, mode):
-        x = np.random.default_rng(32).normal(size=(8, 16, 32, 32)).astype(np.float32)
-        x = np.ascontiguousarray(chwn(x))
+    @pytest.mark.parametrize("mode", ["no_grad", "constant_input", "twin"])
+    def test_conv2d_forward_allocates_one_full_size_map(self, mode):
+        """Besides im2col's columns, the forward allocates one [F, H, W, B]
+        map, the kernel matmul's output: the pool runs on it, and the bias
+        and the activation on the quarter-size pooled map."""
+        rng = np.random.default_rng(32)
+        x = np.ascontiguousarray(chwn(rng.normal(size=(8, 2, 32, 32)).astype(np.float32)))
+        kern = rng.normal(size=(32, 2, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=32).astype(np.float32)
+        full = 32 * x.nbytes // 2                       # one [F, H, W, B] map
+        cols = 9 * x.nbytes
         tracemalloc.start()
         try:
             if mode == "no_grad":
                 with ag.no_grad():
-                    ag.maxpool2d(ag.Tensor(x, requires_grad=True))
+                    ag.conv2d(ag.Tensor(x, requires_grad=True), ag.Tensor(kern), ag.Tensor(bias))
+            elif mode == "constant_input":
+                ag.conv2d(ag.Tensor(x), ag.Tensor(kern), ag.Tensor(bias))
             else:
-                ag.maxpool2d(ag.Tensor(x))
+                ag.arrays.conv2d(x, kern, bias)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * x.nbytes
+        assert peak < cols + 2 * full
 
     def test_second_pass_reuses_vjp_state_bit_for_bit(self):
         rng = np.random.default_rng(33)
@@ -730,8 +863,7 @@ class TestBackwardState:
         zero = ag.Tensor(np.zeros(3, dtype=np.float32))
 
         def loss_of(x):
-            h = ag.maxpool2d(ag.conv2d(x, eye, zero))
-            h = ag.transpose(h, (3, 0, 1, 2))
+            h = ag.transpose(ag.conv2d(x, eye, zero), (3, 0, 1, 2))
             return ag.sum_(ag.square(ag.matmul(ag.reshape(h, (2, 12)), w)))
 
         x = ag.Tensor(x0, requires_grad=True)
@@ -745,13 +877,14 @@ class TestBackwardState:
 
 
 class TestOps:
-    def test_maxpool_forward_and_grad(self):
+    def test_conv2d_pool_forward_and_grad(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 2, 4, 4))
-        out = ag.maxpool2d(ag.Tensor(chwn(x))).data
-        want = x.reshape(2, 2, 2, 2, 2, 2).max(axis=(3, 5))
-        np.testing.assert_array_equal(out, chwn(want))
-        check_grads(lambda t: ag.sum_(ag.square(ag.maxpool2d(t))), [chwn(x)])
+        eye, bias = np.eye(2).reshape(2, 2, 1, 1), rng.normal(size=2)
+        out = ag.conv2d(ag.Tensor(chwn(x)), ag.Tensor(eye), ag.Tensor(bias)).data
+        want = window_max(x) + bias.reshape(2, 1, 1)
+        np.testing.assert_array_equal(out, chwn(np.maximum(want, ag.LEAKY_SLOPE * want)))
+        check_grads(lambda t, k, b: ag.sum_(ag.square(ag.conv2d(t, k, b))), [chwn(x), eye, bias])
 
     def test_concat_slice_grad(self):
         rng = np.random.default_rng(10)
@@ -810,11 +943,11 @@ def _twin_cases(rng):
         ("linear", (a(5, 7), a(7, 3), a(1, 3)), {}),
         ("linear", (a(1, 7), a(7, 3), a(1, 3), True), {}),
         ("conv2d", (a(2, 6, 6, 3), a(4, 2, 3, 3), a(1, 4, 1, 1)), {}),
-        ("conv2d", (a(2, 7, 5, 2), a(4, 2, 5, 5)), {"bias": a(4)}),
+        ("conv2d", (a(2, 8, 6, 2), a(4, 2, 5, 5)), {"bias": a(4)}),
         ("conv2d", (a(3, 4, 4, 2), a(2, 3, 1, 1), a(2)), {}),
-        ("conv2d", (a(1, 2, 3, 2), a(3, 1, 5, 5), a(3)), {}),
-        ("maxpool2d", (a(2, 4, 6, 3),), {}),
-        ("maxpool2d", (a(1, 6, 2, 1),), {}),
+        ("conv2d", (a(1, 2, 4, 2), a(3, 1, 5, 5), a(3)), {}),
+        ("conv2d", (a(2, 4, 6, 3), a(3, 2, 3, 3), a(3)), {}),
+        ("conv2d", (a(1, 6, 2, 1), a(2, 1, 1, 1), a(1, 2, 1, 1)), {}),
         ("sigmoid", (a(4, 5) * 20,), {}),
         ("reshape", (a(2, 3, 4), (6, -1)), {}),
         ("transpose", (a(2, 3, 4), (2, 0, 1)), {}),
@@ -855,9 +988,10 @@ class TestArrayTwins:
         ("conv2d", ((2, 6, 6, 1), (4, 2, 2, 2), (4,)), {}, ShapeError),     # even kernel
         ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 1), (4,)), {}, ShapeError),     # not square
         ("conv2d", ((2, 6, 6, 1), (4, 2, 3, 3)), {"bias": (1, 3, 1, 1)}, ShapeError),
-        ("maxpool2d", ((2, 5, 6, 1),), {}, ShapeError),
-        ("maxpool2d", ((2, 6, 5, 1),), {}, ShapeError),
-        ("maxpool2d", ((6, 6, 1),), {}, ShapeError),
+        ("conv2d", ((2, 5, 6, 1), (4, 2, 3, 3), (4,)), {}, ShapeError),    # odd H
+        ("conv2d", ((2, 6, 5, 1), (4, 2, 3, 3), (4,)), {}, ShapeError),    # odd W
+        ("conv2d", ((2, 7, 5, 2), (4, 2, 5, 5), (4,)), {}, ShapeError),
+        ("conv2d", ((1, 2, 3, 2), (3, 1, 5, 5), (3,)), {}, ShapeError),
     ])
     def test_raises_the_ops_error(self, name, args, kwargs, error):
         rng = np.random.default_rng(61)

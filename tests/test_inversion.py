@@ -159,10 +159,10 @@ _SCALARS = {
     "ortho_loss": lambda h: losses.ortho_loss(ag.matmul(h, ag.transpose(h))),
     "tv_loss": lambda h: losses.tv_loss(ag.reshape(h, (1, 1, 4, 3))),
     "pixel_loss": losses.pixel_loss,
-    # layer nodes whose every input depends on h: a 1x1 conv of h's columns
-    # by h's rows, and h times its own transpose
+    # layer nodes whose every input depends on h: a 1x1 conv of h's columns,
+    # each as a 2x2 image, by h's rows, and h times its own transpose
     "conv2d": lambda h: ag.sum_(ag.square(ag.conv2d(
-        ag.reshape(ag.transpose(h), (3, 1, 1, 4)), ag.reshape(h, (4, 3, 1, 1)),
+        ag.reshape(ag.transpose(h), (3, 2, 2, 1)), ag.reshape(h, (4, 3, 1, 1)),
         ag.Tensor(_UP[:, 0].copy())))),
     "linear": lambda h: ag.sum_(ag.mul(ag.linear(h, ag.transpose(h), ag.Tensor(_UP[:1, :1]),
                                                  leaky=True), ag.Tensor(_UP @ _UP.T))),

@@ -16,6 +16,7 @@ from netinv.ood import evaluate_grid, ood_predict
 from netinv.serialize import load_checkpoint, save_checkpoint
 from netinv.training import accuracy, predict_logits, predict_probs
 from test_autograd import im2col_oracle, maxpool_oracle
+from test_grad_norm_sq import op_kind
 
 
 class TestClassifierForward:
@@ -161,6 +162,24 @@ class TestCnnLayout:
         want = cnn_forward_oracle(clf, x)
         for logits in (clf.forward(x)[0].data, clf.predict(x)[0]):
             assert logits.dtype == want.dtype and np.array_equal(logits, want)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_node_per_cnn_block(self, depth):
+        """A one-row forward records one node per CNN block (conv, pool, bias
+        and activation), then the head's transpose, reshape and two layers."""
+        spec = ClassifierSpec(kind="cnn", in_shape=(1, 16, 16), conv_channels=(4,) * depth)
+        clf = Classifier(spec, rng=np.random.default_rng(43))
+        logits, _ = clf.forward(np.zeros((1, 1, 16, 16), dtype=np.float32))
+        kinds, seen, stack = [], {logits}, [logits]
+        while stack:
+            node = stack.pop()
+            kinds.append(op_kind(node))
+            for inp in node._op[0]:
+                if inp._op is not None and inp not in seen:
+                    seen.add(inp)
+                    stack.append(inp)
+        assert sorted(kinds) == sorted(["conv2d"] * depth + ["transpose", "reshape"]
+                                       + ["linear"] * 2)
 
 
 DIMS = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
