@@ -38,8 +38,8 @@ in row-major order, that holds the window's maximum pre-activation, the
 kernel matmul's output before the bias. The VJPs of ``linear`` and
 ``conv2d`` keep the pre-activation (and ``conv2d`` its im2col columns and
 its pool's input) as forward intermediates. Their VJP is a ``_Layer``, which
-also carries what ``grad_norm_sq`` reads of the layer: its input, its weight
-and its pre-activation adjoint.
+also maps an adjoint of the layer's output to its pre-activation adjoint,
+the one thing ``grad_norm_sq`` reads of the layer beyond the node's inputs.
 
 The image ops (``im2col``, ``col2im``, ``conv2d``) take and return images as
 [C, H, W, B], batch innermost. A kernel tap or a pooling tap then touches
@@ -50,7 +50,7 @@ Kernels stay [F, C, kh, kw].
 A pass that records nothing (a model's ``predict`` or ``sample``) has no use
 for Tensors: ``arrays`` holds plain-array twins of the ops a model's layers
 use (``linear``, ``conv2d``, ``sigmoid``, ``dropout``, ``reshape``,
-``transpose``, ``concat``). Each op and its twin call one helper for the
+``transpose``). Each op and its twin call one helper for the
 op's input checks and forward arithmetic (``_affine_data``,
 ``_conv2d_data``, ``_leaky_data``, ``_sigmoid_data``), so the two give the
 same bits and raise the same errors. The namespace sets the mode:
@@ -351,19 +351,6 @@ def broadcast_to(a, shape):
     return _from_op(np.broadcast_to(a.data, shape), (a,), vjp)
 
 
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g, need):
-        return tuple(take_slice(g, axis, int(lo), int(hi)) if n else None
-                     for n, lo, hi in zip(need, offsets[:-1], offsets[1:]))
-
-    return _from_op(np.concatenate([t.data for t in tensors], axis=axis),
-                    tuple(tensors), vjp)
-
-
 def take_slice(a, axis, lo, hi):
     a = as_tensor(a)
     orig = a.data.shape
@@ -439,16 +426,15 @@ def matmul(a, b):
 
 
 class _Layer:
-    """The VJP of a ``linear`` or ``conv2d`` node, and what the node hands
-    ``grad_norm_sq``: the layer input ``x`` (H) and the weight ``w``.
-    ``delta`` maps an adjoint of the node's output to the adjoint Δ of its
-    pre-activation; the op's own VJP, ``_vjp``, takes Δ and reads the conv's
-    columns from the forward."""
+    """The VJP of a ``linear`` or ``conv2d`` node. ``delta`` maps an adjoint
+    of the node's output to the adjoint Δ of its pre-activation, which
+    ``grad_norm_sq`` also reads; the op's own VJP, ``_vjp``, takes Δ and
+    reads the conv's columns from the forward. The layer input H and the
+    weight are the node's first two inputs."""
 
-    __slots__ = ("x", "w", "_scaled", "_vjp")
+    __slots__ = ("_scaled", "_vjp")
 
-    def __init__(self, x, w, scaled, vjp):
-        self.x, self.w = x, w
+    def __init__(self, scaled, vjp):
         self._scaled, self._vjp = scaled, vjp
 
     def delta(self, g):
@@ -481,7 +467,7 @@ def linear(x, w, b, leaky=False):
         gb = _unbroadcast(d, b.data.shape) if need[2] else None
         return gx, gw, gb
 
-    return _from_op(out, (x, w, b), _Layer(x, w, scaled, vjp))
+    return _from_op(out, (x, w, b), _Layer(scaled, vjp))
 
 
 def _im2col_data(x, k):
@@ -655,34 +641,36 @@ def conv2d(x, kernel, bias):
             gb = reshape(sum_(d, axis=(1, 2, 3), keepdims=True), bias.data.shape)
         return gx, gk, gb
 
-    return _from_op(_leaky_data(pre), (x, kernel, bias), _Layer(x, kernel, delta, vjp))
+    return _from_op(_leaky_data(pre), (x, kernel, bias), _Layer(delta, vjp))
 
 
-def _shifted(x, axis):
+def _shifted(x):
     """The softmax arithmetic on an array ``x``: (x - max, its exp, the sum of
-    that exp accumulated in 64-bit and cast back), reduced along ``axis``."""
-    if x.shape[axis] < 1:
+    that exp accumulated in 64-bit and cast back), reduced along the last
+    axis."""
+    if x.shape[-1] < 1:
         raise ShapeError(f"softmax axis is empty: {x.shape}")
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return z, e, e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(z.dtype)
+    return z, e, e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(z.dtype)
 
 
-def softmax_array(x, axis=-1):
-    """Row-stable softmax of the array ``x`` along ``axis``, as an array."""
-    _, e, s = _shifted(x, axis)
+def softmax_array(x):
+    """Row-stable softmax of the array ``x`` along its last axis, as an array."""
+    _, e, s = _shifted(x)
     return e / s
 
 
-def softmax(logits, axis=-1):
-    """Row-stable softmax as one node; its VJP is ``out * (g - sum(g * out))``."""
+def softmax(logits):
+    """Row-stable softmax along the last axis as one node; its VJP is
+    ``out * (g - sum(g * out))``."""
     logits = as_tensor(logits)
 
     def vjp(g, need):
-        out = softmax(logits, axis)
-        return (mul(out, sub(g, sum_(mul(g, out), axis=axis, keepdims=True))),)
+        out = softmax(logits)
+        return (mul(out, sub(g, sum_(mul(g, out), axis=-1, keepdims=True))),)
 
-    return _from_op(softmax_array(logits.data, axis), (logits,), vjp)
+    return _from_op(softmax_array(logits.data), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +692,7 @@ arrays = SimpleNamespace(
     linear=_linear_array, conv2d=_conv2d_array, sigmoid=_sigmoid_data,
     dropout=lambda a, rate, rng: a,
     reshape=lambda a, shape: a.reshape(shape),
-    transpose=lambda a, axes=None: a.transpose(axes),
-    concat=lambda parts, axis=0: np.concatenate(parts, axis=axis))
+    transpose=lambda a, axes=None: a.transpose(axes))
 
 
 # ---------------------------------------------------------------------------
@@ -797,16 +784,16 @@ def grad_norm_sq(scalar_out, params):
     while stack:
         node = stack.pop()
         inputs, vjp = node._op
-        layer = vjp if isinstance(vjp, _Layer) else None
+        is_layer = isinstance(vjp, _Layer)
         for i, inp in enumerate(inputs):
             if inp in listed:
-                if layer is None or i == 0:
+                if not is_layer or i == 0:
                     raise ContractError("grad_norm_sq needs each parameter to enter the "
                                         "graph only as a linear or conv2d weight or bias")
             elif inp._op is not None and inp not in seen:
                 seen.add(inp)
                 stack.append(inp)
-        if layer is not None and layer.w in listed:
+        if is_layer and inputs[1] in listed:
             nodes.append(node)
 
     adjoints = grad(scalar_out, nodes + params)
@@ -819,15 +806,15 @@ def grad_norm_sq(scalar_out, params):
 
     inputs, coefs = [], []
     for node, g in zip(nodes, adjoints):
-        layer = node._op[1]
-        d, gw = layer.delta(g).data, grads[layer.w]
+        (x, w, _), layer = node._op
+        d, gw = layer.delta(g).data, grads[w]
         if gw.ndim == 2:
             c = d @ gw.T
         else:
             F, _, k, _ = gw.shape
-            c = col2im(gw.reshape(F, -1).T @ d.reshape(F, -1), layer.x.data.shape, k).data
+            c = col2im(gw.reshape(F, -1).T @ d.reshape(F, -1), x.data.shape, k).data
         c *= 2
-        inputs.append(layer.x)
+        inputs.append(x)
         coefs.append(Tensor(c))
 
     def vjp(g, need):

@@ -239,8 +239,8 @@ def cmd_ood(args):
         write_pgm_grid(images[:16], 4, path)
         manifest.record(path)
 
-    clf, reports = ood_training_cycle(clf, gen_factory, train, ocfg, rng=rng,
-                                      id_test=test, on_cycle=on_cycle)
+    clf, reports = ood_training_cycle(clf, gen_factory, train, test, ocfg, rng=rng,
+                                      on_cycle=on_cycle)
     manifest.stop()
     rows = [[r.cycle, r.id_train_accuracy, r.id_test_accuracy, r.inversion_accuracy,
              r.garbage_size, r.mean_ue_inverted, r.threshold_gap, r.ood_misrouted]

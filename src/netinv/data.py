@@ -58,10 +58,18 @@ class SynthSpec:
             raise DomainError("channels must be 1 or 3")
         if not 0.0 <= self.noise < 1.0:
             raise DomainError("noise level must be in [0, 1)")
+        if self.family != "blobs":
+            # these templates draw no random numbers: each class must have its own
+            drawn = {_template(self, k, None).tobytes() for k in range(self.classes)}
+            blank = np.zeros((self.size, self.size), dtype=np.float32).tobytes()
+            if len(drawn) < self.classes or blank in drawn:
+                raise DomainError(f"{self.family} at size {self.size} has no distinct, "
+                                  f"non-blank template for each of {self.classes} classes")
 
 
 def _template(spec, label, rng):
-    """Clean image for one sample of ``label``; blobs/rings jitter per sample."""
+    """Clean image for one sample of ``label``; only blobs jitter per sample
+    and draw from ``rng``."""
     s = spec.size
     img = np.zeros((s, s), dtype=np.float32)
     if spec.family == "bars":

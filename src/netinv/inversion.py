@@ -63,8 +63,8 @@ class InversionConfig:
             raise DomainError("perturbation radius must be in [0, 1]")
         if self.batch_size < 2:
             raise DomainError("batch size must be >= 2 (pairwise losses need pairs)")
-        if self.eval_every < 1 or self.eval_samples < 1:
-            raise DomainError("eval_every and eval_samples must be >= 1")
+        if self.steps < 1 or self.eval_every < 1 or self.eval_samples < 1:
+            raise DomainError("steps, eval_every and eval_samples must be >= 1")
 
 
 def linf_perturb(images, eps_pert, rng):
@@ -166,13 +166,13 @@ def train_generator(gen, clf, cfg, rng):
     """Run generator steps until the accuracy target or the step budget.
 
     With ``cfg.target_accuracy`` None the loop never evaluates and runs
-    every step.  Returns (history of (step, breakdown, accuracy or None)
-    triples, final accuracy or None).
+    every step; otherwise the last step run always evaluates.  Returns
+    (history of (step, breakdown, accuracy or None) triples, the last
+    step's accuracy or None).
     """
     opt = make_optimizer(gen.parameters(), cfg.optimizer, lr=cfg.lr)
     evaluate = cfg.target_accuracy is not None
     history = []
-    acc = None
     for step in range(cfg.steps):
         try:
             breakdown = inversion_step(gen, clf, cfg, rng, opt)
@@ -184,7 +184,5 @@ def train_generator(gen, clf, cfg, rng):
         history.append((step, breakdown, acc))
         if acc is not None and acc >= cfg.target_accuracy:
             break
-    if evaluate and acc is None:
-        acc = inversion_accuracy(gen, clf, cfg.eval_samples, rng)
     return history, acc
 

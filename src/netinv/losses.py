@@ -75,7 +75,7 @@ def weighted_ce_loss(logits, labels, class_weights=None):
         class_weights = np.ones(m)
     w = np.asarray(class_weights, dtype=np.float64)[labels] / B
     rows = np.arange(B)
-    z, _, s = ag._shifted(logits.data, -1)
+    z, _, s = ag._shifted(logits.data)
     picked = (z - np.log(s))[rows, labels]         # log_softmax's forward
     value = np.asarray(-np.dot(w, picked.astype(np.float64)), dtype=logits.dtype)
     w_row = ag.Tensor(w.astype(logits.dtype)[:, None])

@@ -208,16 +208,16 @@ def _classifier_layers(ops, spec, p, x):
     return ops.linear(feats, p["wo"], p["bo"]), feats
 
 
-def _generator_layers(ops, spec, p, z, cond, rng):
-    """The generator's layers on latents ``z`` [B, z_dim] and their
-    condition rows ``cond`` -> images [B, C, H, W], run by ``ops``."""
-    h = ops.concat([z, cond], axis=1)
+def _generator_layers(ops, spec, p, h, rng):
+    """The generator's layers on its input rows ``h`` [B, z_dim +
+    cond_width], each a latent and its label's condition row -> images
+    [B, C, H, W], run by ``ops``."""
     n_hidden = len(spec.hidden)
     for i in range(n_hidden):
         h = ops.linear(h, p[f"w{i}"], p[f"b{i}"], leaky=True)
         h = ops.dropout(h, spec.dropout, rng)
     out = ops.sigmoid(ops.linear(h, p[f"w{n_hidden}"], p[f"b{n_hidden}"]))
-    return ops.reshape(out, (z.shape[0], *spec.out_shape))
+    return ops.reshape(out, (h.shape[0], *spec.out_shape))
 
 
 class Classifier(Model):
@@ -248,26 +248,28 @@ class Classifier(Model):
 
 
 class Generator(Model):
-    """Affine upsampling stack: concat(z, condition) -> image in [0, 1]."""
+    """Affine upsampling stack: [z | condition row] -> image in [0, 1]."""
 
-    def _condition(self, n, labels):
-        """The condition rows [n, cond_width] of ``labels``, one per latent."""
+    def _inputs(self, z, labels):
+        """The input rows [B, z_dim + cond_width] of latents ``z`` [B, z_dim]:
+        each latent, then the condition row of its label. Both are data, so
+        the rows are an array, not a tape node."""
+        z = np.asarray(z, dtype=ag.DEFAULT_DTYPE)
         labels = np.asarray(labels, dtype=np.int64)
+        n = z.shape[0]
         if labels.shape != (n,):
             raise ShapeError(f"batch mismatch: {n} latents vs labels of shape {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.spec.classes):
             raise DomainError(f"labels outside [0, {self.spec.classes}): "
                               f"{labels.min()}..{labels.max()}")
-        return condition_matrix(self.spec)[labels]
+        return np.concatenate([z, condition_matrix(self.spec)[labels]], axis=1)
 
     def forward(self, z, labels, rng):
         """Recorded training-mode images [B, C, H, W]; dropout draws from ``rng``."""
-        z = ag.as_tensor(z)
-        cond = ag.Tensor(self._condition(z.shape[0], labels))
-        return _generator_layers(ag, self.spec, self.params, z, cond, rng)
+        h = ag.Tensor(self._inputs(z, labels))
+        return _generator_layers(ag, self.spec, self.params, h, rng)
 
     def sample(self, z, labels):
         """Eval-mode images as an array: no dropout, no draw, no tape node."""
-        z = np.asarray(z, dtype=ag.DEFAULT_DTYPE)
-        return _generator_layers(ag.arrays, self.spec, self.param_arrays(), z,
-                                 self._condition(z.shape[0], labels), None)
+        return _generator_layers(ag.arrays, self.spec, self.param_arrays(),
+                                 self._inputs(z, labels), None)

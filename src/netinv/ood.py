@@ -175,8 +175,7 @@ class OodCycleConfig:
     inversion: InversionConfig = field(default_factory=lambda: InversionConfig(steps=800))
 
 
-def ood_training_cycle(clf, gen_factory, id_train, cfg, rng, id_test=None,
-                       on_cycle=None):
+def ood_training_cycle(clf, gen_factory, id_train, id_test, cfg, rng, on_cycle=None):
     """Train / invert / exclude loop; returns (classifier, [CycleReport])."""
     n1 = clf.spec.classes
     n = n1 - 1
@@ -218,8 +217,7 @@ def ood_training_cycle(clf, gen_factory, id_train, cfg, rng, id_test=None,
         ue_vals = uncertainty(probs / probs.sum(axis=1, keepdims=True))
         garbage.add(images, f"inverted@cycle_{cycle}")
 
-        id_test_acc = (accuracy(clf, id_test.images, id_test.labels)
-                       if id_test is not None else math.nan)
+        id_test_acc = accuracy(clf, id_test.images, id_test.labels)
         thr = threshold_report(ag.softmax_array(id_logits), id_train.labels, probs)
         report = CycleReport(cycle=cycle,
                              id_train_accuracy=id_train_acc,

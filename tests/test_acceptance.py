@@ -297,8 +297,7 @@ def test_c5_desk_scale_ood_cycle():
             clf,
             lambda c: Generator(GeneratorSpec(classes=4),
                                 rng=np.random.default_rng(seed * 100 + c)),
-            bars, cfg, rng=np.random.default_rng(5000 + seed),
-            id_test=bars_test,
+            bars, bars_test, cfg, rng=np.random.default_rng(5000 + seed),
             on_cycle=lambda rep, imgs: rates.append(route_rate(clf,
                                                                noise_probes)))
         rates.append(route_rate(clf, noise_probes))
@@ -504,7 +503,7 @@ def run_c8(idx_dir, limit=1000, ood_limit=500, cycles=3, epochs=10, steps=400,
         clf,
         lambda c: Generator(GeneratorSpec(classes=11, out_shape=(1, 28, 28)),
                             rng=np.random.default_rng(c)),
-        id_train, cfg, rng=np.random.default_rng(5), id_test=id_test)
+        id_train, id_test, cfg, rng=np.random.default_rng(5))
     id_acc = accuracy(clf, id_test.images, id_test.labels)
     routed = float(np.mean([ood_predict(clf, im).is_ood for im in ood_imgs]))
     return id_acc, routed

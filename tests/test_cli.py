@@ -365,6 +365,11 @@ class TestRejectedRuns:
         pytest.param("reconstruct", "recon.eps_pert = 2\n", id="eps-pert"),
         pytest.param("train-classifier", "model.kind = cnn\nsynth.size = 10\n", id="cnn-size"),
         pytest.param("ood", "model.kind = cnn\nsynth.size = 10\n", id="ood-cnn-size"),
+        # at 11 classes, classes 9 and 10 of the 12x12 crosses draw one template
+        pytest.param("train-classifier", "synth.family = crosses\nsynth.classes = 11\n",
+                     id="synth-classes"),
+        pytest.param("ood", "synth.family = crosses\nsynth.classes = 11\n",
+                     id="ood-synth-classes"),
         # the classifier was trained on 12x12 images
         pytest.param("reconstruct", "synth.size = 16\n", id="recon-shape-mismatch"),
     ])

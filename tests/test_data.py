@@ -60,6 +60,22 @@ class TestSynth:
         with pytest.raises(DomainError):
             synth_dataset(SynthSpec(classes=3), 2, 30)
 
+    @pytest.mark.parametrize("family, size, most", [
+        ("bars", 12, 12),       # 13 bars of height 1 leave class 12 below the image
+        ("crosses", 12, 10),    # at 11 classes, classes 9 and 10 draw the same cross
+        ("rings", 12, 8),
+        ("rings", 8, 4),
+    ])
+    def test_class_count_boundary(self, family, size, most):
+        """The most classes a noise-free family draws as distinct, non-blank
+        templates is accepted; one more is rejected."""
+        spec = SynthSpec(family=family, classes=most, size=size, noise=0.0)
+        train, _ = synth_dataset(spec, most, most)
+        templates = {img.tobytes() for img in train.images}
+        assert len(templates) == most and train.images.reshape(most, -1).max(axis=1).all()
+        with pytest.raises(DomainError, match=f"{most + 1} classes"):
+            SynthSpec(family=family, classes=most + 1, size=size)
+
 
 def write_idx_pair(tmp_path, images, labels):
     ipath = tmp_path / "images.idx"

@@ -158,11 +158,24 @@ def public_signatures(source):
     return signatures
 
 
+def calls_by_owner(tree):
+    """(name of the top-level function or class whose body holds it, or None
+    at module level; the call) for each call in ``tree``."""
+    for stmt in tree.body:
+        owner = (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.ClassDef)) else None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                yield owner, node
+
+
 def unpassed_parameters(package, outside=()):
     """Sorted ``autograd.function.parameter`` of each parameter of a public
     function or class constructor of ``package["autograd"]`` that no call in
     ``package`` ({module: source}) or ``outside`` passes, by position or by
-    keyword. A call through ``*args`` or ``**kwargs`` passes them all."""
+    keyword. A call through ``*args`` or ``**kwargs`` passes them all. A
+    call from the function's own body (its VJP recursing) passes nothing:
+    it only hands on what some other caller passed."""
     signatures = public_signatures(package["autograd"])
     passed = set()
     for module, source in [*package.items(), *(("", s) for s in outside)]:
@@ -171,16 +184,14 @@ def unpassed_parameters(package, outside=()):
         # local names of autograd's public functions and classes
         names = ({n: n for n in signatures} if module == "autograd" else
                  {local: name for local, (m, name) in imported.items() if m == "autograd"})
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for owner, node in calls_by_owner(tree):
             f = node.func
             if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
                     and modules.get(f.value.id) == "autograd"):
                 name = f.attr
             else:
                 name = names.get(f.id) if isinstance(f, ast.Name) else None
-            if name not in signatures:
+            if name not in signatures or (module == "autograd" and name == owner):
                 continue
             params = signatures[name]
             if (any(isinstance(a, ast.Starred) for a in node.args)
@@ -223,8 +234,11 @@ def test_every_autograd_parameter_is_passed():
                   "def _f(x=0):\n    T(1)\n"}, (), ["autograd.T.flag"]),
     ({"autograd": "def f(a):\n    pass\n", "m": "import numpy as np\nnp.f(1)\n"},
      (), ["autograd.f.a"]),
+    ({"autograd": "def f(a, axis=-1):\n    def vjp(g):\n        return f(g, axis)\n"
+                  "    return vjp\n",
+      "m": "from .autograd import f\nf(1)\n"}, (), ["autograd.f.axis"]),
 ], ids=["unpassed-default", "module-alias", "keyword-only", "models-ops", "ops-elsewhere",
-        "outside-starred", "constructor", "not-an-alias"])
+        "outside-starred", "constructor", "not-an-alias", "own-body"])
 def test_checker_finds_unpassed_parameters(package, outside, want):
     assert unpassed_parameters(package, outside) == want
 

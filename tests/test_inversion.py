@@ -62,6 +62,12 @@ class TestInversionStep:
         with pytest.raises(DomainError):
             InversionConfig(batch_size=1)
 
+    def test_zero_steps_rejected(self):
+        """A run takes at least one step, so its last step is the one that
+        evaluates."""
+        with pytest.raises(DomainError, match="steps"):
+            InversionConfig(steps=0)
+
 
 class TestInversionAccuracy:
     def test_untrained_generator_near_chance(self, trained_mlp):

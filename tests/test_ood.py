@@ -293,7 +293,7 @@ class TestCycle:
         train, test = small_id_data
         clf = Classifier(ClassifierSpec(classes=4), rng=np.random.default_rng(12))
         clf, reports = ood_training_cycle(
-            clf, lambda c: None, train, tiny_cycle_config(0),
+            clf, lambda c: None, train, test, tiny_cycle_config(0),
             rng=np.random.default_rng(13))
         assert reports == []
         # the garbage class exists and noise probes can reach it
@@ -308,9 +308,8 @@ class TestCycle:
             return Generator(GeneratorSpec(classes=4, hidden=(32, 32), z_dim=8),
                              rng=np.random.default_rng(100 + cycle))
 
-        clf, reports = ood_training_cycle(clf, factory, train, cfg,
-                                          rng=np.random.default_rng(15),
-                                          id_test=test)
+        clf, reports = ood_training_cycle(clf, factory, train, test, cfg,
+                                          rng=np.random.default_rng(15))
         assert [r.cycle for r in reports] == [1, 2]
         for c, r in enumerate(reports, start=1):
             assert r.garbage_size == cfg.garbage_init + c * cfg.budget
@@ -342,8 +341,8 @@ class TestCycle:
                              rng=np.random.default_rng(100 + cycle))
 
         clf = Classifier(ClassifierSpec(classes=4), rng=np.random.default_rng(14))
-        ood_training_cycle(clf, factory, train, tiny_cycle_config(2, steps=5),
-                           rng=np.random.default_rng(15), id_test=test, on_cycle=on_cycle)
+        ood_training_cycle(clf, factory, train, test, tiny_cycle_config(2, steps=5),
+                           rng=np.random.default_rng(15), on_cycle=on_cycle)
         id_train = train.images.tobytes()
         cycle_calls = [calls[:seen[0]], calls[seen[0]:seen[1]]]
         for batch, cycle in zip(batches, cycle_calls):
@@ -352,11 +351,11 @@ class TestCycle:
         assert len(calls) == seen[-1]
 
     def test_label_range_contract(self, small_id_data):
-        train, _ = small_id_data
+        train, test = small_id_data
         # no room for garbage
         clf = Classifier(ClassifierSpec(classes=3), rng=np.random.default_rng(0))
         with pytest.raises(ContractError):
-            ood_training_cycle(clf, lambda c: None, train, tiny_cycle_config(1),
+            ood_training_cycle(clf, lambda c: None, train, test, tiny_cycle_config(1),
                                rng=np.random.default_rng(0))
 
 
