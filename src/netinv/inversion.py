@@ -7,9 +7,10 @@ penultimate features of a batch apart.
 
 Training-like reconstruction is the same objective with extra terms
 weighted: generated images should stay correctly and confidently classified
-after a bounded perturbation, look like valid low-noise images (pixel and
-smoothness priors), and sit where the classifier's weight gradients are
-small, all properties expected of genuine training points.
+after a bounded perturbation, look like low-noise images (a smoothness
+prior), and sit where the classifier's weight gradients are small, all
+properties expected of genuine training points.  The generator's sigmoid
+already keeps every pixel in [0, 1], so no term asks for that range.
 """
 
 import math
@@ -20,15 +21,15 @@ import numpy as np
 from . import autograd as ag
 from .errors import ContractError, DivergenceError, DomainError
 from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
-                     feature_gram, kl_loss, ortho_loss, pixel_loss, soften_onehot,
-                     tv_loss, weighted_ce_loss)
+                     feature_gram, kl_loss, ortho_loss, soften_onehot, tv_loss,
+                     weighted_ce_loss)
 from .optim import make_optimizer
 from .training import logits_accuracy, predict_logits
 
 # loss term -> config field holding its weight, in composition order
 TERM_WEIGHTS = {"kl": "alpha", "kl_pert": "alpha_pert", "ce": "beta",
                 "ce_pert": "beta_pert", "cosine": "gamma", "ortho": "delta",
-                "var": "eta_var", "pix": "eta_pix", "grad": "eta_grad"}
+                "var": "eta_var", "grad": "eta_grad"}
 TERM_ORDER = tuple(TERM_WEIGHTS)
 
 
@@ -41,7 +42,9 @@ class InversionConfig:
     alpha_pert: float = 0.0     # perturbed-KL weight
     beta_pert: float = 0.0      # perturbed-CE weight
     eta_var: float = 0.0        # smoothness prior
-    eta_pix: float = 0.0        # pixel-range prior
+    # unread: the generator's sigmoid keeps pixels in [0, 1]; still validated,
+    # since the CLI and perfbench pass it, goes with ReconConfig (ROADMAP 2)
+    eta_pix: float = 0.0
     eta_grad: float = 0.0       # classifier weight-gradient penalty
     eps_pert: float = 0.0       # L-infinity perturbation radius
     batch_size: int = 32
@@ -55,7 +58,7 @@ class InversionConfig:
     seed: int = 0               # unread; perfbench passes it, goes with ReconConfig (ROADMAP 2)
 
     def __post_init__(self):
-        for name in TERM_WEIGHTS.values():
+        for name in (*TERM_WEIGHTS.values(), "eta_pix"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"loss weight {name} must be finite and nonnegative")
@@ -68,23 +71,24 @@ class InversionConfig:
 
 
 def linf_perturb(images, eps_pert, rng):
-    """Uniform noise in the L-infinity ball, then clamp to [0, 1]."""
+    """``images``, a generator batch and so in [0, 1], plus uniform noise in
+    the L-infinity ball of radius ``eps_pert``, clamped back to [0, 1]; at
+    radius 0, ``images`` itself."""
     if eps_pert < 0:
         raise DomainError("perturbation radius must be nonnegative")
     t = ag.as_tensor(images)
-    base = ag.clamp01(t)
     if eps_pert == 0:
-        return base
+        return t
     noise = rng.uniform(-eps_pert, eps_pert, size=t.shape).astype(t.dtype)
-    return ag.clamp01(ag.add(base, ag.Tensor(noise)))
+    return ag.clamp01(ag.add(t, ag.Tensor(noise)))
 
 
 def generator_loss(images, clf, labels, cfg, rng):
     """-> (total tensor or None, LossBreakdown) for one generated batch.
 
-    The four inversion terms are always built; the priors, the perturbed
-    terms and the gradient penalty only when weighted, so an inversion
-    config records none of their tape nodes.
+    The four inversion terms are always built; the smoothness prior, the
+    perturbed terms and the gradient penalty only when weighted, so an
+    inversion config records none of their tape nodes.
     """
     if not clf.frozen:
         raise ContractError("classifier must be frozen during generator training")
@@ -102,8 +106,6 @@ def generator_loss(images, clf, labels, cfg, rng):
     }
     if cfg.eta_var > 0:
         terms["var"] = tv_loss(images)
-    if cfg.eta_pix > 0:
-        terms["pix"] = pixel_loss(images)
     if cfg.alpha_pert > 0 or cfg.beta_pert > 0:
         # the perturbed copy should keep the conditioning labels
         perturbed = linf_perturb(images, cfg.eps_pert, rng)

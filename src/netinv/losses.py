@@ -13,6 +13,8 @@ from . import autograd as ag
 from .errors import ContractError, DivergenceError, DomainError
 
 EPS = 1e-8
+# relative tolerance of a breakdown's total against its weighted sum
+BREAKDOWN_RTOL = 1e-6
 
 
 @dataclass
@@ -21,14 +23,14 @@ class LossBreakdown:
     weights: dict               # name -> weight (float)
     total: float
 
-    def check(self, rel=1e-6):
+    def check(self):
         """Raise on a non-finite loss, or a total that is not the weighted sum."""
         bad = [k for k, v in self.terms.items() if not math.isfinite(v)]
         if bad or not math.isfinite(self.total):
             raise DivergenceError(f"non-finite loss term(s): {', '.join(bad or ['total'])}")
         want = sum(self.weights.get(k, 0.0) * v for k, v in self.terms.items())
         scale = max(abs(want), abs(self.total), 1e-12)
-        if abs(want - self.total) > rel * scale:
+        if abs(want - self.total) > BREAKDOWN_RTOL * scale:
             raise ContractError(f"loss breakdown inconsistent: total {self.total} "
                                 f"vs weighted sum {want}")
         return self
@@ -184,28 +186,6 @@ def tv_loss(images):
             parts.append(ag.sub(ag.pad_slice(gd, images.shape, axis, 1),
                                 ag.pad_slice(gd, images.shape, axis, 0)))
         return (ag.add(*parts),)
-
-    return ag._from_op(value, (images,), vjp)
-
-
-def pixel_loss(images):
-    """Mean squared hinge outside [0, 1]: (x - clamp01(x))^2, which is
-    (max(0, x-1))^2 + (max(0, -x))^2.
-
-    One node over ``images``; the VJP is ``G - G * inside`` for
-    ``G = 2 * g / x.size * (x - clamp01(x))``, the chain rule through ``x``
-    and through the clamp's pass-through mask (so it is NaN at +-inf).
-    """
-    images = ag.as_tensor(images)
-    x = images.data
-    d = x - np.clip(x, 0.0, 1.0)
-    count = np.asarray(float(x.size), dtype=x.dtype)
-    value = _sum64(d * d, x.dtype) / count
-
-    def vjp(g, need):
-        grad = ag.mul(ag.sub(images, ag.clamp01(images)), ag.mul(ag.div(g, count), 2.0))
-        inside = ag.Tensor(((x >= 0.0) & (x <= 1.0)).astype(x.dtype))
-        return (ag.sub(grad, ag.mul(grad, inside)),)
 
     return ag._from_op(value, (images,), vjp)
 

@@ -4,6 +4,10 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
 
+# Adam's moment decay rates and denominator floor; no caller sets others
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 def _checked(params, grads):
     """-> one gradient array per parameter, in its dtype; count and shapes must match."""
@@ -17,11 +21,9 @@ def _checked(params, grads):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -37,17 +39,17 @@ class Adam:
         #   p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
         # so the result is bit-equal to that out-of-place formula
         for p, g, m, v, (step, denom) in zip(self.params, grads, self.m, self.v, self._scratch):
-            m *= self.beta1
-            m += np.multiply(1 - self.beta1, g, out=step)
-            v *= self.beta2
-            np.multiply(1 - self.beta2, g, out=denom)
+            m *= BETA1
+            m += np.multiply(1 - BETA1, g, out=step)
+            v *= BETA2
+            np.multiply(1 - BETA2, g, out=denom)
             denom *= g
             v += denom
-            np.divide(m, 1 - self.beta1 ** t, out=step)
+            np.divide(m, 1 - BETA1 ** t, out=step)
             step *= self.lr
-            np.divide(v, 1 - self.beta2 ** t, out=denom)
+            np.divide(v, 1 - BETA2 ** t, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             # rebound, not updated in place: ``p.data -= step`` gives the same
             # bits, but then no fresh array pins the top of glibc's heap, the

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import struct
@@ -304,6 +305,54 @@ class TestReconstruct:
             assert float(mean[col]) == pytest.approx(manifest[key], rel=1e-8)
         assert float(mean[5]) == pytest.approx(np.mean([float(r[5]) for r in pairs]),
                                                rel=0, abs=1e-8)
+
+
+RECON_SWEEP = """
+synth.train = 12
+synth.test = 6
+train.epochs = 1
+recon.steps = 2
+recon.samples = 2
+"""
+# recon.* key -> a second valid value, for the sweep below
+RECON_VALUES = {"recon.alpha_pert": 2.0, "recon.beta_pert": 2.0, "recon.gamma": 1.0,
+                "recon.eta_var": 1.0, "recon.eta_pix": 50.0, "recon.eta_grad": 1.0,
+                "recon.eps_pert": 0.5, "recon.steps": 3, "recon.samples": 3,
+                "recon.cond_mode": "hidden"}
+# recon.* keys that move no output, with the reason each is kept
+RECON_INERT = {
+    "recon.eta_pix": "weights no term, as the generator's sigmoid keeps pixels in "
+                     "[0, 1]; perfbench reads it until ReconConfig goes (ROADMAP 2)",
+}
+
+
+@pytest.fixture(scope="module")
+def reconstruct_with(tmp_path_factory):
+    """-> run(line): the bytes of ``reconstruct``'s privacy.csv and
+    reconstructions.pgm with ``line`` added to a tiny config, all runs
+    against one classifier trained on it."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    assert main(["train-classifier", "--config", write_conf(tmp, RECON_SWEEP),
+                 "--out", str(tmp / "clf")]) == 0
+    runs = itertools.count()
+
+    def run(line=""):
+        out = tmp / f"rec{next(runs)}"
+        conf = write_conf(tmp, RECON_SWEEP + line, name=f"{out.name}.conf")
+        assert main(["reconstruct", "--config", conf, "--out", str(out),
+                     "--classifier", str(tmp / "clf" / "classifier.ninv")]) == 0
+        return [(out / name).read_bytes() for name in ("privacy.csv", "reconstructions.pgm")]
+
+    return run
+
+
+@pytest.mark.parametrize("key", sorted(k for k in DEFAULTS if k.startswith("recon.")))
+def test_each_recon_key_moves_the_reconstruction(reconstruct_with, key):
+    """Changing one recon.* key alone changes an output byte, unless the key
+    is on the inert list; an inert key that moves the output leaves it."""
+    assert key in RECON_VALUES, f"give {key} a second value to sweep"
+    moved = reconstruct_with(f"{key} = {RECON_VALUES[key]}\n") != reconstruct_with()
+    assert moved == (key not in RECON_INERT)
 
 
 class TestRejectedRuns:

@@ -164,7 +164,6 @@ _SCALARS = {
         ag.matmul(h, ag.transpose(h))),
     "ortho_loss": lambda h: losses.ortho_loss(ag.matmul(h, ag.transpose(h))),
     "tv_loss": lambda h: losses.tv_loss(ag.reshape(h, (1, 1, 4, 3))),
-    "pixel_loss": losses.pixel_loss,
     # layer nodes whose every input depends on h: a 1x1 conv of h's columns,
     # each as a 2x2 image, by h's rows, and h times its own transpose
     "conv2d": lambda h: ag.sum_(ag.square(ag.conv2d(

@@ -88,6 +88,11 @@ class TestCondition:
             gen.sample(z, [4])
 
 
+# no loss term keeps generated pixels in range
+PIXEL_RANGE = ("generator images must lie in [0, 1]: the pixel-range prior was retired "
+               "because the generator's last layer, a sigmoid, bounds every pixel")
+
+
 class TestGenerator:
     def test_eval_mode_deterministic(self):
         gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(6))
@@ -102,6 +107,25 @@ class TestGenerator:
         z = np.random.default_rng(9).uniform(-10, 10, size=(16, 64)).astype(np.float32)
         out = gen.sample(z, [i % 3 for i in range(16)])
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_images_are_a_reshaped_sigmoid(self):
+        gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(12))
+        images = gen.forward(np.zeros((2, 64), dtype=np.float32), [0, 1],
+                             np.random.default_rng(13))
+        assert op_kind(images) == "reshape"
+        (pixels,) = images._op[0]
+        assert op_kind(pixels) == "sigmoid", PIXEL_RANGE
+
+    def test_saturated_images_stay_in_unit_range(self):
+        gen = Generator(GeneratorSpec(classes=3), rng=np.random.default_rng(14))
+        for p in gen.parameters():
+            p.data = p.data * 1e3           # pre-activations of order 1e9
+        z = np.random.default_rng(15).standard_normal((16, 64)).astype(np.float32)
+        labels = np.arange(16) % 3
+        for images in (gen.sample(z, labels),
+                       gen.forward(z, labels, np.random.default_rng(16)).data):
+            assert ((images >= 0.0) & (images <= 1.0)).all(), PIXEL_RANGE
+            assert images.min() == 0.0 and images.max() == 1.0     # saturated
 
     def test_train_mode_dropout_varies(self):
         gen = Generator(GeneratorSpec(classes=3, dropout=0.5), rng=np.random.default_rng(10))

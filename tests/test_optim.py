@@ -35,7 +35,7 @@ def test_adam_bit_equal_to_out_of_place_formula():
     m = [np.zeros_like(w) for w in want]
     v = [np.zeros_like(w) for w in want]
     b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
-    opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    opt = Adam(params, lr=lr)
     for t in range(1, 6):
         grads = make_grads(params, seed=t)
         opt.step(grads)
