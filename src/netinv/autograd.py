@@ -58,7 +58,6 @@ same bits and raise the same errors. The namespace sets the mode:
 ``softmax_array`` is ``softmax``'s forward on an array.
 """
 
-import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,22 +69,8 @@ DEFAULT_DTYPE = np.float32
 # the negative-side slope of every leaky ReLU the models apply
 LEAKY_SLOPE = 0.1
 
+# whether ops record tape nodes; only ``grad`` turns it off, for its own pass
 _grad_enabled = True
-
-
-class no_grad:
-    """Context manager that suspends tape recording (``grad``'s outer pass)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
 
 
 class Tensor:
@@ -104,16 +89,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return self.data.item()
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
 def parameter(data):
@@ -144,10 +121,10 @@ def _unbroadcast(g, shape):
     """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     extra = g.data.ndim - len(shape)
     if extra > 0:
-        g = sum_(g, axis=tuple(range(extra)))
+        g = reshape(sum_(g, axis=tuple(range(extra))), g.data.shape[extra:])
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.data.shape[i] != 1)
     if axes:
-        g = sum_(g, axis=axes, keepdims=True)
+        g = sum_(g, axis=axes)
     return g
 
 
@@ -381,23 +358,17 @@ def pad_slice(a, shape, axis, lo):
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
+    """Sum over ``axis`` (an int or a tuple), keeping the summed axes as size
+    one, or over every axis to a scalar when ``axis`` is None."""
     a = as_tensor(a)
     orig = a.data.shape
     # accumulate in 64-bit, return in the input dtype
-    out_data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
+    out_data = a.data.sum(axis=axis, keepdims=axis is not None, dtype=np.float64)
     out_data = np.asarray(out_data, dtype=a.dtype)
 
     def vjp(g, need):
-        if axis is None:
-            kshape = (1,) * len(orig)
-        elif not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % len(orig) for ax in axes)
-            kshape = tuple(1 if i in axes else n for i, n in enumerate(orig))
-        else:
-            kshape = g.data.shape
-        return (broadcast_to(reshape(g, kshape), orig),)
+        return (broadcast_to(g, orig),)
 
     return _from_op(out_data, (a,), vjp)
 
@@ -638,7 +609,7 @@ def conv2d(x, kernel, bias):
             cols_t = transpose(_cols_node(x, cols, k))
             gk = reshape(matmul(d2, cols_t), kernel.data.shape)
         if need[2]:
-            gb = reshape(sum_(d, axis=(1, 2, 3), keepdims=True), bias.data.shape)
+            gb = reshape(sum_(d, axis=(1, 2, 3)), bias.data.shape)
         return gx, gk, gb
 
     return _from_op(_leaky_data(pre), (x, kernel, bias), _Layer(delta, vjp))
@@ -668,7 +639,7 @@ def softmax(logits):
 
     def vjp(g, need):
         out = softmax(logits)
-        return (mul(out, sub(g, sum_(mul(g, out), axis=-1, keepdims=True))),)
+        return (mul(out, sub(g, sum_(mul(g, out), axis=-1))),)
 
     return _from_op(softmax_array(logits.data), (logits,), vjp)
 
@@ -732,7 +703,10 @@ def grad(out, wrt, create_graph=False):
                          if inp._op is not None and inp not in seen)
     keep = set(wrt)
     grads = {out: Tensor(np.ones_like(out.data))}
-    with contextlib.nullcontext() if create_graph else no_grad():
+    global _grad_enabled
+    recording = _grad_enabled
+    _grad_enabled = recording and create_graph
+    try:
         for node, need in reversed(order):
             g = grads.pop(node) if node not in keep else grads[node]
             inputs, vjp = node._op
@@ -741,6 +715,8 @@ def grad(out, wrt, create_graph=False):
                     continue
                 prev = grads.get(inp)
                 grads[inp] = ig if prev is None else add(prev, ig)
+    finally:
+        _grad_enabled = recording
     return [grads[t] if t in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 

@@ -288,7 +288,7 @@ def cmd_evaluate(args):
     write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv")
     manifest.record(out / "matrix.csv")
     thr_rows = [[mname, oname, rep.min_id_confidence, rep.max_ood_confidence, rep.gap,
-                 rep.n_ood_misrouted, int(rep.ood_all_routed)]
+                 rep.n_ood_misrouted, rep.n_ood_misrouted == 0]
                 for (mname, oname), rep in reports.items()]
     write_csv(thr_rows, ["model", "ood_dataset", "min_id_conf", "max_ood_conf",
                          "gap", "ood_misrouted", "all_routed"],

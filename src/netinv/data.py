@@ -157,7 +157,7 @@ def _read_exact(f, n, path):
     return buf
 
 
-def load_idx(images_path, labels_path, name="idx", limit=None):
+def load_idx(images_path, labels_path, limit=None):
     """Parse a u8 image tensor / label IDX pair into a Dataset."""
     with open(images_path, "rb") as f:
         magic, = struct.unpack(">I", _read_exact(f, 4, images_path))
@@ -180,4 +180,4 @@ def load_idx(images_path, labels_path, name="idx", limit=None):
         raise FormatError(f"IDX count mismatch: {n} images vs {nl} labels")
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
-    return Dataset(images.astype(np.float32) / 255.0, labels.astype(np.int64), name=name)
+    return Dataset(images.astype(np.float32) / 255.0, labels.astype(np.int64), name="idx")

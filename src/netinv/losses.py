@@ -111,10 +111,10 @@ def feature_gram(features):
     value = n @ n.T
 
     def vjp(g, need):
-        norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1, keepdims=True), EPS ** 2))
+        norms = ag.sqrt(ag.add(ag.sum_(ag.square(features), axis=1), EPS ** 2))
         unit = ag.div(features, norms)
         gu = ag.matmul(ag.add(g, ag.transpose(g)), unit)
-        radial = ag.mul(unit, ag.sum_(ag.mul(gu, unit), axis=1, keepdims=True))
+        radial = ag.mul(unit, ag.sum_(ag.mul(gu, unit), axis=1))
         return (ag.div(ag.sub(gu, radial), norms),)
 
     return ag._from_op(value, (features,), vjp)
@@ -214,9 +214,9 @@ def compose_total(terms, weights, order):
     return ag._from_op(total, inputs, vjp)
 
 
-def soften_onehot(labels, m, s=0.1, dtype=np.float32):
-    """KL target: (1-s) * onehot + s/m."""
+def soften_onehot(labels, m, s=0.1):
+    """KL target: (1-s) * onehot + s/m, in float32."""
     labels = np.asarray(labels, dtype=np.int64)
-    t = np.full((len(labels), m), s / m, dtype=dtype)
+    t = np.full((len(labels), m), s / m, dtype=np.float32)
     t[np.arange(len(labels)), labels] += 1.0 - s
     return t

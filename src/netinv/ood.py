@@ -6,7 +6,7 @@ learns to route anything off the in-distribution manifold into it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class ThresholdReport:
     max_ood_confidence: float   # inf-flagged when no OOD sample is misrouted
     gap: float
     n_ood_misrouted: int
-    ood_all_routed: bool
 
 
 def threshold_report(id_probs, id_labels, ood_probs):
@@ -140,14 +139,11 @@ def threshold_report(id_probs, id_labels, ood_probs):
     if misrouted.any():
         max_ood = float(ood_probs[misrouted].max(axis=1).max())
         gap = min_id - max_ood
-        absent = False
     else:
         max_ood = math.inf
         gap = math.inf
-        absent = True
     return ThresholdReport(min_id_confidence=min_id, max_ood_confidence=max_ood,
-                           gap=gap, n_ood_misrouted=int(misrouted.sum()),
-                           ood_all_routed=absent)
+                           gap=gap, n_ood_misrouted=int(misrouted.sum()))
 
 
 @dataclass
@@ -164,6 +160,7 @@ class CycleReport:
 
 @dataclass
 class OodCycleConfig:
+    inversion: InversionConfig      # each cycle's generator training
     cycles: int = 5
     epochs_per_cycle: int = 12
     batch_size: int = 64
@@ -172,7 +169,6 @@ class OodCycleConfig:
     garbage_init: int = 100
     budget: int = 0                 # 0 -> one ID class's training count
     capacity_factor: int = 4
-    inversion: InversionConfig = field(default_factory=lambda: InversionConfig(steps=800))
 
 
 def ood_training_cycle(clf, gen_factory, id_train, id_test, cfg, rng, on_cycle=None):

@@ -40,11 +40,9 @@ def _moments(windows):
 
 
 def _image_set(images, name):
-    """Check a nonempty set of [H,W] or [C,H,W] images; [N, H, W] becomes [N, 1, H, W]."""
-    if images.ndim == 3:
-        images = images[:, None]
+    """Check a nonempty [N, C, H, W] set of images."""
     if images.ndim != 4:
-        raise ShapeError(f"{name} must be a set of [H,W] or [C,H,W] images, got {images.shape}")
+        raise ShapeError(f"{name} must be a set of [C,H,W] images, got {images.shape}")
     if len(images) == 0:
         raise ShapeError(f"scoring needs a nonempty {name} set")
     if images.shape[-2] < WINDOW or images.shape[-1] < WINDOW:

@@ -194,8 +194,8 @@ def write_pgm_grid(images, cols, path):
 
 
 def format_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
+    """A CSV field: ints (a bool as 1 or 0) as digits, floats to 9 significant
+    digits, anything else as ``str``."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):

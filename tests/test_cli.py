@@ -4,6 +4,7 @@ import re
 import struct
 import warnings
 import zlib
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -35,13 +36,12 @@ RECON_KEYS = {"gamma": "recon.gamma", "steps": "recon.steps",
               "alpha_pert": "recon.alpha_pert", "beta_pert": "recon.beta_pert",
               "eta_var": "recon.eta_var", "eta_pix": "recon.eta_pix",
               "eta_grad": "recon.eta_grad", "eps_pert": "recon.eps_pert"}
-# cmd_ood: the nested inversion config takes the inv.* keys but ood.inv_steps
+# cmd_ood: the nested inversion config, which has no library default, takes
+# the inv.* keys but ood.inv_steps
 OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
             "batch_size": "train.batch", "lr": "train.lr", "optimizer": "train.optimizer",
             "garbage_init": "ood.garbage_init",
-            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor",
-            **{f"inversion.{f}": k for f, k in INV_KEYS.items()},
-            "inversion.steps": "ood.inv_steps"}
+            "budget": "ood.budget", "capacity_factor": "ood.capacity_factor"}
 
 
 class TestConfig:
@@ -113,7 +113,7 @@ class TestConfig:
         # cmd_reconstruct: the inv.* keys under the recon.* ones, no accuracy target
         (ReconConfig, {**{f: k for f, k in INV_KEYS.items() if f != "target_accuracy"},
                        **RECON_KEYS}),
-        (OodCycleConfig, OOD_KEYS),
+        (partial(OodCycleConfig, inversion=None), OOD_KEYS),
     ], ids=["InversionConfig", "ReconConfig", "OodCycleConfig"])
     def test_library_defaults_are_the_cli_key_defaults(self, config, keys):
         lib = config()

@@ -1,8 +1,9 @@
 """Static checks: every imported name in the package and its tests is read
 somewhere, every public function or class of the package has a caller
-outside the tests, every parameter of an ``autograd`` function is passed by
-some caller outside the tests, and every function of the package takes its
-RNG from its caller."""
+outside the tests, every parameter of a public function or constructor of
+the package is passed by some caller outside the tests, and every function
+of the package takes its RNG from its caller. ``test_reachability.py``
+checks at run time what these cannot: that every function body runs."""
 
 import ast
 from pathlib import Path
@@ -140,22 +141,29 @@ def test_checker_finds_uncalled_public_names(package, outside, want):
     assert uncalled_public_names(package, outside) == want
 
 
-def public_signatures(source):
-    """{name: parameter names} of each public top-level function of
-    ``source`` and of each public class's constructor, without ``self``."""
-    signatures = {}
+def definitions(source):
+    """-> ({name: parameter names} of each public top-level function of
+    ``source`` and of each public class's own constructor, without
+    ``self``; {name: its first base's name} of each public class without an
+    ``__init__`` of its own; the set of the public function names)."""
+    signatures, bases, functions = {}, {}, set()
     for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            functions.add(node.name)
+        else:
             init = [n for n in node.body
                     if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
-            args = init[0].args if init else None
-        else:
-            args = node.args if isinstance(node, ast.FunctionDef) else None
-        if args is None or node.name.startswith("_"):
-            continue
+            if not init:
+                if node.bases and isinstance(node.bases[0], ast.Name):
+                    bases[node.name] = node.bases[0].id
+                continue
+            args = init[0].args
         names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
         signatures[node.name] = names[1:] if isinstance(node, ast.ClassDef) else names
-    return signatures
+    return signatures, bases, functions
 
 
 def calls_by_owner(tree):
@@ -170,38 +178,68 @@ def calls_by_owner(tree):
 
 
 def unpassed_parameters(package, outside=()):
-    """Sorted ``autograd.function.parameter`` of each parameter of a public
-    function or class constructor of ``package["autograd"]`` that no call in
-    ``package`` ({module: source}) or ``outside`` passes, by position or by
-    keyword. A call through ``*args`` or ``**kwargs`` passes them all. A
-    call from the function's own body (its VJP recursing) passes nothing:
-    it only hands on what some other caller passed."""
-    signatures = public_signatures(package["autograd"])
+    """Sorted ``module.function.parameter`` of each parameter of a public
+    function or class constructor of ``package`` ({module: source}) that no
+    call in ``package`` or ``outside`` passes, by position or by keyword.
+
+    A call through ``*args`` or ``**kwargs`` passes them all, and so does a
+    reference to the function as a value (a command table's entry). A call
+    of a class without an ``__init__`` of its own calls its base's. A call
+    from the function's own body (its VJP recursing) passes nothing: it only
+    hands on what some other caller passed."""
+    defs = {m: definitions(s) for m, s in package.items()}
+    signatures = {(m, n): p for m, (sigs, _, _) in defs.items() for n, p in sigs.items()}
+    functions = {(m, n) for m, (_, _, fns) in defs.items() for n in fns}
+    trees = {m: ast.parse(s) for m, s in package.items()}
+    bindings = {m: import_bindings(t, OPS_ALIASES.get(m)) for m, t in trees.items()}
+
+    def resolve(module, node, bound):
+        """The (module, name) of the package definition that the name or
+        ``alias.name`` ``node`` of ``module`` refers to, or None."""
+        modules, imported = bound
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            ref = (modules[node.value.id], node.attr)
+        elif isinstance(node, ast.Name):
+            own = defs.get(module, ({}, {}, ()))
+            ref = (module, node.id) if node.id in own[0] or node.id in own[1] else \
+                imported.get(node.id)
+        else:
+            return None
+        while ref in bases_of:
+            ref = bases_of[ref]
+        return ref
+
+    bases_of = {}
+    for m, (_, bases, _) in defs.items():
+        for cls, base in bases.items():
+            bases_of[m, cls] = resolve(m, ast.Name(id=base), bindings[m])
+
     passed = set()
     for module, source in [*package.items(), *(("", s) for s in outside)]:
-        tree = ast.parse(source)
-        modules, imported = import_bindings(tree, OPS_ALIASES.get(module))
-        # local names of autograd's public functions and classes
-        names = ({n: n for n in signatures} if module == "autograd" else
-                 {local: name for local, (m, name) in imported.items() if m == "autograd"})
+        tree = trees.get(module) or ast.parse(source)
+        bound = bindings.get(module) or import_bindings(tree)
+        callees = set()
         for owner, node in calls_by_owner(tree):
-            f = node.func
-            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                    and modules.get(f.value.id) == "autograd"):
-                name = f.attr
-            else:
-                name = names.get(f.id) if isinstance(f, ast.Name) else None
-            if name not in signatures or (module == "autograd" and name == owner):
+            callees.add(id(node.func))
+            ref = resolve(module, node.func, bound)
+            if ref not in signatures or ref == (module, owner):
                 continue
-            params = signatures[name]
+            params = signatures[ref]
             if (any(isinstance(a, ast.Starred) for a in node.args)
                     or any(k.arg is None for k in node.keywords)):
-                passed.update((name, p) for p in params)
+                passed.update((ref, p) for p in params)
             else:
-                passed.update((name, p) for p in params[:len(node.args)])
-                passed.update((name, k.arg) for k in node.keywords)
-    return sorted(f"autograd.{name}.{p}" for name, params in signatures.items()
-                  for p in params if (name, p) not in passed)
+                passed.update((ref, p) for p in params[:len(node.args)])
+                passed.update((ref, k.arg) for k in node.keywords)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in callees):
+                ref = resolve(module, node, bound)
+                if ref in functions:
+                    passed.update((ref, p) for p in signatures[ref])
+    return sorted(f"{m}.{name}.{p}" for (m, name), params in signatures.items()
+                  for p in params if ((m, name), p) not in passed)
 
 
 # Parameters that no caller outside the tests passes, each kept for a reason.
@@ -212,7 +250,7 @@ UNPASSED_ALLOWED = {
 }
 
 
-def test_every_autograd_parameter_is_passed():
+def test_every_package_parameter_is_passed():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unpassed_parameters(package, [WORKLOADS.read_text()]) == sorted(UNPASSED_ALLOWED)
 
@@ -224,9 +262,9 @@ def test_every_autograd_parameter_is_passed():
      (), []),
     ({"autograd": "def f(a, *, b=1):\n    pass\n", "m": "from .autograd import f as g\ng(1)\n"},
      (), ["autograd.f.b"]),
-    ({"autograd": "def f(a, b=1):\n    pass\n", "models": "def h(ops):\n    ops.f(1, 2)\n"},
+    ({"autograd": "def f(a, b=1):\n    pass\n", "models": "def _h(ops):\n    ops.f(1, 2)\n"},
      (), []),
-    ({"autograd": "def f(a, b=1):\n    pass\n", "other": "def h(ops):\n    ops.f(1, 2)\n"},
+    ({"autograd": "def f(a, b=1):\n    pass\n", "other": "def _h(ops):\n    ops.f(1, 2)\n"},
      (), ["autograd.f.a", "autograd.f.b"]),
     ({"autograd": "def f(a, b=1):\n    pass\n"},
      ["from netinv import autograd as ag\nag.f(*xs)\n"], []),
@@ -237,8 +275,17 @@ def test_every_autograd_parameter_is_passed():
     ({"autograd": "def f(a, axis=-1):\n    def vjp(g):\n        return f(g, axis)\n"
                   "    return vjp\n",
       "m": "from .autograd import f\nf(1)\n"}, (), ["autograd.f.axis"]),
+    ({"data": "def load(path, name='x'):\n    pass\n", "cli": "from .data import load\nload(1)\n"},
+     (), ["data.load.name"]),
+    ({"cli": "def cmd(args, extra=0):\n    pass\nCOMMANDS = {'x': (cmd, 'help')}\n"}, (), []),
+    ({"models": "class Model:\n    def __init__(self, spec, rng):\n        pass\n"
+                "class Classifier(Model):\n    pass\n",
+      "cli": "from .models import Classifier\nClassifier(1, rng=2)\n"}, (), []),
+    ({"m": "class K:\n    def __init__(self, a):\n        pass\nisinstance(1, K)\n"},
+     (), ["m.K.a"]),
 ], ids=["unpassed-default", "module-alias", "keyword-only", "models-ops", "ops-elsewhere",
-        "outside-starred", "constructor", "not-an-alias", "own-body"])
+        "outside-starred", "constructor", "not-an-alias", "own-body", "any-module",
+        "function-as-value", "base-constructor", "class-as-value"])
 def test_checker_finds_unpassed_parameters(package, outside, want):
     assert unpassed_parameters(package, outside) == want
 
@@ -287,13 +334,14 @@ def test_checker_finds_rng_fallbacks(source, want):
     assert rng_fallbacks(source) == want
 
 
-TAPE_SWITCHES = {"no_grad", "recording"}
+# autograd's recording flag, which only ``grad`` sets
+TAPE_SWITCHES = {"_grad_enabled"}
 
 
 def tape_switch_reads(source):
-    """(line, name) of each read of ``no_grad`` or ``recording``, as a name,
-    an attribute or an imported name: a pass whose recording hangs on
-    global tape state."""
+    """(line, name) of each use of ``_grad_enabled`` as a name, an attribute
+    or an imported name: a pass whose recording hangs on global tape
+    state."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -313,10 +361,10 @@ def test_no_tape_switch_outside_autograd(path):
 
 
 @pytest.mark.parametrize("source, want", [
-    ("with ag.no_grad():\n    pass\n", [(1, "no_grad")]),
-    ("from .autograd import no_grad as ng\n", [(1, "no_grad")]),
-    ("if recording():\n    pass\n", [(1, "recording")]),
-    ("recording = 1\nx.no_grad_count\n", []),
+    ("ag._grad_enabled = False\n", [(1, "_grad_enabled")]),
+    ("from .autograd import _grad_enabled as on\n", [(1, "_grad_enabled")]),
+    ("if _grad_enabled:\n    pass\n", [(1, "_grad_enabled")]),
+    ("_grad_enabled = 1\nx._grad_enabled_count\n", []),
 ], ids=["attribute", "import", "name", "store-only"])
 def test_checker_finds_tape_switches(source, want):
     assert tape_switch_reads(source) == want

@@ -59,7 +59,7 @@ class TestClassifierForward:
     @pytest.mark.parametrize("kind, count", [("mlp", 70403), ("cnn", 10723)])
     def test_default_param_count(self, kind, count):
         clf = Classifier(ClassifierSpec(kind=kind), rng=np.random.default_rng(0))
-        assert sum(p.size for p in clf.parameters()) == count
+        assert sum(p.data.size for p in clf.parameters()) == count
 
 
 class TestCondition:
@@ -143,7 +143,7 @@ class TestGenerator:
     @pytest.mark.parametrize("mode, count", [("hidden", 82448), ("hot", 78736)])
     def test_default_param_count(self, mode, count):
         gen = Generator(GeneratorSpec(cond_mode=mode), rng=np.random.default_rng(0))
-        assert sum(p.size for p in gen.parameters()) == count
+        assert sum(p.data.size for p in gen.parameters()) == count
 
 
 def cnn_forward_oracle(clf, x):
@@ -285,7 +285,7 @@ class TestAcceptedSpecs:
         layout = spec.layout()
         assert [(name, p.shape) for name, p in model.params.items()] == \
             [(name, shape) for name, shape, _ in layout]
-        assert sum(p.size for p in model.parameters()) == \
+        assert sum(p.data.size for p in model.parameters()) == \
             sum(math.prod(shape) for _, shape, _ in layout)
 
     @pytest.mark.parametrize("in_shape, channels", [((1, 6, 8), (4,) * 2),

@@ -225,7 +225,7 @@ class TestPredictAndThreshold:
         ood = np.random.default_rng(8).uniform(size=(10, 1, 12, 12))
         rep = threshold_report(predict_probs(clf, train.images[:20]), train.labels[:20],
                                predict_probs(clf, ood))
-        assert rep.ood_all_routed
+        assert rep.n_ood_misrouted == 0
         assert rep.gap == float("inf")
 
     def test_constructed_negative_gap(self, bars_data):
@@ -240,7 +240,7 @@ class TestPredictAndThreshold:
         ood = train.images[40:41]            # an ID-looking probe as "OOD"
         rep = threshold_report(predict_probs(clf, train.images[:40]), labels4,
                                predict_probs(clf, ood))
-        if not rep.ood_all_routed:
+        if rep.n_ood_misrouted:
             assert rep.gap == pytest.approx(
                 rep.min_id_confidence - rep.max_ood_confidence)
 
@@ -252,14 +252,14 @@ class TestThresholdReport:
 
     def test_all_routed_gives_inf_gap(self):
         rep = threshold_report(self.ID, [0, 1, 0], np.array([[0.1, 0.1, 0.8]]))
-        assert rep.ood_all_routed and rep.n_ood_misrouted == 0
+        assert rep.n_ood_misrouted == 0
         assert rep.gap == rep.max_ood_confidence == float("inf")
         assert rep.min_id_confidence == 0.6
 
     def test_negative_gap(self):
         ood = np.array([[0.95, 0.03, 0.02], [0.1, 0.1, 0.8], [0.3, 0.5, 0.2]])
         rep = threshold_report(self.ID, [0, 1, 0], ood)
-        assert not rep.ood_all_routed and rep.n_ood_misrouted == 2
+        assert rep.n_ood_misrouted == 2
         assert rep.max_ood_confidence == 0.95
         assert rep.gap == pytest.approx(0.6 - 0.95)
 
@@ -376,7 +376,7 @@ class TestEvaluateGrid:
         # every ID image is misclassified and every OOD image routed
         assert list(reports) == [("bars", "crosses")]
         rep = reports["bars", "crosses"]
-        assert math.isnan(rep.min_id_confidence) and rep.ood_all_routed
+        assert math.isnan(rep.min_id_confidence)
         assert rep.n_ood_misrouted == 0 and rep.gap == math.inf
 
     def test_missing_pairing(self, small_id_data):

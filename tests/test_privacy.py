@@ -150,8 +150,7 @@ def _expression_ssim_matrix(recons, refs, block, r_block=None):
 
 
 class TestSsimMatrix:
-    @pytest.mark.parametrize("shape", [(12, 12), (1, 12, 12), (3, 12, 12), (1, 10, 13),
-                                       (3, 13, 10)])
+    @pytest.mark.parametrize("shape", [(1, 12, 12), (3, 12, 12), (1, 10, 13), (3, 13, 10)])
     def test_matches_pairwise_oracle(self, shape):
         rng = np.random.default_rng(9)
         recons = rng.uniform(size=(4, *shape))
