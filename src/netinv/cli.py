@@ -89,11 +89,6 @@ def _inversion_config(cfg, **fields):
         "eval_samples": cfg["inv.eval_samples"], **fields})
 
 
-def _image_path(out, stem, channels):
-    """Grid file name: PGM for one channel, PPM for three."""
-    return out / (f"{stem}.pgm" if channels == 1 else f"{stem}.ppm")
-
-
 def _prepare(args):
     cfg = parse_config(args.config, overrides={"seed": args.seed} if args.seed is not None else None)
     out = Path(args.out)
@@ -109,20 +104,16 @@ def cmd_train_classifier(args):
     clf = Classifier(_classifier_spec(cfg, train.image_shape, train.n_classes),
                      rng=np.random.default_rng(derive_seed(cfg["seed"], "classifier-init")))
     rng = np.random.default_rng(derive_seed(cfg["seed"], "classifier-train"))
-    rows = []
     history = train_classifier(clf, train.images, train.labels,
                                epochs=cfg["train.epochs"], batch_size=cfg["train.batch"],
                                lr=cfg["train.lr"], optimizer=cfg["train.optimizer"], rng=rng)
     test_acc = accuracy(clf, test.images, test.labels)
-    for epoch, (loss, acc) in enumerate(history):
-        rows.append([epoch, loss, acc])
     manifest.stop()
-    ckpt = out / "classifier.ninv"
-    save_checkpoint(clf, ckpt, seed=cfg["seed"],
-                    meta={"dataset": train.name, "test_accuracy": test_acc})
-    write_csv(rows, ["epoch", "train_loss", "train_accuracy"], out / "metrics.csv")
-    manifest.record(ckpt)
-    manifest.record(out / "metrics.csv")
+    rows = [[epoch, loss, acc] for epoch, (loss, acc) in enumerate(history)]
+    manifest.record(save_checkpoint(clf, out / "classifier.ninv", seed=cfg["seed"],
+                                    meta={"dataset": train.name, "test_accuracy": test_acc}))
+    manifest.record(write_csv(rows, ["epoch", "train_loss", "train_accuracy"],
+                              out / "metrics.csv"))
     manifest.write(extra={"test_accuracy": test_acc})
     return EXIT_OK
 
@@ -139,18 +130,14 @@ def cmd_invert(args):
     manifest.stop()
     rows = [[step, b.terms["kl"], b.terms["ce"], b.terms["cosine"], b.terms["ortho"],
              b.total, "" if acc is None else acc] for step, b, acc in history]
-    write_csv(rows, ["step", "kl", "ce", "cosine", "ortho", "total", "accuracy"],
-              out / "inversion_loss.csv")
-    manifest.record(out / "inversion_loss.csv")
+    manifest.record(write_csv(rows, ["step", "kl", "ce", "cosine", "ortho", "total",
+                                     "accuracy"], out / "inversion_loss.csv"))
     grid_rng = np.random.default_rng(derive_seed(cfg["seed"], "sample-grid"))
     for k in range(clf.spec.classes):
         _, images = generate_samples(gen, 16, grid_rng, classes=[k])
-        path = _image_path(out, f"samples_class{k}", clf.spec.in_shape[0])
-        write_pgm_grid(images, 4, path)
-        manifest.record(path)
-    ckpt = out / "generator.ninv"
-    save_checkpoint(gen, ckpt, seed=cfg["seed"], meta={"inversion_accuracy": final_acc})
-    manifest.record(ckpt)
+        manifest.record(write_pgm_grid(images, 4, out / f"samples_class{k}"))
+    manifest.record(save_checkpoint(gen, out / "generator.ninv", seed=cfg["seed"],
+                                    meta={"inversion_accuracy": final_acc}))
     manifest.write(extra={
         "inversion_accuracy": final_acc,
         "stop_reason": "target" if final_acc >= inv_cfg.target_accuracy else "budget",
@@ -193,12 +180,9 @@ def cmd_reconstruct(args):
              float(delta[i])] for i in range(len(recons))]
     rows.append(["mean", "", report.mean_ssim, "", holdout_report.mean_ssim,
                  float(delta.mean())])
-    write_csv(rows, ["recon_id", "match_id", "ssim", "holdout_match_id", "holdout_ssim",
-                     "delta"], out / "privacy.csv")
-    manifest.record(out / "privacy.csv")
-    grid = _image_path(out, "reconstructions", recons.shape[1])
-    write_pgm_grid(recons, 8, grid)
-    manifest.record(grid)
+    manifest.record(write_csv(rows, ["recon_id", "match_id", "ssim", "holdout_match_id",
+                                     "holdout_ssim", "delta"], out / "privacy.csv"))
+    manifest.record(write_pgm_grid(recons, 8, out / "reconstructions"))
     manifest.write(extra={
         "mean_max_ssim_train": report.mean_ssim,
         "mean_max_ssim_holdout": holdout_report.mean_ssim,
@@ -235,9 +219,7 @@ def cmd_ood(args):
     rng = np.random.default_rng(derive_seed(cfg["seed"], "ood-cycle"))
 
     def on_cycle(report, images):
-        path = _image_path(out, f"inverted_cycle{report.cycle}", train.image_shape[0])
-        write_pgm_grid(images[:16], 4, path)
-        manifest.record(path)
+        manifest.record(write_pgm_grid(images[:16], 4, out / f"inverted_cycle{report.cycle}"))
 
     clf, reports = ood_training_cycle(clf, gen_factory, train, test, ocfg, rng=rng,
                                       on_cycle=on_cycle)
@@ -245,15 +227,12 @@ def cmd_ood(args):
     rows = [[r.cycle, r.id_train_accuracy, r.id_test_accuracy, r.inversion_accuracy,
              r.garbage_size, r.mean_ue_inverted, r.threshold_gap, r.ood_misrouted]
             for r in reports]
-    write_csv(rows, ["cycle", "id_train_acc", "id_test_acc", "inversion_acc",
-                     "garbage_size", "mean_ue_inverted", "threshold_gap",
-                     "ood_misrouted"], out / "cycles.csv")
-    manifest.record(out / "cycles.csv")
-    ckpt = out / "ood_classifier.ninv"
+    manifest.record(write_csv(rows, ["cycle", "id_train_acc", "id_test_acc", "inversion_acc",
+                                     "garbage_size", "mean_ue_inverted", "threshold_gap",
+                                     "ood_misrouted"], out / "cycles.csv"))
     final_acc = accuracy(clf, test.images, test.labels)
-    save_checkpoint(clf, ckpt, seed=cfg["seed"],
-                    meta={"id_test_accuracy": final_acc, "garbage_class": n})
-    manifest.record(ckpt)
+    manifest.record(save_checkpoint(clf, out / "ood_classifier.ninv", seed=cfg["seed"],
+                                    meta={"id_test_accuracy": final_acc, "garbage_class": n}))
     manifest.write(extra={"id_test_accuracy": final_acc})
     return EXIT_OK
 
@@ -284,17 +263,15 @@ def cmd_evaluate(args):
         models[name], datasets[name], garbage[name] = clf, ds, g
     manifest.start("evaluate")
     row_names, col_names, matrix, reports = evaluate_grid(models, datasets, garbage)
+    manifest.stop()
     rows = [[rname] + list(matrix[i]) for i, rname in enumerate(row_names)]
-    write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv")
-    manifest.record(out / "matrix.csv")
+    manifest.record(write_csv(rows, ["train\\test"] + col_names, out / "matrix.csv"))
     thr_rows = [[mname, oname, rep.min_id_confidence, rep.max_ood_confidence, rep.gap,
                  rep.n_ood_misrouted, rep.n_ood_misrouted == 0]
                 for (mname, oname), rep in reports.items()]
-    write_csv(thr_rows, ["model", "ood_dataset", "min_id_conf", "max_ood_conf",
-                         "gap", "ood_misrouted", "all_routed"],
-              out / "threshold.csv")
-    manifest.record(out / "threshold.csv")
-    manifest.stop()
+    manifest.record(write_csv(thr_rows, ["model", "ood_dataset", "min_id_conf", "max_ood_conf",
+                                         "gap", "ood_misrouted", "all_routed"],
+                              out / "threshold.csv"))
     manifest.write()
     return EXIT_OK
 

@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +56,8 @@ def _spec_from_descriptor(raw, max_values):
 
 
 def save_checkpoint(model, path, seed=0, meta=None):
-    """Binary layout: magic, version, descriptor, tensors, trailing CRC32."""
+    """Binary layout: magic, version, descriptor, tensors, trailing CRC32.
+    -> ``path``."""
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(struct.pack("<I", FORMAT_VERSION))
@@ -77,6 +79,7 @@ def save_checkpoint(model, path, seed=0, meta=None):
     with open(path, "wb") as f:
         f.write(payload)
         f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    return path
 
 
 _U32 = struct.Struct("<I")
@@ -160,8 +163,9 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def write_pgm_grid(images, cols, path):
-    """Tile images row-major into one binary PGM (P5) / PPM (P6) file."""
+def write_pgm_grid(images, cols, stem):
+    """Tile images row-major into one binary file: a PGM (P5) at
+    ``stem.pgm`` for 1 channel, a PPM (P6) at ``stem.ppm`` for 3. -> its path."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise ContractError(f"expected [N,C,H,W] images, got shape {images.shape}")
@@ -181,16 +185,12 @@ def write_pgm_grid(images, cols, path):
         r, c = divmod(i, cols)
         grid[:, r * (H + 1):r * (H + 1) + H, c * (W + 1):c * (W + 1) + W] = images[i]
     pixels = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
-    try:
-        with open(path, "wb") as f:
-            if C == 1:
-                f.write(f"P5\n{gw} {gh}\n255\n".encode("ascii"))
-                f.write(pixels[0].tobytes())
-            else:
-                f.write(f"P6\n{gw} {gh}\n255\n".encode("ascii"))
-                f.write(pixels.transpose(1, 2, 0).tobytes())
-    except OSError as exc:
-        raise FormatError(f"failed writing image grid to {path}: {exc}") from exc
+    magic, suffix = ("P5", "pgm") if C == 1 else ("P6", "ppm")
+    path = Path(f"{stem}.{suffix}")
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{gw} {gh}\n255\n".encode("ascii"))
+        f.write(pixels.transpose(1, 2, 0).tobytes())    # rows of interleaved channels
+    return path
 
 
 def format_value(v):
@@ -204,7 +204,8 @@ def format_value(v):
 
 
 def write_csv(rows, header, path):
-    """Header + rows with RFC-4180 quoting and 9-significant-digit floats."""
+    """Header + rows with RFC-4180 quoting and 9-significant-digit floats.
+    -> ``path``."""
     ncol = len(header)
     for i, row in enumerate(rows):
         if len(row) != ncol:
@@ -214,3 +215,4 @@ def write_csv(rows, header, path):
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_value(v) for v in row])
+    return path

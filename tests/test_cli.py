@@ -10,7 +10,6 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from netinv import cli
 from netinv.cli import main
 from netinv.config import CHOICES, DEFAULTS, MINIMUMS, RANGES, derive_seed, parse_config
 from netinv.errors import ConfigError
@@ -78,35 +77,6 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/run.conf")
-
-    def test_every_key_is_read_by_the_cli(self, tmp_path, monkeypatch):
-        """The keys the subcommand runs read, taken together, are every key."""
-        read = set()
-
-        class Recording(dict):
-            def __getitem__(self, key):
-                read.add(key)
-                return super().__getitem__(key)
-
-        prepare = cli._prepare
-
-        def recording_prepare(args):
-            cfg, out, manifest = prepare(args)
-            return Recording(cfg), out, manifest
-
-        monkeypatch.setattr(cli, "_prepare", recording_prepare)
-        conf = write_conf(tmp_path, TINY_RUN)
-        ckpt = str(tmp_path / "clf" / "classifier.ninv")
-        runs = [["train-classifier"], ["invert", "--classifier", ckpt],
-                ["reconstruct", "--classifier", ckpt], ["ood"]]
-        for i, (command, *extra) in enumerate(runs):
-            out = str(tmp_path / ("clf" if i == 0 else command))
-            assert main([command, "--config", conf, "--out", out, *extra]) == 0
-        conf = write_conf(tmp_path, TINY_RUN + f"eval.pairs = bars={ckpt}\n", name="eval.conf")
-        assert main(["evaluate", "--config", conf, "--out", str(tmp_path / "eval")]) == 0
-        conf = write_conf(tmp_path, TINY_RUN + write_idx(tmp_path), name="idx.conf")
-        assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "idx")]) == 0
-        assert read == set(DEFAULTS)
 
     @pytest.mark.parametrize("config, keys", [
         (InversionConfig, INV_KEYS),
@@ -469,6 +439,21 @@ class TestRejectedRuns:
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocked", ["samples_class0.pgm", "inversion_loss.csv",
+                                         "generator.ninv"], ids=["grid", "csv", "checkpoint"])
+    def test_failed_write_exits_two_without_traceback(self, tmp_path, capsys, classifier_run,
+                                                      blocked):
+        """An output file the run cannot write, here because a directory holds
+        its name, is an OS error like any other: exit 2, no manifest."""
+        out = tmp_path / "x"
+        (out / blocked).mkdir(parents=True)
+        conf = write_conf(tmp_path, TINY_RUN)
+        assert main(["invert", "--config", conf, "--out", str(out),
+                     "--classifier", str(classifier_run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and blocked in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
 
     def test_split_sizes_are_not_checked_for_idx_data(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "dataset = idx\nsynth.train = 1\n")

@@ -10,7 +10,8 @@ them enters fails the test unless ``ALLOWED`` names it. Each allowed body
 names the tier-1 test that does enter it, and that test runs here under the
 same hook, so the capability it keeps stays tested. The statements of
 entered bodies that never ran, ``raise`` statements aside, are printed as
-information (``pytest -s``).
+information (``pytest -s``). The same pass records the config keys the runs
+read: together they must be every key.
 """
 
 import ast
@@ -24,8 +25,9 @@ from pathlib import Path
 import pytest
 
 import netinv
-from netinv import models
+from netinv import cli, models
 from netinv.cli import main
+from netinv.config import DEFAULTS
 from test_cli import TINY_RUN, write_conf, write_idx
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
@@ -151,23 +153,41 @@ MATRIX = {
 def run_matrix(tmp):
     """Every subcommand on each ``MATRIX`` config, then an SGD classifier on
     crosses, a classifier on IDX files and ``evaluate`` over the MLP's
-    garbage-class checkpoint and the crosses one, all in ``tmp``."""
+    garbage-class checkpoint and the crosses one, all in ``tmp``; -> the
+    config keys the runs read."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    prepare = cli._prepare
+
+    def recording_prepare(args):
+        cfg, out, manifest = prepare(args)
+        return Recording(cfg), out, manifest
+
     def run(command, name, text, *extra):
         conf = write_conf(tmp, TINY_RUN + GENERATOR + text, name=f"{name}.conf")
         out = tmp / name / command
         assert main([command, "--config", conf, "--out", str(out), *extra]) == 0
         return out
 
-    for name, text in MATRIX.items():
-        ckpt = run("train-classifier", name, text) / "classifier.ninv"
-        for command in ("invert", "reconstruct"):
-            run(command, name, text, "--classifier", str(ckpt))
-        run("ood", name, text)
-    crosses = run("train-classifier", "sgd", "synth.family = crosses\ntrain.optimizer = sgd\n")
-    run("train-classifier", "idx", write_idx(tmp))
-    garbage = tmp / "mlp" / "ood" / "ood_classifier.ninv"
-    run("evaluate", "eval", f"eval.pairs = bars={garbage},"
-                            f"crosses={crosses / 'classifier.ninv'}\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_prepare", recording_prepare)
+        for name, text in MATRIX.items():
+            ckpt = run("train-classifier", name, text) / "classifier.ninv"
+            for command in ("invert", "reconstruct"):
+                run(command, name, text, "--classifier", str(ckpt))
+            run("ood", name, text)
+        crosses = run("train-classifier", "sgd",
+                      "synth.family = crosses\ntrain.optimizer = sgd\n")
+        run("train-classifier", "idx", write_idx(tmp))
+        garbage = tmp / "mlp" / "ood" / "ood_classifier.ninv"
+        run("evaluate", "eval", f"eval.pairs = bars={garbage},"
+                                f"crosses={crosses / 'classifier.ninv'}\n")
+    return read
 
 
 # The tier-1 tests that differentiate the grad_norm_sq_replay oracle once
@@ -218,24 +238,33 @@ def run_test(node, arguments):
 
 
 @pytest.fixture(scope="module")
-def matrix_reach(tmp_path_factory):
+def matrix_run(tmp_path_factory):
+    """-> (the ``Reach`` of one ``run_matrix`` pass, the config keys it read)."""
     # a warm cache would skip the body it wraps
     models._condition_matrix.cache_clear()
     with Reach(PACKAGE_DIR) as reach:
-        run_matrix(tmp_path_factory.mktemp("reach"))
-    return reach
+        read = run_matrix(tmp_path_factory.mktemp("reach"))
+    return reach, read
 
 
-def test_every_function_runs_in_a_subcommand_or_is_allowed(matrix_reach):
-    unrun = unrun_statements(PACKAGE, matrix_reach.entered, matrix_reach.lines)
+def test_every_function_runs_in_a_subcommand_or_is_allowed(matrix_run):
+    reach, _ = matrix_run
+    unrun = unrun_statements(PACKAGE, reach.entered, reach.lines)
     print(f"\n{len(unrun)} statements of entered bodies never ran (raise aside):",
           *unrun, sep="\n  ")
-    assert unentered(PACKAGE, matrix_reach.entered, ALLOWED) == []
+    assert unentered(PACKAGE, reach.entered, ALLOWED) == []
 
 
-def test_allowed_names_only_bodies_no_subcommand_enters(matrix_reach):
+def test_allowed_names_only_bodies_no_subcommand_enters(matrix_run):
+    reach, _ = matrix_run
     bodies = {f"{Path(f).stem}.{q}" for f, _, q in function_bodies(PACKAGE)}
-    assert sorted(n for n in ALLOWED if n not in bodies or n in matrix_reach.names()) == []
+    assert sorted(n for n in ALLOWED if n not in bodies or n in reach.names()) == []
+
+
+def test_every_key_is_read_by_the_cli(matrix_run):
+    """The keys the matrix's subcommand runs read, taken together, are every key."""
+    _, read = matrix_run
+    assert read == set(DEFAULTS)
 
 
 @pytest.mark.parametrize("test_id", SECOND_ORDER_TESTS)

@@ -302,14 +302,12 @@ class TestDescriptorFields:
 class TestPgm:
     def test_exact_bytes_single_image(self, tmp_path):
         img = np.array([[[[0.0, 1.0], [1.0, 0.0]]]])
-        path = tmp_path / "one.pgm"
-        write_pgm_grid(img, 1, path)
+        path = write_pgm_grid(img, 1, tmp_path / "one")
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0])
 
     def test_grid_rows_arithmetic(self, tmp_path):
         imgs = np.zeros((5, 1, 3, 3))
-        path = tmp_path / "grid.pgm"
-        write_pgm_grid(imgs, 2, path)
+        path = write_pgm_grid(imgs, 2, tmp_path / "grid")
         header = path.read_bytes().split(b"\n")
         w, h = map(int, header[1].split())
         assert h == 3 * 3 + 2       # ceil(5/2)=3 rows with 1-px separators
@@ -318,24 +316,29 @@ class TestPgm:
     def test_readback_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         imgs = rng.uniform(size=(1, 1, 6, 6))
-        path = tmp_path / "rt.pgm"
-        write_pgm_grid(imgs, 1, path)
-        back = read_pgm(path)
+        back = read_pgm(write_pgm_grid(imgs, 1, tmp_path / "rt"))
         np.testing.assert_allclose(back[0], imgs[0, 0], atol=1 / 255)
 
     @pytest.mark.parametrize("count, cols", [(0, 2), (2, 0), (2, -1)])
     def test_no_image_or_no_column_rejected(self, tmp_path, count, cols):
-        path = tmp_path / "none.pgm"
         with pytest.raises(ContractError, match="at least one"):
-            write_pgm_grid(np.zeros((count, 1, 3, 3)), cols, path)
-        assert not path.exists()
+            write_pgm_grid(np.zeros((count, 1, 3, 3)), cols, tmp_path / "none")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_ppm_for_three_channels(self, tmp_path):
-        imgs = np.random.default_rng(5).uniform(size=(2, 3, 4, 4))
-        path = tmp_path / "c.ppm"
-        write_pgm_grid(imgs, 2, path)
-        back = read_pgm(path)
-        assert back.shape[0] == 3
+    @pytest.mark.parametrize("channels, name", [(1, "c.pgm"), (3, "c.ppm")])
+    def test_suffix_follows_channel_count(self, tmp_path, channels, name):
+        """1 channel is written as a PGM, 3 as a PPM, each at the stem plus
+        its suffix; the path returned is the one file written."""
+        imgs = np.random.default_rng(5).uniform(size=(2, channels, 4, 4))
+        path = write_pgm_grid(imgs, 2, tmp_path / "c")
+        assert path == tmp_path / name and list(tmp_path.iterdir()) == [path]
+        assert read_pgm(path).shape == (channels, 4, 9)
+
+    def test_csv_and_checkpoint_writers_return_their_path(self, tmp_path):
+        csv_path, ckpt_path = tmp_path / "rows.csv", tmp_path / "model.ninv"
+        assert write_csv([[1]], ["a"], csv_path) == csv_path
+        assert save_checkpoint(FUZZ_MODELS["mlp"], ckpt_path) == ckpt_path
+        assert sorted(tmp_path.iterdir()) == [ckpt_path, csv_path]
 
 
 class TestCsv:
