@@ -149,7 +149,7 @@ def sub(a, b):
 
     def vjp(g, need):
         ga = _unbroadcast(g, a.data.shape) if need[0] else None
-        gb = _unbroadcast(neg(g), b.data.shape) if need[1] else None
+        gb = _unbroadcast(mul(g, -1.0), b.data.shape) if need[1] else None
         return ga, gb
 
     return _from_op(a.data - b.data, (a, b), vjp)
@@ -175,19 +175,10 @@ def div(a, b):
         ga = _unbroadcast(div(g, b), a.data.shape) if need[0] else None
         gb = None
         if need[1]:
-            gb = _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.data.shape)
+            gb = _unbroadcast(mul(div(mul(g, a), mul(b, b)), -1.0), b.data.shape)
         return ga, gb
 
     return _from_op(a.data / b.data, (a, b), vjp)
-
-
-def neg(a):
-    a = as_tensor(a)
-
-    def vjp(g, need):
-        return (neg(g),)
-
-    return _from_op(-a.data, (a,), vjp)
 
 
 def pow_const(a, k):

@@ -21,14 +21,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
-def _build(cls, **fields):
-    """A library spec from config values; a value the spec rejects is a config error."""
-    try:
-        return cls(**fields)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _synth_spec(cfg, family, size_keys):
     """Synthetic spec of ``family`` from the synth.* keys, once each split size
     in ``size_keys`` is checked."""
@@ -37,9 +29,9 @@ def _synth_spec(cfg, family, size_keys):
         if cfg[key] < classes:
             raise ConfigError(f"bad value for {key!r}: {cfg[key]} (must be >= "
                               f"synth.classes = {classes}, one sample per class)")
-    return _build(SynthSpec, family=family, classes=classes,
-                  size=cfg["synth.size"], noise=cfg["synth.noise"],
-                  channels=cfg["synth.channels"], seed=derive_seed(cfg["seed"], "dataset"))
+    return SynthSpec(family=family, classes=classes, size=cfg["synth.size"],
+                     noise=cfg["synth.noise"], channels=cfg["synth.channels"],
+                     seed=derive_seed(cfg["seed"], "dataset"))
 
 
 def _load_datasets(cfg):
@@ -66,22 +58,20 @@ def _load_classifier(path):
 
 
 def _classifier_spec(cfg, in_shape, classes):
-    return _build(ClassifierSpec, kind=cfg["model.kind"], in_shape=tuple(in_shape),
-                  classes=classes)
+    return ClassifierSpec(kind=cfg["model.kind"], in_shape=tuple(in_shape), classes=classes)
 
 
 def _generator_spec(cfg, out_shape, classes, cond_mode=None):
     hidden = tuple(int(s) for s in cfg["gen.hidden"].split(","))
-    return _build(GeneratorSpec, z_dim=cfg["gen.z_dim"],
-                  cond_mode=cond_mode or cfg["gen.cond_mode"],
-                  cond_dim=cfg["gen.cond_dim"], classes=classes,
-                  dropout=cfg["gen.dropout"], hidden=hidden,
-                  out_shape=tuple(out_shape))
+    return GeneratorSpec(z_dim=cfg["gen.z_dim"], cond_mode=cond_mode or cfg["gen.cond_mode"],
+                         cond_dim=cfg["gen.cond_dim"], classes=classes,
+                         dropout=cfg["gen.dropout"], hidden=hidden,
+                         out_shape=tuple(out_shape))
 
 
 def _inversion_config(cfg, **fields):
     """Generator-training config from the inv.* keys; ``fields`` override them."""
-    return _build(InversionConfig, **{
+    return InversionConfig(**{
         "alpha": cfg["inv.alpha"], "beta": cfg["inv.beta"], "gamma": cfg["inv.gamma"],
         "delta": cfg["inv.delta"], "batch_size": cfg["inv.batch"], "steps": cfg["inv.steps"],
         "lr": cfg["inv.lr"], "soften": cfg["inv.soften"],
@@ -90,7 +80,7 @@ def _inversion_config(cfg, **fields):
 
 
 def _prepare(args):
-    cfg = parse_config(args.config, overrides={"seed": args.seed} if args.seed is not None else None)
+    cfg = parse_config(args.config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out)
@@ -305,15 +295,12 @@ def main(argv=None):
         # overflow inside the tape is reported by the explicit finite checks
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"training stopped: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NetinvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -130,16 +130,9 @@ def _widths_ok(text):
         return False
 
 
-def _coerce(raw, default):
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
-
-
-def parse_config(path=None, overrides=None):
-    """Read `key = value` lines; every problem is reported in one pass."""
+def parse_config(path=None, seed=None):
+    """Read `key = value` lines, then ``seed`` over the file's seed when not
+    None; every problem is reported in one pass."""
     values = dict(DEFAULTS)
     problems = []
     if path is not None:
@@ -162,14 +155,11 @@ def parse_config(path=None, overrides=None):
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
             try:
-                values[key] = _coerce(raw, DEFAULTS[key])
+                values[key] = type(DEFAULTS[key])(raw)
             except ValueError:
                 problems.append(f"line {lineno}: bad value for {key!r}: {raw!r}")
-    for key, val in (overrides or {}).items():
-        if key not in DEFAULTS:
-            problems.append(f"override: unknown key {key!r}")
-        else:
-            values[key] = val
+    if seed is not None:
+        values["seed"] = seed
     problems += [f"bad value for {key!r}: {values[key]!r} (choices: {', '.join(choices)})"
                  for key, choices in CHOICES.items() if values[key] not in choices]
     problems += [f"bad value for {key!r}: {values[key]!r} (must be >= {low})"

@@ -26,5 +26,5 @@ class ConfigError(NetinvError):
 
 
 class DivergenceError(NetinvError):
-    """Training diverged: accuracy fell below chance, or a loss or a
-    classifier output went non-finite."""
+    """Training stopped: a loss or a classifier output went non-finite, or
+    the OOD cycle's ID training accuracy fell below chance."""

@@ -24,7 +24,7 @@ from .losses import (LossBreakdown, compose_total, cosine_diversity_loss,
                      feature_gram, kl_loss, ortho_loss, soften_onehot, tv_loss,
                      weighted_ce_loss)
 from .optim import make_optimizer
-from .training import logits_accuracy, predict_logits
+from .training import accuracy
 
 # loss term -> config field holding its weight, in composition order
 TERM_WEIGHTS = {"kl": "alpha", "kl_pert": "alpha_pert", "ce": "beta",
@@ -161,7 +161,7 @@ def generate_samples(gen, count, rng, classes=None):
 def inversion_accuracy(gen, clf, n_samples, rng):
     """Fraction of eval-mode samples whose classifier argmax equals the condition."""
     labels, images = generate_samples(gen, n_samples, rng, range(clf.spec.classes))
-    return logits_accuracy(predict_logits(clf, images), labels)
+    return accuracy(clf, images, labels)
 
 
 def train_generator(gen, clf, cfg, rng):

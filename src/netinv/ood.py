@@ -66,7 +66,8 @@ def uncertainty(p):
     The predicted distribution's distance from uniform is divided by the
     distance a one-hot prediction would attain, (m-1)/m, so the score is a
     scale-free certainty measure over the n+1 classes. ``p`` is one
-    distribution [m] (returns a float) or a batch [N, m] (returns [N]).
+    distribution [m] (returns a float) or a batch [N, m] (returns [N]),
+    scored row by row, so a row scores the same bits alone or in a batch.
     A row whose sum is not within 1e-6 of 1, with an entry below -1e-12 or
     with a NaN raises ``ContractError``.
     """
@@ -74,26 +75,19 @@ def uncertainty(p):
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ContractError(f"uncertainty expects distributions [m] or [N, m] with m >= 2, "
                             f"got shape {p.shape}")
+    rows = p.tolist() if p.ndim == 2 else [p.tolist()]
     m = p.shape[-1]
-    # 1 - sum((p - 1/m)^2) / ((m-1)/m), expanded over s = sum(p) and
-    # q = sum(p^2) so that a one-hot row scores exactly 0
-    if p.ndim == 1:
-        # one row in Python floats, without numpy's per-call cost
-        row = p.tolist()
+    scores = []
+    for i, row in enumerate(rows):
         s = sum(row)
         if not abs(s - 1.0) <= 1e-6 or min(row) < -1e-12:     # NaN is bad too
-            raise ContractError(f"malformed distribution in row 0 "
+            raise ContractError(f"malformed distribution in row {i} "
                                 f"(sum {s:.8f}, min {min(row):.3e})")
+        # 1 - sum((p - 1/m)^2) / ((m-1)/m), expanded over s = sum(p) and
+        # q = sum(p^2) so that a one-hot row scores exactly 0
         ue = (m - 2 + 2 * s - m * sum([x * x for x in row])) / (m - 1)
-        return min(max(ue, 0.0), 1.0)
-    sums = p.sum(axis=-1)
-    bad = ~(np.abs(sums - 1.0) <= 1e-6) | (p.min(axis=-1) < -1e-12)     # NaN is bad too
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ContractError(f"malformed distribution in row {i} "
-                            f"(sum {p[i].sum():.8f}, min {p[i].min():.3e})")
-    ue = (m - 2 + 2 * sums - m * (p * p).sum(axis=-1)) / (m - 1)
-    return np.minimum(np.maximum(ue, 0.0), 1.0)
+        scores.append(min(max(ue, 0.0), 1.0))
+    return np.array(scores) if p.ndim == 2 else scores[0]
 
 
 @dataclass
@@ -197,8 +191,12 @@ def ood_training_cycle(clf, gen_factory, id_train, id_test, cfg, rng, on_cycle=N
         id_logits = predict_logits(clf, id_train.images)
         id_train_acc = logits_accuracy(id_logits, id_train.labels)
         if cycle > _WARMUP and id_train_acc < 1.0 / n1 + 0.05:
+            routed = int((id_logits.argmax(axis=1) == garbage_idx).sum())
             raise DivergenceError(
-                f"ID train accuracy {id_train_acc:.3f} below chance after cycle {cycle}")
+                f"ID train accuracy {id_train_acc:.3f} below chance after cycle {cycle}: "
+                f"the classifier routes {routed} of {len(id_train)} ID training images "
+                f"({routed / len(id_train):.0%}) to the garbage class; if it is "
+                f"under-trained, more ood.epochs may help")
 
         # invert the current classifier over all n+1 conditioning labels
         gen = gen_factory(cycle)

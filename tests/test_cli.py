@@ -126,15 +126,17 @@ ood.garbage_init = 3
 """
 
 
-def write_idx(tmp_path, n=6, size=12):
-    """Tiny IDX image and label files for both splits; -> their config lines."""
+def write_idx(tmp_path, n=6, size=12, classes=(0, 1, 2)):
+    """Tiny IDX image and label files for both splits, labels cycling through
+    ``classes``; -> their config lines."""
     rng = np.random.default_rng(0)
     lines = "dataset = idx\nidx.limit = 5\n"
     for split in ("train", "test"):
         images, labels = tmp_path / f"{split}-images.idx", tmp_path / f"{split}-labels.idx"
         images.write_bytes(struct.pack(">IIII", 0x803, n, size, size)
                            + rng.integers(0, 256, n * size * size, dtype=np.uint8).tobytes())
-        labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 3 for i in range(n)))
+        labels.write_bytes(struct.pack(">II", 0x801, n)
+                           + bytes(classes[i % len(classes)] for i in range(n)))
         lines += f"idx.{split}_images = {images}\nidx.{split}_labels = {labels}\n"
     return lines
 
@@ -455,6 +457,18 @@ class TestRejectedRuns:
         assert err.startswith("config error:") and blocked in err and "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
+    def test_idx_train_split_missing_a_class_exits_two_without_traceback(self, tmp_path,
+                                                                          capsys):
+        """Labels 0 and 2 only: the garbage-class weights reject class 1's
+        zero count, a value out of their domain like any spec's."""
+        conf = write_conf(tmp_path, TINY_RUN + write_idx(tmp_path, classes=(0, 2)))
+        out = tmp_path / "x"
+        assert main(["ood", "--config", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "class counts" in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["resolved.conf"]
+
     def test_split_sizes_are_not_checked_for_idx_data(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "dataset = idx\nsynth.train = 1\n")
         assert main(["train-classifier", "--config", conf, "--out", str(tmp_path / "x")]) == 2
@@ -545,6 +559,31 @@ class TestOod:
         conf = write_conf(tmp_path, TINY_RUN + "train.optimizer = sgd\n")
         assert main(["ood", "--config", conf, "--out", str(tmp_path / "ood")]) == 0
         assert kinds == ["sgd", "sgd"]      # cycle 1, then the final retraining
+
+    def test_classifier_routing_id_data_to_garbage_stops_with_exit_three(
+            self, tmp_path, capsys, monkeypatch):
+        """A classifier that sends every ID training image to the garbage
+        class falls below chance after the warm-up cycle; the message gives
+        that share and points at ood.epochs rather than claiming divergence."""
+        from netinv import ood
+
+        def route_all_to_garbage(model, images, labels, **kwargs):
+            w, b = (name for name, *_ in model.spec.layout()[-2:])
+            model.params[w].data[:] = 0.0
+            model.params[b].data[:] = 0.0
+            model.params[b].data[0, -1] = 50.0
+            return []
+
+        monkeypatch.setattr(ood, "train_classifier", route_all_to_garbage)
+        conf = write_conf(tmp_path, TINY_RUN + "ood.cycles = 2\n")
+        out = tmp_path / "x"
+        assert main(["ood", "--config", conf, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("training stopped: ID train accuracy 0.000 below chance "
+                              "after cycle 2")
+        assert "routes 30 of 30 ID training images (100%) to the garbage class" in err
+        assert "ood.epochs" in err and "diverged" not in err and "Traceback" not in err
+        assert not (out / "ood_classifier.ninv").exists()
 
     def test_budget_arithmetic_in_csv(self, tmp_path):
         conf = write_conf(tmp_path, FAST_TRAIN + """

@@ -71,6 +71,16 @@ class TestUncertainty:
         with pytest.raises(ContractError, match="row 1"):
             uncertainty(np.stack([valid, row]))
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_batch_scores_are_the_rows_bits(self, m):
+        """A row scores the same bits in a batch as alone, where numpy's
+        pairwise sums from 8 columns on would round differently."""
+        logits = np.random.default_rng(m).normal(scale=3.0, size=(500, m))
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        batch = uncertainty(p)
+        assert batch.tobytes() == np.array([uncertainty(row) for row in p]).tobytes()
+
     def test_within_tolerance_accepted(self):
         for p in (np.array([0.5 + 5e-7, 0.5]), np.array([1.0 + 1e-13, -1e-13])):
             assert 0.0 <= uncertainty(p) <= 1.0

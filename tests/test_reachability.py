@@ -210,8 +210,6 @@ SECOND_ORDER = ("only a pass that differentiates a VJP's own graph enters it, an
 ALLOWED = {
     "autograd.sub.<locals>.vjp": (SECOND_ORDER, "feature_gram"),
     "autograd.div.<locals>.vjp": (SECOND_ORDER, "kl_loss"),
-    "autograd.neg": (SECOND_ORDER, "kl_loss"),
-    "autograd.neg.<locals>.vjp": (SECOND_ORDER, "kl_loss"),
     "autograd.pow_const.<locals>.vjp": (SECOND_ORDER, "feature_gram"),
     "autograd.broadcast_to.<locals>.vjp": (SECOND_ORDER, "kl_loss"),
     "autograd.take_slice.<locals>.vjp": (SECOND_ORDER, "tv_loss"),
