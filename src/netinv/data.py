@@ -1,6 +1,6 @@
 """Dataset ingestion: synthetic desk-scale families and IDX files."""
 
-import os
+import math
 import struct
 from dataclasses import dataclass
 
@@ -147,37 +147,36 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(f, n, path):
-    # check against the bytes left first, so a header that claims a huge
-    # payload allocates nothing
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    buf = f.read(n) if n <= left else b""
-    if len(buf) != n:
-        raise FormatError(f"truncated IDX file {path}: wanted {n} bytes, {left} left")
-    return buf
+def _read_idx(path, magic, ndim):
+    """-> (the ``ndim`` dimensions, a u8 view of their product in bytes) of
+    the IDX file at ``path``, read once; its magic must be ``magic``, and its
+    header and payload must fit the file's bytes, so a header that claims a
+    huge payload allocates nothing."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    head = 4 * (1 + ndim)
+    if len(blob) < head:
+        raise FormatError(f"truncated IDX file {path}: wanted a {head}-byte header, "
+                          f"{len(blob)} bytes in file")
+    got, *dims = struct.unpack_from(f">{1 + ndim}I", blob)
+    if got != magic:
+        raise FormatError(f"bad IDX magic 0x{got:08x} in {path} (expected 0x{magic:08x})")
+    if 0 in dims:
+        raise FormatError(f"IDX file {path} is {'x'.join(map(str, dims))}: zero dimension")
+    size = math.prod(dims)
+    if size > len(blob) - head:
+        raise FormatError(f"truncated IDX file {path}: wanted {size} bytes, "
+                          f"{len(blob) - head} left")
+    return dims, np.frombuffer(blob, dtype=np.uint8, count=size, offset=head)
 
 
 def load_idx(images_path, labels_path, limit=None):
     """Parse a u8 image tensor / label IDX pair into a Dataset."""
-    with open(images_path, "rb") as f:
-        magic, = struct.unpack(">I", _read_exact(f, 4, images_path))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise FormatError(f"bad IDX image magic 0x{magic:08x} in {images_path} "
-                              f"(expected 0x{_IDX_IMAGES_MAGIC:08x})")
-        n, h, w = struct.unpack(">III", _read_exact(f, 12, images_path))
-        if 0 in (n, h, w):
-            raise FormatError(f"IDX images in {images_path} are {n}x{h}x{w}: zero dimension")
-        raw = _read_exact(f, n * h * w, images_path)
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
-    with open(labels_path, "rb") as f:
-        magic, = struct.unpack(">I", _read_exact(f, 4, labels_path))
-        if magic != _IDX_LABELS_MAGIC:
-            raise FormatError(f"bad IDX label magic 0x{magic:08x} in {labels_path} "
-                              f"(expected 0x{_IDX_LABELS_MAGIC:08x})")
-        nl, = struct.unpack(">I", _read_exact(f, 4, labels_path))
-        labels = np.frombuffer(_read_exact(f, nl, labels_path), dtype=np.uint8)
+    (n, h, w), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
+    (nl,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
     if n != nl:
         raise FormatError(f"IDX count mismatch: {n} images vs {nl} labels")
+    images = pixels.reshape(n, 1, h, w)
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
     return Dataset(images.astype(np.float32) / 255.0, labels.astype(np.int64), name="idx")

@@ -62,6 +62,8 @@ class InversionConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"loss weight {name} must be finite and nonnegative")
+        if not any(getattr(self, name) for name in TERM_WEIGHTS.values()):
+            raise DomainError("every loss weight is 0, so no step would train the generator")
         if not 0.0 <= self.eps_pert <= 1.0:
             raise DomainError("perturbation radius must be in [0, 1]")
         if self.batch_size < 2:
@@ -84,7 +86,7 @@ def linf_perturb(images, eps_pert, rng):
 
 
 def generator_loss(images, clf, labels, cfg, rng):
-    """-> (total tensor or None, LossBreakdown) for one generated batch.
+    """-> (total tensor, LossBreakdown) for one generated batch.
 
     The four inversion terms are always built; the smoothness prior, the
     perturbed terms and the gradient penalty only when weighted, so an
@@ -123,7 +125,7 @@ def generator_loss(images, clf, labels, cfg, rng):
     breakdown = LossBreakdown(
         terms={k: float(v.item()) for k, v in terms.items()},
         weights=weights,
-        total=float(total.item()) if total is not None else 0.0).check()
+        total=float(total.item())).check()
     return total, breakdown
 
 
@@ -140,8 +142,7 @@ def inversion_step(gen, clf, cfg, rng, opt):
     labels, z = _draw_inputs(gen, list(range(clf.spec.classes)), cfg.batch_size, rng)
     images = gen.forward(z, labels, rng)
     total, breakdown = generator_loss(images, clf, labels, cfg, rng)
-    if total is not None:
-        opt.step(ag.grad(total, opt.params))
+    opt.step(ag.grad(total, opt.params))
     return breakdown
 
 

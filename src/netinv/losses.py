@@ -193,14 +193,12 @@ def tv_loss(images):
 def compose_total(terms, weights, order):
     """Weighted sum of loss tensors in a fixed key order, skipping zero weights.
 
-    One node over the weighted terms (None when there are none), summed left
+    One node over the weighted terms (there must be at least one), summed left
     to right in the terms' dtype; the VJP hands each term ``g * weight``.
     Using one composition routine everywhere keeps the inversion and
     reconstruction totals bit-consistent when the extra weights are zero.
     """
     picked = [name for name in order if weights.get(name, 0.0) != 0.0 and name in terms]
-    if not picked:
-        return None
     inputs = tuple(terms[name] for name in picked)
     coefs = [np.asarray(weights[name], dtype=t.dtype) for name, t in zip(picked, inputs)]
     total = None

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import struct
@@ -15,7 +14,7 @@ from .errors import ContractError, FormatError, NetinvError
 from .models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 
 MAGIC = b"NINV"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # model kind -> (spec class, model class)
@@ -31,10 +30,9 @@ def _descriptor(model, seed=0, meta=None):
                        "meta": meta or {}}, sort_keys=True)
 
 
-def _spec_from_descriptor(raw, max_values):
-    """-> (model class, spec, its layout, info); the layout may hold at most
-    ``max_values`` floats, checked before anything is allocated. The spec's
-    own checks decide whether each field's value is valid."""
+def _spec_from_descriptor(raw):
+    """-> (model class, spec, its layout, info). The spec's own checks decide
+    whether each field's value is valid."""
     try:
         info = json.loads(raw.decode("utf-8"))
         spec_cls, model_cls = _MODELS[info["model"]]
@@ -44,120 +42,70 @@ def _spec_from_descriptor(raw, max_values):
             raise FormatError(f"spec fields must be {sorted(names)}")
         spec = spec_cls(**{k: tuple(v) if isinstance(v, list) else v
                            for k, v in fields.items()})
-        layout = spec.layout()
-        n_values = sum(math.prod(shape) for _, shape, _ in layout)
-        if n_values > max_values:
-            raise FormatError(f"architecture needs {n_values} values, "
-                              f"payload holds at most {max_values}")
-        return model_cls, spec, layout, info
+        return model_cls, spec, spec.layout(), info
     except (ArithmeticError, ValueError, KeyError, TypeError, RecursionError,
             NetinvError) as exc:
         raise FormatError(f"bad checkpoint descriptor: {exc}") from exc
 
 
 def save_checkpoint(model, path, seed=0, meta=None):
-    """Binary layout: magic, version, descriptor, tensors, trailing CRC32.
-    -> ``path``."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
+    """Binary layout: magic, version, descriptor length, descriptor, every
+    parameter as little-endian float32 in ``spec.layout()`` order, then the
+    CRC32 of all of that. -> ``path``."""
     desc = _descriptor(model, seed=seed, meta=meta).encode("utf-8")
-    buf.write(struct.pack("<I", len(desc)))
-    buf.write(desc)
-    params = model.params
-    buf.write(struct.pack("<I", len(params)))
-    for name, tensor in params.items():
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        data = np.asarray(tensor.data, dtype="<f4")
-        buf.write(struct.pack("<I", data.ndim))
-        for dim in data.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(data.tobytes())
-    payload = buf.getvalue()
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(desc)), desc]
+    for name, shape, _ in model.spec.layout():
+        data = model.params[name].data
+        if data.shape != shape:
+            raise ContractError(f"parameter {name!r} has shape {data.shape}, "
+                                f"its layout entry {shape}")
+        parts.append(np.asarray(data, dtype="<f4").tobytes())
+    crc = 0
     with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        for part in parts:              # joined, they would be copied a second time
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
     return path
-
-
-_U32 = struct.Struct("<I")
-
-
-class _Cursor:
-    """Reads the payload ``blob[:end]`` front to back by offset, copying
-    nothing the caller does not slice out."""
-
-    def __init__(self, blob, end):
-        self.blob, self.pos, self.end = blob, 0, end
-
-    def skip(self, n):
-        """-> the offset of the next ``n`` bytes, which are then passed."""
-        pos = self.pos
-        if n > self.end - pos:
-            raise FormatError(f"checkpoint truncated: wanted {n} bytes, "
-                              f"{self.end - pos} left")
-        self.pos = pos + n
-        return pos
-
-    def read(self, n):
-        pos = self.skip(n)
-        return self.blob[pos:pos + n]
-
-    def u32s(self, count):
-        return struct.unpack_from(f"<{count}I", self.blob, self.skip(4 * count))
-
-    def u32(self):
-        return _U32.unpack_from(self.blob, self.skip(4))[0]
 
 
 def load_checkpoint(path):
     """-> (model, info dict). Any malformed content raises ``FormatError``.
 
-    The file's bytes are read once; the header fields are unpacked and each
-    tensor is viewed at its offset in them, so the one copy made is the
-    parameter arrays'."""
+    The file's bytes are read once and each parameter is copied out at its
+    offset in them, so the one copy made is the parameter arrays'."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 12:
+    if len(blob) < 16:
         raise FormatError(f"checkpoint {path} truncated ({len(blob)} bytes)")
     end = len(blob) - 4                        # the payload, then its CRC
     want_crc, = struct.unpack_from("<I", blob, end)
-    got_crc = zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF
+    got_crc = zlib.crc32(memoryview(blob)[:end])
     if got_crc != want_crc:
         raise FormatError(f"checkpoint CRC mismatch: stored 0x{want_crc:08x}, "
                           f"computed 0x{got_crc:08x}")
-    buf = _Cursor(blob, end)
-    magic = buf.read(4)
-    if magic != MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r} (expected {MAGIC!r})")
-    version = buf.u32()
+    if blob[:4] != MAGIC:
+        raise FormatError(f"bad checkpoint magic {blob[:4]!r} (expected {MAGIC!r})")
+    version, size = struct.unpack_from("<II", blob, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    desc = buf.read(buf.u32())
-    model_cls, spec, layout, info = _spec_from_descriptor(desc, (end - buf.pos) // 4)
-    shapes = {name: shape for name, shape, _ in layout}
-    by_name = {name.encode("utf-8"): name for name in shapes}
-    count = buf.u32()
-    if count != len(by_name):
-        raise FormatError(f"checkpoint holds {count} tensors, architecture has {len(by_name)}")
-    loaded = {}
-    for _ in range(count):
-        name = by_name.get(buf.read(buf.u32()))
-        if name is None or name in loaded:
-            raise FormatError(f"checkpoint tensors do not match architecture "
-                              f"parameters {sorted(shapes)}")
-        want = shapes[name]
-        rank = buf.u32()
-        if rank != len(want) or buf.u32s(rank) != want:
-            raise FormatError(f"checkpoint tensor {name!r} does not have shape {want}")
-        n = math.prod(want)
-        data = np.frombuffer(blob, dtype="<f4", count=n, offset=buf.skip(4 * n))
-        loaded[name] = data.reshape(want).copy()
-    if buf.pos != end:
-        raise FormatError("checkpoint has trailing bytes after its tensors")
-    return model_cls.from_arrays(spec, loaded), info
+    pos = 12 + size
+    if pos > end:
+        raise FormatError(f"checkpoint truncated: descriptor of {size} bytes, "
+                          f"{end - 12} left")
+    model_cls, spec, layout, info = _spec_from_descriptor(blob[12:pos])
+    n_values = sum(math.prod(shape) for _, shape, _ in layout)
+    left = end - pos
+    if 4 * n_values != left:
+        state = "truncated" if 4 * n_values > left else "too long"
+        raise FormatError(f"checkpoint {state}: architecture needs {n_values} values "
+                          f"({4 * n_values} bytes), payload holds {left} bytes")
+    arrays = {}
+    for name, shape, _ in layout:
+        n = math.prod(shape)
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=pos).reshape(shape).copy()
+        pos += 4 * n
+    return model_cls.from_arrays(spec, arrays), info
 
 
 # ---------------------------------------------------------------------------

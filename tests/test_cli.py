@@ -43,6 +43,10 @@ OOD_KEYS = {"cycles": "ood.cycles", "epochs_per_cycle": "ood.epochs",
             "budget": "ood.budget", "capacity_factor": "ood.capacity_factor"}
 
 
+# every inversion loss weight 0: a generator step would train nothing
+ZERO_INV_WEIGHTS = "inv.alpha = 0\ninv.beta = 0\ninv.gamma = 0\ninv.delta = 0\n"
+
+
 class TestConfig:
     def test_defaults_materialized(self):
         values = parse_config(None)
@@ -378,11 +382,26 @@ class TestRejectedRuns:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_version_one_checkpoint_exits_one_without_traceback(self, tmp_path, capsys,
+                                                                classifier_run):
+        payload = bytearray(classifier_run.read_bytes()[:-4])
+        payload[4:8] = struct.pack("<I", 1)
+        old = tmp_path / "v1.ninv"
+        old.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        conf = write_conf(tmp_path, FAST_INVERT)
+        assert main(["invert", "--config", conf, "--out", str(tmp_path / "x"),
+                     "--classifier", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unsupported checkpoint version 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, text", [
         pytest.param("invert", "gen.cond_dim = 2\n", id="invert-cond-dim"),
         pytest.param("ood", "gen.cond_dim = 2\n", id="ood-cond-dim"),
         pytest.param("reconstruct", "recon.beta_pert = -1\n", id="beta-pert"),
         pytest.param("invert", "inv.alpha = -1\n", id="alpha"),
+        pytest.param("invert", ZERO_INV_WEIGHTS, id="zero-weights"),
+        pytest.param("ood", ZERO_INV_WEIGHTS, id="ood-zero-weights"),
         pytest.param("reconstruct", "recon.eps_pert = 2\n", id="eps-pert"),
         pytest.param("train-classifier", "model.kind = cnn\nsynth.size = 10\n", id="cnn-size"),
         pytest.param("ood", "model.kind = cnn\nsynth.size = 10\n", id="ood-cnn-size"),

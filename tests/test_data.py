@@ -154,6 +154,9 @@ class TestIdxFuzz:
         images = rng.integers(0, 256, size=shape).astype(np.uint8).tobytes()
         labels = rng.integers(0, 10, size=n).astype(np.uint8).tobytes()
         ipath, lpath = tmp_path / "images.idx", tmp_path / "labels.idx"
+        # new files: truncating and rewriting one in place can wait on the disk
+        ipath.unlink(missing_ok=True)
+        lpath.unlink(missing_ok=True)
         ipath.write_bytes(_edited(struct.pack(">IIII", 0x803, *(claim or shape)) + images,
                                   image_edits, keep))
         lpath.write_bytes(_edited(struct.pack(">II", 0x801, n if label_claim is None

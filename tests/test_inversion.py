@@ -6,8 +6,8 @@ import pytest
 from netinv import autograd as ag
 from netinv import losses
 from netinv.errors import ContractError, DomainError
-from netinv.inversion import (InversionConfig, generate_samples, inversion_accuracy,
-                              inversion_step, train_generator)
+from netinv.inversion import (TERM_WEIGHTS, InversionConfig, generate_samples,
+                              inversion_accuracy, inversion_step, train_generator)
 from netinv.models import Classifier, ClassifierSpec, Generator, GeneratorSpec
 from netinv.optim import make_optimizer
 from netinv.reconstruction import ReconConfig
@@ -33,15 +33,14 @@ class TestInversionStep:
             step(gen, trained_mlp, InversionConfig(), np.random.default_rng(0))
         trained_mlp.freeze()
 
-    def test_zero_weights_leave_parameters_unchanged(self, trained_mlp):
-        trained_mlp.freeze()
-        gen = small_gen()
-        before = [p.data.copy() for p in gen.parameters()]
-        cfg = InversionConfig(alpha=0, beta=0, gamma=0, delta=0)
-        breakdown = step(gen, trained_mlp, cfg, np.random.default_rng(1))
-        assert breakdown.total == 0.0
-        for p, b in zip(gen.parameters(), before):
-            np.testing.assert_array_equal(p.data, b)
+    @pytest.mark.parametrize("config", [InversionConfig, ReconConfig],
+                             ids=["InversionConfig", "ReconConfig"])
+    def test_all_zero_weights_rejected(self, config):
+        """A config whose every loss term weighs 0 would train nothing."""
+        zero = {name: 0.0 for name in TERM_WEIGHTS.values()}
+        with pytest.raises(DomainError, match="every loss weight is 0"):
+            config(**zero)
+        assert config(**{**zero, "eta_grad": 0.01}).eta_grad == 0.01
 
     def test_classifier_bitwise_unchanged(self, trained_mlp):
         trained_mlp.freeze()

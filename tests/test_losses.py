@@ -335,7 +335,6 @@ class TestOneNodeTerms:
         terms = three_terms(x)
         total = compose_total(terms, TOTAL_WEIGHTS, TOTAL_ORDER)
         assert [id(t) for t in total._op[0]] == [id(terms[k]) for k in ("c", "a", "b")]
-        assert compose_total(terms, {"skip": 1.0, "a": 0.0}, ("a",)) is None
 
     @pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
     @pytest.mark.parametrize("kind", ["gram", "image"])

@@ -277,6 +277,8 @@ class TestAcceptedSpecs:
             logits, _ = model.forward(rng.uniform(size=(2, *spec.in_shape)).astype(np.float32))
             assert logits.shape == (2, spec.classes)
         path = tmp_path / "m.ninv"
+        # a new file: truncating and rewriting one in place can wait on the disk
+        path.unlink(missing_ok=True)
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         assert loaded.spec == spec
